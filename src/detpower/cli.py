@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -62,8 +61,6 @@ def _scalar(value: float, units: str, bits: bool):
 
 
 def _report(command: str, digest: str, results: dict, diagnostics: dict) -> dict:
-    diagnostics = dict(diagnostics)
-    diagnostics.setdefault("threads", int(os.environ.get("DETPOWER_THREADS", "1")))
     return {
         "command": command,
         "inputs_digest": digest,

@@ -1,4 +1,4 @@
-"""States, POVMs and the small dense Hermitian eigensolver.
+"""States, POVMs and the LAPACK-backed Hermitian eigendecomposition.
 
 Everything here is plain double-precision numpy.  Objects are validated on
 construction and treated as immutable afterwards; all functions are pure.
@@ -48,7 +48,7 @@ class DensityMatrix:
             raise DomainError("density matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > TOL_TRACE or abs(np.trace(m).imag) > TOL_TRACE:
             raise DomainError("density matrix trace differs from 1")
-        evals, _ = eig_hermitian((m + m.conj().T) / 2)
+        evals, _ = eig_hermitian(m)
         if evals.min() < -TOL_PSD:
             raise DomainError(f"density matrix has negative eigenvalue {evals.min():.3e}")
         object.__setattr__(self, "mat", m)
@@ -197,55 +197,21 @@ def validate_povm(p: Povm) -> ValidationReport:
     return rep
 
 
-def eig_hermitian(mat, tol: float = 1e-13, max_sweeps: int = 60):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def eig_hermitian(mat):
+    """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
-    eigenvectors as orthonormal columns; degenerate eigenvalues keep the
-    diagonal order in which they converged (stable sort).
+    eigenvectors as orthonormal columns.  Columns with equal eigenvalues are
+    ordered by the row of each eigenvector's largest-magnitude entry, so a
+    diagonal input keeps its diagonal order.
     """
     a = _as_square_complex(mat, "matrix")
     scale = max(1.0, float(np.max(np.abs(a))))
     if herm_deviation(a) > TOL_HERM * scale:
         raise DomainError("eig_hermitian requires a Hermitian matrix")
-    n = a.shape[0]
-    a = (a + a.conj().T) / 2
-    v = np.eye(n, dtype=complex)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(a[p, q]))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                phase = apq / abs(apq)
-                tau = (a[q, q].real - a[p, p].real) / (2 * abs(apq))
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # unitary rotation J with J[p,q] = s*phase, J[q,p] = -s*conj(phase)
-                ap, aq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * ap - s * np.conj(phase) * aq
-                a[:, q] = s * phase * ap + c * aq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * phase * rq
-                a[q, :] = s * np.conj(phase) * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * phase * vp + c * vq
-    evals = np.real(np.diag(a))
-    order = np.argsort(-evals, kind="stable")
-    return evals[order], v[:, order]
+    evals, evecs = np.linalg.eigh((a + a.conj().T) / 2)
+    order = np.lexsort((np.argmax(np.abs(evecs), axis=0), -evals))
+    return evals[order], evecs[:, order]
 
 
 def sequence_operator(p: Povm, seq, max_dim: int = 4096) -> np.ndarray:

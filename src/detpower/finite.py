@@ -174,12 +174,11 @@ def best_product_pair(p: Povm, n: int, candidates, cap: int = DENSE_CAP):
 
 
 def _diag_qubit_rates(p: Povm):
-    """Eigenvalues (p, q) of the first element of a two-element qubit POVM,
-    p >= q, together with the shared eigenbasis."""
+    """Eigenvalues (p, q) of the first element of a two-element qubit POVM, p >= q."""
     if p.dim != 2 or p.n_outcomes != 2:
         raise DomainError("binomial aggregation needs a two-element qubit POVM")
-    evals, evecs = eig_hermitian(p.elements[0])
-    return float(evals[0]), float(evals[1]), evecs
+    evals, _ = eig_hermitian(p.elements[0])
+    return float(evals[0]), float(evals[1])
 
 
 def _block_log_err(pp: float, qq: float, n: int, m: int) -> float:
@@ -210,7 +209,7 @@ def sweep_x(p: Povm, n: int, cap: int = 10**5):
         raise DomainError("n must be positive")
     if n > cap:
         raise ResourceError(f"n = {n} exceeds the aggregation cap {cap}")
-    pp, qq, _ = _diag_qubit_rates(p)
+    pp, qq = _diag_qubit_rates(p)
     rows = []
     for m in range(n + 1):
         log_err = _block_log_err(pp, qq, n, m)
@@ -226,5 +225,5 @@ def empirical_rate(p: Povm, n: int, cap: int = 10**5) -> float:
         raise DomainError("n must be positive")
     if n > cap:
         raise ResourceError(f"n = {n} exceeds the aggregation cap {cap}")
-    pp, qq, _ = _diag_qubit_rates(p)
+    pp, qq = _diag_qubit_rates(p)
     return -_block_log_err(pp, qq, n, n) / n

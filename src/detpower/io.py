@@ -7,7 +7,6 @@ pair.  NaN/Inf anywhere in a file is rejected at parse time.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -69,12 +68,6 @@ def povm_to_json(p: Povm):
     return {"dim": p.dim, "elements": [matrix_to_json(e) for e in p.elements]}
 
 
-def state_from_json(obj) -> DensityMatrix:
-    if not isinstance(obj, dict) or "dim" not in obj or "state" not in obj:
-        raise ParseError('state file must be an object with "dim" and "state"')
-    return DensityMatrix(matrix_from_json(obj["state"], obj["dim"], "state"))
-
-
 def candidates_from_json(obj) -> list:
     if not isinstance(obj, dict) or "dim" not in obj or "states" not in obj:
         raise ParseError('candidates file must be an object with "dim" and "states"')
@@ -132,9 +125,3 @@ def strategy_to_json(strat: AdaptiveStrategy, dim: int):
         out["grouping"] = sorted(_history_to_string(h) for h in strat.grouping)
     return out
 
-
-def finite_or_none(x: float):
-    """JSON-safe scalar: infinities become the string 'inf'."""
-    if x is None or math.isfinite(x):
-        return x
-    return "inf" if x > 0 else "-inf"

@@ -31,6 +31,8 @@ MAX_OUTCOMES_SINGLE_SHOT = 24
 # per-element eigenbases (capped), keeping the search tractable
 MAX_OUTCOMES_GROUPING_SCAN = 14
 MAX_BASIS_ELEMENTS = 256
+# coordinate-wise refinement passes per restart; each pass halves the bracket
+REFINE_PASSES = 4
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,6 @@ class SearchOptions:
     seed: int = 0
     mixed: bool = False
     tol: float = 1e-10
-    refine_passes: int = 4
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
 
         cur = eval_params(params)
         width = math.pi / 2
-        for _ in range(opts.refine_passes):
+        for _ in range(REFINE_PASSES):
             improved = 0.0
             for idx in range(n_params):
                 def along(x, idx=idx):

@@ -112,11 +112,49 @@ class TestEig:
         assert np.allclose(evals, [0.9, 0.5, 0.2])
         assert np.allclose(np.abs(evecs), np.eye(3)[:, [1, 2, 0]])
 
+    @pytest.mark.parametrize(
+        "diag, order",
+        [
+            ([0.5, 0.2, 0.5], [0, 2, 1]),
+            ([0.3, 0.3, 0.3, 0.1], [0, 1, 2, 3]),
+            ([1 / 3] * 3, [0, 1, 2]),
+        ],
+    )
+    def test_degenerate_diagonal_keeps_diagonal_order(self, diag, order):
+        # the grouped-element basis scan visits columns in this order, so ties
+        # among equal eigenvalues decide which optimizer is reported
+        evals, evecs = eig_hermitian(np.diag(diag).astype(complex))
+        assert np.allclose(evals, np.asarray(diag)[order], atol=1e-15)
+        assert np.allclose(np.abs(evecs), np.eye(len(diag))[:, order])
+
+    def test_degenerate_rotated_projector(self):
+        # the basis inside a degenerate eigenspace is arbitrary; its projector is not
+        rng = np.random.default_rng(13)
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        h = u @ np.diag([0.7, 0.7, 0.2, -0.1]) @ u.conj().T
+        evals, evecs = eig_hermitian(h)
+        assert np.allclose(evals, [0.7, 0.7, 0.2, -0.1], atol=1e-12)
+        top = evecs[:, :2]
+        assert np.allclose(top @ top.conj().T, u[:, :2] @ u[:, :2].conj().T, atol=1e-10)
+        assert np.allclose(evecs.conj().T @ evecs, np.eye(4), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+            np.diag([np.nan, 1.0]).astype(complex),
+        ],
+        ids=["non-hermitian", "nan"],
+    )
+    def test_bad_input_rejected(self, mat):
+        with pytest.raises(DomainError):
+            eig_hermitian(mat)
+
     def test_matches_numpy_random(self):
         # independent oracle: numpy's LAPACK-backed eigensolver
         rng = np.random.default_rng(11)
         for _ in range(40):
-            d = int(rng.integers(2, 7))
+            d = int(rng.choice([2, 3, 4, 5, 6, 8, 16]))
             g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             h = g + g.conj().T
             evals, evecs = eig_hermitian(h)
