@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detpower import (
     ClassicalDistribution,
     DensityMatrix,
+    DomainError,
     chernoff_exponent,
     golden_section_min,
     hoeffding_exponent,
@@ -17,6 +20,19 @@ from conftest import random_density, random_distribution, random_povm
 
 def dist(*vals):
     return ClassicalDistribution(np.array(vals, dtype=float))
+
+
+@st.composite
+def full_support_pairs(draw):
+    """(P, Q) with 2-6 outcomes, weights drawn like conftest.random_distribution."""
+    m = draw(st.integers(2, 6))
+    weights = st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)
+    p, q = np.array(draw(weights)), np.array(draw(weights))
+    return p / p.sum(), q / q.sum()
+
+
+# derandomized so that every tier-1 run checks the same examples
+property_test = settings(deadline=None, derandomize=True)
 
 
 class TestInduced:
@@ -38,6 +54,52 @@ class TestInduced:
             q = induced_distribution(povm, rho)
             assert abs(q.probs.sum() - 1.0) < 1e-9
             assert np.all(q.probs >= 0.0)
+
+
+RAW_CHECKERS = {
+    "ClassicalDistribution": lambda p: ClassicalDistribution(p),
+    "chernoff_exponent": lambda p: chernoff_exponent(p, [0.2, 0.3, 0.5]),
+    "relative_entropy": lambda p: relative_entropy([0.2, 0.3, 0.5], p),
+    "hoeffding_exponent": lambda p: hoeffding_exponent(p, [0.2, 0.3, 0.5], 0.05),
+}
+
+
+class TestValidation:
+    @pytest.mark.parametrize("checker", RAW_CHECKERS)
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [np.nan, 0.5, 0.5],
+            [np.inf, 0.5, 0.5],
+            [-np.inf, 0.5, 0.5],
+            [-2e-12, 0.5, 0.5 + 2e-12],
+            [0.2, 0.3, 0.5 + 2e-9],
+            [0.2, 0.3, 0.5 - 2e-9],
+        ],
+    )
+    def test_rejects_raw_array(self, checker, bad):
+        with pytest.raises(DomainError):
+            RAW_CHECKERS[checker](np.array(bad))
+
+    def test_tiny_negative_clipped(self):
+        raw = np.array([-1e-13, 0.5, 0.5 + 1e-13])
+        clean = np.array([0.0, 0.5, 0.5 + 1e-13])
+        assert ClassicalDistribution(raw).probs[0] == 0.0
+        q = [0.2, 0.3, 0.5]
+        assert chernoff_exponent(raw, q) == chernoff_exponent(clean, q)
+        assert relative_entropy(q, raw) == relative_entropy(q, clean)
+        assert hoeffding_exponent(raw, q, 0.05) == hoeffding_exponent(clean, q, 0.05)
+
+    def test_probs_read_only_copy(self):
+        raw = np.array([[0.25, 0.75]])
+        d = ClassicalDistribution(raw)
+        assert d.probs.shape == (2,)
+        assert not d.probs.flags.writeable
+        with pytest.raises(ValueError):
+            d.probs[0] = 0.5
+        assert raw.flags.writeable
+        raw[0, 0] = 0.5
+        assert d.probs[0] == 0.25
 
 
 class TestPhi:
@@ -160,23 +222,44 @@ class TestHoeffding:
         val = hoeffding_exponent(dist(0.4, 0.6), dist(0.2, 0.8), 5.0)
         assert val.value == 0.0
 
-    def test_dense_grid_oracle(self):
-        rng = np.random.default_rng(28)
+    @property_test
+    @given(pair=full_support_pairs(), r=st.floats(1e-3, 0.2))
+    def test_dense_grid_oracle(self, pair, r):
+        # r >= 1e-3 keeps the optimal s well below the grid's end at 0.999999
+        p, q = pair
         s_grid = np.linspace(0.0, 0.999999, 50001)
-        for _ in range(10):
-            p = ClassicalDistribution(random_distribution(rng, 4))
-            q = ClassicalDistribution(random_distribution(rng, 4))
-            r = rng.uniform(0.0, 0.2)
-            ref = max(
-                max((-s * r - phi(s, p, q)) / (1.0 - s) for s in s_grid),
-                0.0,
-            )
-            val = hoeffding_exponent(p, q, r).value
-            assert abs(val - ref) < 1e-6
+        logs = np.outer(s_grid, np.log(p)) + np.outer(1.0 - s_grid, np.log(q))
+        phis = np.log(np.exp(logs).sum(axis=1))
+        ref = max(float(np.max((-s_grid * r - phis) / (1.0 - s_grid))), 0.0)
+        val = hoeffding_exponent(p, q, r).value
+        assert abs(val - ref) < 1e-6
+
+    @property_test
+    @given(pair=full_support_pairs(), r=st.floats(0.0, 2.0), dr=st.floats(1e-9, 2.0))
+    def test_between_stein_and_larger_rate(self, pair, r, dr):
+        p, q = pair
+        a = hoeffding_exponent(p, q, r).value
+        b = hoeffding_exponent(p, q, r + dr).value
+        assert relative_entropy(p, q) + 1e-10 >= a >= b - 1e-10
+
+    @property_test
+    @given(pair=full_support_pairs(), extra=st.floats(0.0, 1.0))
+    def test_zero_from_reverse_divergence(self, pair, extra):
+        # a type-I rate of at least D(Q||P) leaves no type-II exponent
+        p, q = pair
+        assert hoeffding_exponent(p, q, relative_entropy(q, p) + extra).value <= 1e-15
+
+    def test_support_escape_infinite(self):
+        # supp P is not in supp Q and phi(1) = log 0.5, so every r < log 2 diverges
+        val = hoeffding_exponent([0.5, 0.5], [1.0, 0.0], 0.05)
+        assert val.infinite
+        assert val.optimizer_s == 1.0
+
+    def test_support_escape_large_rate_zero(self):
+        # r above D(Q||P) = log 2 gives 0 on the same pair
+        assert hoeffding_exponent([0.5, 0.5], [1.0, 0.0], 0.8).value == 0.0
 
     def test_negative_rate_rejected(self):
-        from detpower import DomainError
-
         with pytest.raises(DomainError):
             hoeffding_exponent(dist(0.4, 0.6), dist(0.2, 0.8), -0.1)
 
