@@ -4,7 +4,6 @@ and exhaustive search over strategy trees at desk scale."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +135,10 @@ def optimal_adaptive(p: Povm, candidates, n: int):
 
     Exhaustive over per-history candidate-pair choices; refuses instances
     beyond m = 2, n <= 4, |candidates| <= 4 rather than approximating.
+    The weights of all (|C|^2 m)^n leaves are built level by level and
+    reduced bottom-up; at the cap each leaf array holds 2^20 floats (8 MB)
+    and at most three are alive at once.  Ties go to the first candidate
+    pair in (i, j) order, and zero-weight branches choose (0, 0).
     """
     cands = tuple(candidates)
     if p.n_outcomes != 2 or n > MAX_TREE_DEPTH or len(cands) > MAX_CANDIDATES:
@@ -148,34 +151,38 @@ def optimal_adaptive(p: Povm, candidates, n: int):
     if not cands:
         raise DomainError("need at least one candidate state")
     m = p.n_outcomes
-    singles = [induced_probs(p, c.mat) for c in cands]
     pairs = list(itertools.product(range(len(cands)), repeat=2))
-
-    def search(depth: int, w0: float, w1: float, choices: dict, hist: tuple) -> float:
-        if depth == n:
-            return min(w0, w1)
-        if w0 == 0.0 and w1 == 0.0:
-            # unreachable branch: canonical first-pair choice throughout
-            choices[hist] = (0, 0)
-            for k in range(m):
-                search(depth + 1, 0.0, 0.0, choices, hist + (k,))
-            return 0.0
-        best = math.inf
-        best_sub = None
-        best_pair = None
-        for (i, j) in pairs:
-            sub: dict = {}
-            total = 0.0
-            for k in range(m):
-                total += search(depth + 1, w0 * singles[i][k], w1 * singles[j][k], sub, hist + (k,))
-            if total < best:
-                best = total
-                best_sub = sub
-                best_pair = (i, j)
-        choices[hist] = best_pair
-        choices.update(best_sub)
-        return best
-
+    singles = np.array([induced_probs(p, c.mat) for c in cands])
+    # (pair, outcome) factors of the H0 and H1 weights at every branch
+    f0 = singles[[i for i, _ in pairs]]
+    f1 = singles[[j for _, j in pairs]]
+    # node weights of each level, flattened as (pair, outcome) digits, root first
+    w0, w1 = np.ones(1), np.ones(1)
+    for _ in range(n):
+        w0 = (w0[:, None, None] * f0).ravel()
+        w1 = (w1[:, None, None] * f1).ravel()
+    value = np.minimum(w0, w1)
+    del w0, w1
+    # bottom-up: sum the outcomes in k order, then keep the first best pair
+    best = []
+    for _ in range(n):
+        branch = value.reshape(-1, len(pairs), m)
+        total = 0.0
+        for k in range(m):
+            total = total + branch[:, :, k]
+        best.append(np.argmin(total, axis=1))
+        value = total.min(axis=1)
+    best.reverse()
+    # top-down: follow the chosen pairs to index each history's node
     choices: dict = {}
-    p_err = 0.5 * search(0, 1.0, 1.0, choices, ())
-    return p_err, AdaptiveStrategy(depth=n, candidates=cands, choices=choices)
+    nodes = {(): 0}
+    for level in best:
+        nxt = {}
+        for hist, node in nodes.items():
+            pair = int(level[node])
+            choices[hist] = pairs[pair]
+            for k in range(m):
+                nxt[hist + (k,)] = (node * len(pairs) + pair) * m + k
+        nodes = nxt
+    p_err = 0.5 * float(value[0])
+    return p_err, AdaptiveStrategy(depth=n, candidates=cands, choices=dict(sorted(choices.items())))

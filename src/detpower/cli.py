@@ -166,17 +166,14 @@ def cmd_finite(args) -> int:
             "units": "candidate indices",
         }
     else:  # sweep
-        rows = sweep_x(povm, n)
-        if args.points is not None and 0 < args.points < len(rows):
-            picks = np.unique(np.linspace(0, len(rows) - 1, args.points).round().astype(int))
-            rows = [rows[i] for i in picks]
+        rows = sweep_x(povm, n, points=args.points)
         if args.csv:
             sys.stdout.write("x,p_err,rate\n")
             for x, p_err, rate in rows:
                 sys.stdout.write(f"{x:.12g},{p_err:.12g},{rate:.12g}\n")
             return EXIT_OK
         results["curve"] = {
-            "value": [[x, p_err, rate] for x, p_err, rate in rows],
+            "value": [[x, p_err, rate if math.isfinite(rate) else "inf"] for x, p_err, rate in rows],
             "units": "x, probability, nats",
         }
     _emit(_report("finite", _digest(args.file), results, diagnostics))

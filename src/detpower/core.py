@@ -148,7 +148,7 @@ class GroupingMask:
     size: int
 
     def __post_init__(self):
-        if any(k < 0 or k >= self.size for k in self.indices):
+        if self.indices and (min(self.indices) < 0 or max(self.indices) >= self.size):
             raise StructuralError("grouping index out of range")
 
     @property

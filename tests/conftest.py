@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from detpower import DensityMatrix, Povm
 
@@ -43,3 +44,26 @@ def random_povm(rng, d, m):
 def random_distribution(rng, m):
     p = rng.uniform(0.05, 1.0, size=m)
     return p / p.sum()
+
+
+def diag_detector(pp, qq):
+    """Two-outcome qubit detector diag(pp, qq) / diag(1 - pp, 1 - qq)."""
+    return Povm((np.diag([pp, qq]).astype(complex), np.diag([1 - pp, 1 - qq]).astype(complex)))
+
+
+def candidate_pool(rng):
+    """The computational basis states and two random pure qubit states."""
+    basis = [DensityMatrix(np.diag(e).astype(complex)) for e in ([1.0, 0.0], [0.0, 1.0])]
+    return basis + [DensityMatrix(np.outer(v, v.conj())) for v in (random_pure(rng, 2), random_pure(rng, 2))]
+
+
+# click rates, with the edge values that empty a binomial's support drawn often
+rates = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def rate_pairs(draw):
+    """(pp, qq) with pp >= qq; equal rates are drawn on purpose."""
+    a = draw(rates)
+    b = draw(st.one_of(st.just(a), rates))
+    return max(a, b), min(a, b)

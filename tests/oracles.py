@@ -1,0 +1,95 @@
+"""Direct enumerations of the exact finite-n quantities, kept as test oracles.
+
+Each one spells out its definition cell by cell or node by node; the library
+computes the same numbers with vectorized code.
+"""
+
+import itertools
+import math
+
+import numpy as np
+from scipy.special import gammaln, logsumexp, xlogy
+
+from detpower.channel import induced_probs
+
+
+def block_log_err(pp, qq, n, m):
+    """log p_err of the block (rho0^m rho1^(n-m), rho1^m rho0^(n-m)) from the
+    full (m+1) x (n-m+1) table of click pairs."""
+    i = np.arange(m + 1)
+    j = np.arange(n - m + 1)
+    lw = (
+        gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1)
+    )[:, None] + (gammaln(n - m + 1) - gammaln(j + 1) - gammaln(n - m - j + 1))[None, :]
+    l0 = (xlogy(i, pp) + xlogy(m - i, 1 - pp))[:, None] + (xlogy(j, qq) + xlogy(n - m - j, 1 - qq))[None, :]
+    l1 = (xlogy(i, qq) + xlogy(m - i, 1 - qq))[:, None] + (xlogy(j, pp) + xlogy(n - m - j, 1 - pp))[None, :]
+    with np.errstate(invalid="ignore"):
+        terms = lw + np.minimum(l0, l1)
+    terms = terms[np.isfinite(terms)]
+    if terms.size == 0:
+        return -math.inf
+    return float(logsumexp(terms) - math.log(2.0))
+
+
+def optimal_adaptive(p, candidates, n):
+    """(p_err, choices) of the best depth-n tree by depth-first recursion;
+    the first pair wins ties and zero-weight branches choose (0, 0)."""
+    cands = tuple(candidates)
+    m = p.n_outcomes
+    singles = [induced_probs(p, c.mat) for c in cands]
+    pairs = list(itertools.product(range(len(cands)), repeat=2))
+
+    def search(depth, w0, w1, choices, hist):
+        if depth == n:
+            return min(w0, w1)
+        if w0 == 0.0 and w1 == 0.0:
+            choices[hist] = (0, 0)
+            for k in range(m):
+                search(depth + 1, 0.0, 0.0, choices, hist + (k,))
+            return 0.0
+        best = math.inf
+        best_sub = None
+        best_pair = None
+        for i, j in pairs:
+            sub = {}
+            total = 0.0
+            for k in range(m):
+                total += search(depth + 1, w0 * singles[i][k], w1 * singles[j][k], sub, hist + (k,))
+            if total < best:
+                best = total
+                best_sub = sub
+                best_pair = (i, j)
+        choices[hist] = best_pair
+        choices.update(best_sub)
+        return best
+
+    choices = {}
+    p_err = 0.5 * search(0, 1.0, 1.0, choices, ())
+    return p_err, choices
+
+
+def best_product_pair(p, n, candidates):
+    """(p_err, (pat0, pat1)) by building each pattern pair's distributions
+    with np.kron; a later pair wins only if it is lower by more than 1e-15."""
+    cands = list(candidates)
+    nc = len(cands)
+    singles = [induced_probs(p, c.mat) for c in cands]
+    if nc == 2:
+        pattern_pairs = (
+            (pat, tuple(1 - i for i in pat)) for pat in itertools.product(range(2), repeat=n)
+        )
+    else:
+        pattern_pairs = itertools.product(
+            itertools.product(range(nc), repeat=n), itertools.product(range(nc), repeat=n)
+        )
+    best = None
+    for pat0, pat1 in pattern_pairs:
+        d0 = np.array([1.0])
+        d1 = np.array([1.0])
+        for i, j in zip(pat0, pat1):
+            d0 = np.kron(d0, singles[i])
+            d1 = np.kron(d1, singles[j])
+        p_err = 0.5 * float(np.sum(np.minimum(d0, d1)))
+        if best is None or p_err < best[0] - 1e-15:
+            best = (p_err, (pat0, pat1))
+    return best

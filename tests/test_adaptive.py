@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detpower import (
     AdaptiveStrategy,
@@ -15,6 +17,30 @@ from detpower import (
     optimal_adaptive,
     sequence_distribution,
 )
+from conftest import candidate_pool, diag_detector, random_povm, rate_pairs
+import oracles
+
+# derandomized so that every tier-1 run checks the same examples
+property_test = settings(deadline=None, derandomize=True)
+# deepest tree per candidate count that keeps the recursive oracle under 6k leaves
+MAX_ORACLE_DEPTH = {1: 4, 2: 4, 3: 3, 4: 2}
+
+
+@st.composite
+def two_outcome_cases(draw):
+    """A two-outcome qubit detector (projective ones give zero-weight
+    branches) and 1-4 candidates drawn with repeats from the computational
+    basis and two random pure states."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["projective", "diag", "random"]))
+    if kind == "random":
+        povm = random_povm(rng, 2, 2)
+    else:
+        povm = diag_detector(*((1.0, 0.0) if kind == "projective" else draw(rate_pairs())))
+    pool = candidate_pool(rng)
+    cands = [pool[k] for k in draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))]
+    n = draw(st.integers(1, MAX_ORACLE_DEPTH[len(cands)]))
+    return povm, cands, n
 
 
 def swap_on_mixed_strategy(basis_states, grouping=True):
@@ -114,6 +140,24 @@ class TestEvaluate:
 
 
 class TestOptimal:
+    @property_test
+    @given(case=two_outcome_cases())
+    def test_matches_recursive_search(self, case):
+        povm, cands, n = case
+        p_err, strat = optimal_adaptive(povm, cands, n)
+        want_err, want_choices = oracles.optimal_adaptive(povm, cands, n)
+        assert p_err == want_err
+        assert list(strat.choices.items()) == list(want_choices.items())
+
+    def test_zero_weight_branches_choose_first_pair(self, basis_states):
+        proj = Povm((np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)))
+        p_err, strat = optimal_adaptive(proj, basis_states, 2)
+        assert p_err == 0.0
+        # the root pair (0, 0) ties at zero error with (0, 1) and comes first;
+        # it never yields outcome 1, so that branch has zero weight
+        assert strat.choices == {(): (0, 0), (0,): (0, 1), (1,): (0, 0)}
+        assert strat.choices == oracles.optimal_adaptive(proj, basis_states, 2)[1]
+
     def test_depth_three(self, diag_povm, basis_states):
         p_err, strat = optimal_adaptive(diag_povm, basis_states, 3)
         assert abs(p_err - 0.336) < 1e-12

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -167,6 +168,39 @@ class TestFinite:
         curve = rep["results"]["curve"]["value"]
         assert len(curve) == 11
         assert curve[0][0] == 0.0 and curve[-1][0] == 1.0
+
+    def test_sweep_largest_n_with_points(self, capsys):
+        # 31 distinct O(n) blocks; about 1 s on a 2-vCPU Xeon, budget 10 s
+        t0 = time.perf_counter()
+        code, rep = run_json(
+            capsys, "finite", POVM_FILE, "--n", "100000", "--mode", "sweep", "--points", "61"
+        )
+        assert code == 0
+        assert time.perf_counter() - t0 < 10.0
+        curve = rep["results"]["curve"]["value"]
+        assert len(curve) == 61
+        # p_err underflows to 0 at this n; the rate is computed from the log
+        assert all(isinstance(row[2], float) and 0.0 < row[2] < 1.0 for row in curve)
+
+    def test_sweep_largest_n_without_points_exit_4(self, capsys):
+        # 50001 blocks of 10^5 entries exceed the work cap: refused before any block
+        t0 = time.perf_counter()
+        code, _ = run(capsys, "finite", POVM_FILE, "--n", "100000", "--mode", "sweep")
+        assert code == 4
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_sweep_infinite_rate_is_strict_json(self, capsys, tmp_path):
+        perfect = Povm((np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)))
+        path = tmp_path / "perfect.json"
+        path.write_text(json.dumps(povm_to_json(perfect)))
+        code, out = run(capsys, "finite", str(path), "--n", "3", "--mode", "sweep")
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        curve = json.loads(out, parse_constant=reject)["results"]["curve"]["value"]
+        assert [row[1:] for row in curve] == [[0.0, "inf"]] * 4
 
 
 class TestAdaptive:

@@ -5,6 +5,7 @@ from detpower import (
     BlochVector,
     DensityMatrix,
     DomainError,
+    GroupingMask,
     Povm,
     ResourceError,
     StructuralError,
@@ -195,3 +196,15 @@ class TestSequenceOperator:
     def test_cap(self, diag_povm):
         with pytest.raises(ResourceError):
             sequence_operator(diag_povm, (0,) * 13)
+
+
+class TestGroupingMask:
+    @pytest.mark.parametrize("indices", [{-1, 2}, {0, 4}, {7}])
+    def test_index_out_of_range(self, indices):
+        with pytest.raises(StructuralError, match="grouping index out of range"):
+            GroupingMask(frozenset(indices), 4)
+
+    @pytest.mark.parametrize("indices", [set(), {0}, {3}, {0, 1, 2, 3}])
+    def test_in_range(self, indices):
+        mask = GroupingMask(frozenset(indices), 4)
+        assert mask.complement == frozenset(range(4)) - frozenset(indices)

@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detpower import (
     DensityMatrix,
@@ -17,7 +20,22 @@ from detpower import (
     sweep_x,
 )
 from detpower.channel import induced_probs
-from conftest import random_povm, random_pure
+from detpower.finite import _block_log_err
+from conftest import candidate_pool, diag_detector, random_povm, random_pure, rate_pairs
+import oracles
+
+# derandomized so that every tier-1 run checks the same examples
+property_test = settings(deadline=None, derandomize=True)
+
+@st.composite
+def detector_and_pool(draw):
+    """A qubit detector with 2 or 3 outcomes and the candidate pool."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        povm = diag_detector(*draw(rate_pairs()))
+    else:
+        povm = random_povm(rng, 2, draw(st.integers(2, 3)))
+    return povm, candidate_pool(rng)
 
 
 def iid_dists(povm, n, basis_states):
@@ -132,6 +150,28 @@ class TestBruteForce:
 
 
 class TestBestProductPair:
+    @property_test
+    @given(case=detector_and_pool(), picks=st.lists(st.integers(0, 3), min_size=2, max_size=3), n=st.integers(0, 6))
+    def test_matches_pattern_loop(self, case, picks, n):
+        povm, pool = case
+        cands = [pool[k] for k in picks]
+        if len(cands) == 3:
+            n = min(n, 2)  # 81 pattern pairs; n = 3 is the seeded case below
+        assert best_product_pair(povm, n, cands) == oracles.best_product_pair(povm, n, cands)
+
+    def test_three_candidates_three_uses(self):
+        rng = np.random.default_rng(43)
+        povm = random_povm(rng, 2, 3)
+        cands = [DensityMatrix(np.outer(v, v.conj())) for v in (random_pure(rng, 2) for _ in range(3))]
+        assert best_product_pair(povm, 3, cands) == oracles.best_product_pair(povm, 3, cands)
+
+    def test_cap(self, diag_povm, basis_states):
+        with pytest.raises(ResourceError):
+            best_product_pair(diag_povm, 11, basis_states)
+        cands = list(basis_states) + [basis_states[0]]
+        with pytest.raises(ResourceError):
+            best_product_pair(diag_povm, 5, cands)
+
     def test_three_uses(self, diag_povm, basis_states):
         p_err, (pat0, pat1) = best_product_pair(diag_povm, 3, basis_states)
         assert abs(p_err - 0.344) < 1e-12
@@ -158,7 +198,60 @@ class TestBestProductPair:
         assert abs(mixed_err - iid_err) < 1e-15
 
 
+class TestBlock:
+    @property_test
+    @given(pair=rate_pairs(), n=st.integers(1, 40))
+    def test_matches_click_table(self, pair, n):
+        pp, qq = pair
+        for m in range(n + 1):
+            got, want = _block_log_err(pp, qq, n, m), oracles.block_log_err(pp, qq, n, m)
+            if math.isinf(want):
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("pp,qq", [(1.0, 0.3), (0.7, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)])
+    def test_edge_rates(self, pp, qq):
+        # an exact 0 or 1 empties part of the click table; only the common
+        # support of both hypotheses may be summed
+        for m in range(11):
+            want = oracles.block_log_err(pp, qq, 10, m)
+            got = _block_log_err(pp, qq, 10, m)
+            if math.isinf(want):
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-12
+
+    def test_large_n_matches_click_table(self):
+        for pp, qq in ((0.4, 0.2), (0.6, 0.1)):
+            for m in range(0, 401, 25):
+                assert abs(_block_log_err(pp, qq, 400, m) - oracles.block_log_err(pp, qq, 400, m)) <= 1e-12
+
+
 class TestSweep:
+    @property_test
+    @given(pair=rate_pairs(), n=st.integers(1, 60), points=st.one_of(st.none(), st.integers(1, 61)))
+    def test_mirror_blocks_equal(self, pair, n, points):
+        rows = sweep_x(diag_detector(*pair), n, points=points)
+        by_m = {round(x * n): p_err for x, p_err, _ in rows}
+        for m, p_err in by_m.items():
+            if n - m in by_m:
+                assert by_m[n - m] == p_err
+
+    def test_points_pick_from_full_curve(self, diag_povm):
+        full = sweep_x(diag_povm, 100)
+        picks = np.unique(np.linspace(0, 100, 11).round().astype(int))
+        assert sweep_x(diag_povm, 100, points=11) == [full[i] for i in picks]
+        # points outside 1..n leave the full curve
+        assert sweep_x(diag_povm, 100, points=0) == full
+        assert sweep_x(diag_povm, 100, points=101) == full
+
+    def test_work_cap_refused_up_front(self, diag_povm):
+        with pytest.raises(ResourceError, match="work cap"):
+            sweep_x(diag_povm, 10**5)
+        with pytest.raises(ResourceError, match="aggregation cap"):
+            sweep_x(diag_povm, 10**5 + 1, points=3)
+
     def test_three_uses_endpoints(self, diag_povm):
         rows = sweep_x(diag_povm, 3)
         assert len(rows) == 4
