@@ -31,6 +31,7 @@ from .io import (
     candidates_from_json,
     load_json_file,
     matrix_to_json,
+    povm_from_json,
     strategy_from_json,
 )
 from .channel import chernoff_exponent, induced_distribution
@@ -83,15 +84,11 @@ def _load_valid_povm(path: str) -> Povm:
 
 
 def _povm_from_path(path: str) -> Povm:
-    from .io import povm_from_json
-
     return povm_from_json(load_json_file(path))
 
 
 def _search_options(args) -> SearchOptions:
-    return SearchOptions(
-        restarts=args.restarts, seed=args.seed, mixed=args.mixed, tol=args.tol
-    )
+    return SearchOptions(restarts=args.restarts, seed=args.seed, mixed=args.mixed)
 
 
 def _basis_candidates(povm: Povm) -> list:
@@ -157,7 +154,7 @@ def cmd_finite(args) -> int:
         else:
             p_err, mask = brute_force_grouping(dist0, dist1)
         results["p_err"] = {"value": p_err, "units": "probability"}
-        diagnostics["grouping_size"] = len(mask.indices)
+        diagnostics["grouping_size"] = int(mask.accept.sum())
     elif args.mode == "pattern":
         p_err, (pat0, pat1) = best_product_pair(povm, n, basis[:2])
         results["p_err"] = {"value": p_err, "units": "probability"}
@@ -251,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--restarts", type=int, default=64)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--mixed", action="store_true")
-        sp.add_argument("--tol", type=float, default=1e-10)
 
     sp = sub.add_parser("validate", help="validate a POVM file")
     sp.add_argument("file")

@@ -13,6 +13,10 @@ from .core import PAULI_X, PAULI_Y, PAULI_Z, Povm
 from .errors import DomainError, StructuralError
 from .optimize import SearchOptions, zeta_chernoff
 
+# Bloch directions sampled by covariant_zeta_numeric: the three axes plus
+# Fibonacci-sphere nodes
+COVARIANT_DIRECTIONS = 24
+
 
 @dataclass(frozen=True)
 class MixingBounds:
@@ -90,15 +94,16 @@ def covariant_c_s(s: float) -> float:
     return s * (1.0 - s) * math.pi / math.sin(s * math.pi)
 
 
-def covariant_zeta_numeric(disc: CovariantDiscretization, n_directions: int = 24) -> ExponentValue:
+def covariant_zeta_numeric(disc: CovariantDiscretization) -> ExponentValue:
     """Chernoff exponent of the discretized covariant POVM, maximized over
-    antipodal pure Bloch pairs along a deterministic direction sample."""
+    antipodal pure Bloch pairs along COVARIANT_DIRECTIONS deterministic
+    directions."""
     if disc.m == 2:
         # two orthogonal projectors: perfect discrimination
         return ExponentValue(math.inf, None)
     dirs = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-    extra = fibonacci_covariant_discretization(2 * max(n_directions - 3, 1)).nodes[0::2]
-    dirs.extend(extra[: max(n_directions - 3, 0)])
+    extra = fibonacci_covariant_discretization(2 * (COVARIANT_DIRECTIONS - 3)).nodes[0::2]
+    dirs.extend(extra[: COVARIANT_DIRECTIONS - 3])
     best = ExponentValue(0.0, None)
     for b in dirs:
         proj = disc.nodes @ b

@@ -16,6 +16,8 @@ TOL_HERM = 1e-9
 TOL_TRACE = 1e-9
 TOL_PSD = 1e-10
 TOL_COMPLETE = 1e-9
+# largest d^n that sequence_operator builds (a 4096 x 4096 complex matrix is 256 MB)
+SEQUENCE_OPERATOR_MAX_DIM = 4096
 
 # Pauli matrices, used by the qubit helpers.
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -140,24 +142,23 @@ class Povm:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupingMask:
-    """Subset of outcome (or outcome-sequence) indices accepted as hypothesis H0."""
+    """Outcomes (or outcome sequences) accepted as hypothesis H0.
 
-    indices: frozenset
-    size: int
+    `accept` is a read-only 1-D bool array: accept[k] is True when index k is
+    decided as H0.  Equality is identity, since comparing arrays with == does
+    not give one bool.
+    """
+
+    accept: np.ndarray
 
     def __post_init__(self):
-        if self.indices and (min(self.indices) < 0 or max(self.indices) >= self.size):
-            raise StructuralError("grouping index out of range")
-
-    @property
-    def complement(self) -> frozenset:
-        return frozenset(range(self.size)) - self.indices
-
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.indices) in (0, self.size)
+        a = np.array(self.accept, dtype=bool)
+        if a.ndim != 1:
+            raise StructuralError(f"grouping mask must be 1-D, got shape {a.shape}")
+        a.setflags(write=False)
+        object.__setattr__(self, "accept", a)
 
 
 @dataclass
@@ -214,7 +215,7 @@ def eig_hermitian(mat):
     return evals[order], evecs[:, order]
 
 
-def sequence_operator(p: Povm, seq, max_dim: int = 4096) -> np.ndarray:
+def sequence_operator(p: Povm, seq) -> np.ndarray:
     """Tensor product E_{k_1} x ... x E_{k_n} for an outcome sequence (0-based)."""
     seq = tuple(int(k) for k in seq)
     if not seq:
@@ -222,9 +223,9 @@ def sequence_operator(p: Povm, seq, max_dim: int = 4096) -> np.ndarray:
     for k in seq:
         if k < 0 or k >= p.n_outcomes:
             raise StructuralError(f"outcome index {k} out of range 0..{p.n_outcomes - 1}")
-    if p.dim ** len(seq) > max_dim:
+    if p.dim ** len(seq) > SEQUENCE_OPERATOR_MAX_DIM:
         raise ResourceError(
-            f"product dimension {p.dim}^{len(seq)} exceeds cap {max_dim}"
+            f"product dimension {p.dim}^{len(seq)} exceeds cap {SEQUENCE_OPERATOR_MAX_DIM}"
         )
     out = p.elements[seq[0]]
     for k in seq[1:]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
-from .channel import induced_probs
+from .channel import _checked_probs, induced_probs
 from .core import DensityMatrix, GroupingMask, Povm, eig_hermitian
 from .errors import DomainError, ResourceError, StructuralError
 
@@ -22,6 +22,8 @@ BRUTE_CAP = 20
 # blocks x (n + 1) entries one sweep may compute: 100 blocks at n = 10^5,
 # about 3 s at 30 ms per block
 SWEEP_WORK_CAP = 10**7
+# largest n that sweep_x and empirical_rate aggregate
+AGGREGATION_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,9 @@ class SequenceDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float).ravel()
-        if len(p) != self.m**self.n:
+        if np.size(self.probs) != self.m**self.n:
             raise StructuralError("length must be m^n")
-        if p.min(initial=0.0) < -1e-12:
-            raise DomainError("negative sequence probability")
-        p = np.clip(p, 0.0, None)
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise DomainError(f"sequence probabilities sum to {p.sum()}")
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _checked_probs(self.probs))
         self.probs.setflags(write=False)
 
     def sequence(self, index: int) -> tuple:
@@ -79,11 +75,11 @@ def _digits(index: int, base: int, n: int) -> tuple:
     return tuple(reversed(digits))
 
 
-def sequence_distribution(p: Povm, inp: ProductInput, cap: int = DENSE_CAP) -> SequenceDistribution:
+def sequence_distribution(p: Povm, inp: ProductInput) -> SequenceDistribution:
     """Product distribution over outcome sequences for independent slot inputs."""
     m, n = p.n_outcomes, inp.n
-    if m**n > cap:
-        raise ResourceError(f"{m}^{n} sequences exceed the dense cap {cap}")
+    if m**n > DENSE_CAP:
+        raise ResourceError(f"{m}^{n} sequences exceed the dense cap {DENSE_CAP}")
     probs = np.array([1.0])
     for rho in inp.factors:
         probs = np.kron(probs, induced_probs(p, rho.mat))
@@ -100,9 +96,7 @@ def ml_error_probability(p0: SequenceDistribution, p1: SequenceDistribution):
     if (p0.m, p0.n) != (p1.m, p1.n):
         raise StructuralError("sequence distributions are over different index sets")
     accept = p0.probs >= p1.probs
-    p_err = _grouping_error(p0.probs, p1.probs, accept)
-    mask = GroupingMask(frozenset(np.flatnonzero(accept).tolist()), len(p0.probs))
-    return p_err, mask
+    return _grouping_error(p0.probs, p1.probs, accept), GroupingMask(accept)
 
 
 def brute_force_grouping(p0: SequenceDistribution, p1: SequenceDistribution):
@@ -127,20 +121,15 @@ def brute_force_grouping(p0: SequenceDistribution, p1: SequenceDistribution):
     scores = (lo[None, :] + hi[:, None]).ravel()  # index = hi_part * 2^lo_bits + lo_part
     # re-score the leading candidates exactly (same summation as ml path)
     top = np.argsort(-scores, kind="stable")[:4]
+    # bit b of a code is sequence b
+    bits = np.arange(nseq)
     best = None
     for idx in top:
-        accept = np.zeros(nseq, dtype=bool)
-        code = int(idx)
-        for b in range(lo_bits):
-            accept[b] = bool((code % (1 << lo_bits)) >> b & 1)
-        for b in range(hi_bits):
-            accept[lo_bits + b] = bool((code >> lo_bits) >> b & 1)
+        accept = (int(idx) >> bits) & 1 == 1
         p_err = _grouping_error(p0.probs, p1.probs, accept)
         if best is None or p_err < best[0]:
             best = (p_err, accept)
-    p_err, accept = best
-    mask = GroupingMask(frozenset(np.flatnonzero(accept).tolist()), nseq)
-    return p_err, mask
+    return best[0], GroupingMask(best[1])
 
 
 def _pattern_table(singles: np.ndarray, n: int) -> np.ndarray:
@@ -153,7 +142,7 @@ def _pattern_table(singles: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
-def best_product_pair(p: Povm, n: int, candidates, cap: int = DENSE_CAP):
+def best_product_pair(p: Povm, n: int, candidates):
     """Exhaustive ML error over slot-wise assignments of candidate states.
 
     For a two-candidate set the sigma pattern is the index-swapped complement of
@@ -161,15 +150,15 @@ def best_product_pair(p: Povm, n: int, candidates, cap: int = DENSE_CAP):
     enumerated independently.  All nc^n pattern distributions are held in one
     (nc^n, m^n) table; with nc = 2 one more array of that size holds the
     pairwise minima, and with nc > 2 the pairs are formed one rho pattern at a
-    time, so no array exceeds `cap` entries (8 MB at the default cap).
+    time, so no array exceeds DENSE_CAP entries (8 MB).
     """
     cands = list(candidates)
     if len(cands) < 2:
         raise DomainError("need at least two candidate states")
     nc = len(cands)
     count = 2**n if nc == 2 else nc ** (2 * n)
-    if count * (p.n_outcomes**n) > cap:
-        raise ResourceError("candidate-pattern enumeration exceeds the configured cap")
+    if count * (p.n_outcomes**n) > DENSE_CAP:
+        raise ResourceError(f"candidate-pattern enumeration exceeds the dense cap {DENSE_CAP}")
     table = _pattern_table(np.array([induced_probs(p, c.mat) for c in cands]), n)
     if nc == 2:
         # the complement of pattern a is pattern 2^n - 1 - a: the reversed rows
@@ -244,7 +233,7 @@ def _block_log_err(pp: float, qq: float, n: int, m: int) -> float:
     return float(logsumexp(terms) - math.log(2.0))
 
 
-def sweep_x(p: Povm, n: int, points: int | None = None, cap: int = 10**5):
+def sweep_x(p: Povm, n: int, points: int | None = None):
     """Error probability against x = m/n for inputs of the form
     (rho0^m rho1^(n-m), rho1^m rho0^(n-m)); exact binomial aggregation.
 
@@ -259,8 +248,8 @@ def sweep_x(p: Povm, n: int, points: int | None = None, cap: int = 10**5):
     """
     if n < 1:
         raise DomainError("n must be positive")
-    if n > cap:
-        raise ResourceError(f"n = {n} exceeds the aggregation cap {cap}")
+    if n > AGGREGATION_CAP:
+        raise ResourceError(f"n = {n} exceeds the aggregation cap {AGGREGATION_CAP}")
     pp, qq = _diag_qubit_rates(p)
     ms = range(n + 1)
     if points is not None and 0 < points < n + 1:
@@ -281,11 +270,11 @@ def sweep_x(p: Povm, n: int, points: int | None = None, cap: int = 10**5):
     return rows
 
 
-def empirical_rate(p: Povm, n: int, cap: int = 10**5) -> float:
+def empirical_rate(p: Povm, n: int) -> float:
     """Finite-n exponent -(1/n) log p_err for the i.i.d. optimal basis pair."""
     if n < 1:
         raise DomainError("n must be positive")
-    if n > cap:
-        raise ResourceError(f"n = {n} exceeds the aggregation cap {cap}")
+    if n > AGGREGATION_CAP:
+        raise ResourceError(f"n = {n} exceeds the aggregation cap {AGGREGATION_CAP}")
     pp, qq = _diag_qubit_rates(p)
     return -_block_log_err(pp, qq, n, n) / n

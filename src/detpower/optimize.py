@@ -31,8 +31,10 @@ MAX_OUTCOMES_SINGLE_SHOT = 24
 # per-element eigenbases (capped), keeping the search tractable
 MAX_OUTCOMES_GROUPING_SCAN = 14
 MAX_BASIS_ELEMENTS = 256
-# coordinate-wise refinement passes per restart; each pass halves the bracket
+# coordinate-wise refinement passes per restart; each pass halves the bracket,
+# and a pass that gains less than REFINE_TOL ends the refinement
 REFINE_PASSES = 4
+REFINE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,6 @@ class SearchOptions:
     restarts: int = 64
     seed: int = 0
     mixed: bool = False
-    tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def single_shot_power(p: Povm) -> PowerReport:
     return PowerReport(
         value=value,
         optimizer=StatePair(rho, sigma),
-        grouping=GroupingMask(frozenset(group), m),
+        grouping=GroupingMask(np.isin(np.arange(m), group)),
     )
 
 
@@ -198,7 +199,7 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
                     cur = -negv
                     params[idx] = x
             width *= 0.5
-            if improved < opts.tol:
+            if improved < REFINE_TOL:
                 break
         rho_mat, sigma_mat = _pair_mats(params, d)
         val, s_star = objective(rho_mat, sigma_mat)

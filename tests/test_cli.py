@@ -127,11 +127,13 @@ class TestFinite:
         code, rep = run_json(capsys, "finite", POVM_FILE, "--n", "3", "--mode", "ml")
         assert code == 0
         assert abs(rep["results"]["p_err"]["value"] - 0.352) < 1e-12
+        assert rep["diagnostics"]["grouping_size"] == 7
 
     def test_brute_matches_ml(self, capsys):
         _, ml = run_json(capsys, "finite", POVM_FILE, "--n", "3", "--mode", "ml")
         _, bf = run_json(capsys, "finite", POVM_FILE, "--n", "3", "--mode", "brute")
         assert bf["results"]["p_err"]["value"] == ml["results"]["p_err"]["value"]
+        assert bf["diagnostics"]["grouping_size"] == ml["diagnostics"]["grouping_size"] == 7
 
     def test_brute_cap_exit_4(self, capsys):
         code, _ = run(capsys, "finite", POVM_FILE, "--n", "8", "--mode", "brute")

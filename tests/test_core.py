@@ -199,12 +199,19 @@ class TestSequenceOperator:
 
 
 class TestGroupingMask:
-    @pytest.mark.parametrize("indices", [{-1, 2}, {0, 4}, {7}])
-    def test_index_out_of_range(self, indices):
-        with pytest.raises(StructuralError, match="grouping index out of range"):
-            GroupingMask(frozenset(indices), 4)
+    @pytest.mark.parametrize("accept", [[[True, False]], np.zeros((2, 2), dtype=bool), True])
+    def test_not_1d(self, accept):
+        with pytest.raises(StructuralError, match="must be 1-D"):
+            GroupingMask(accept)
 
     @pytest.mark.parametrize("indices", [set(), {0}, {3}, {0, 1, 2, 3}])
     def test_in_range(self, indices):
-        mask = GroupingMask(frozenset(indices), 4)
-        assert mask.complement == frozenset(range(4)) - frozenset(indices)
+        # a mask over 4 outcomes holds exactly the accepted indices, read-only,
+        # in its own copy of the caller's array
+        accept = np.isin(np.arange(4), sorted(indices))
+        mask = GroupingMask(accept)
+        accept[:] = ~accept
+        assert mask.accept.dtype == bool
+        assert set(np.flatnonzero(mask.accept).tolist()) == indices
+        with pytest.raises(ValueError):
+            mask.accept[0] = True

@@ -12,6 +12,7 @@ from detpower import (
     Povm,
     ProductInput,
     ResourceError,
+    SequenceDistribution,
     best_product_pair,
     brute_force_grouping,
     empirical_rate,
@@ -78,6 +79,12 @@ class TestSequenceDistribution:
         with pytest.raises(ResourceError):
             sequence_distribution(diag_povm, ProductInput.iid(basis_states[0], 21))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("m, probs", [(2, [None, 1.0]), (4, [0.5, None, 0.5, 0.0])])
+    def test_non_finite(self, m, probs, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            SequenceDistribution(m, 1, [bad if v is None else v for v in probs])
+
 
 class TestML:
     def test_iid_three_uses(self, diag_povm, basis_states):
@@ -85,7 +92,7 @@ class TestML:
         p_err, mask = ml_error_probability(d0, d1)
         assert abs(p_err - 0.352) < 1e-12
         # accept-H0 set: sequences where 0.4^a 0.6^b >= 0.2^a 0.8^b, i.e. all-0s..
-        assert 0 in mask.indices
+        assert mask.accept[0]
 
     def test_equal_distributions(self, diag_povm, basis_states):
         rho0, _ = basis_states
@@ -93,7 +100,7 @@ class TestML:
         p_err, mask = ml_error_probability(d, d)
         assert p_err == 0.5
         # ties resolve to H0: every sequence accepted
-        assert len(mask.indices) == 4
+        assert mask.accept.all()
 
     def test_single_use(self, diag_povm, basis_states):
         d0, d1 = iid_dists(diag_povm, 1, basis_states)
@@ -125,14 +132,20 @@ class TestBruteForce:
             d1 = sequence_distribution(
                 p, ProductInput.iid(DensityMatrix(np.outer(v1, v1.conj())), n)
             )
-            ml_err, _ = ml_error_probability(d0, d1)
-            bf_err, _ = brute_force_grouping(d0, d1)
+            ml_err, ml_mask = ml_error_probability(d0, d1)
+            bf_err, bf_mask = brute_force_grouping(d0, d1)
             assert bf_err == ml_err
+            # each mask scores its own p_err exactly
+            for p_err, mask in ((ml_err, ml_mask), (bf_err, bf_mask)):
+                assert 0.5 * np.sum(np.where(mask.accept, d1.probs, d0.probs)) == p_err
 
     def test_grouping_is_optimal(self, diag_povm, basis_states):
         d0, d1 = iid_dists(diag_povm, 3, basis_states)
         p_err, mask = brute_force_grouping(d0, d1)
         assert abs(p_err - 0.352) < 1e-12
+        ml_err, ml_mask = ml_error_probability(d0, d1)
+        for err, grouping in ((p_err, mask), (ml_err, ml_mask)):
+            assert 0.5 * np.sum(np.where(grouping.accept, d1.probs, d0.probs)) == err
         # exhaustive check of the returned grouping against every partition
         best = min(
             0.5

@@ -23,7 +23,7 @@ class TestSingleShot:
     def test_diag(self, diag_povm):
         rep = single_shot_power(diag_povm)
         assert abs(rep.value - 0.4) < 1e-12
-        assert rep.grouping.indices == frozenset({0})
+        assert rep.grouping.accept.tolist() == [True, False]
         assert np.allclose(rep.optimizer.rho.mat, np.diag([1.0, 0.0]))
         assert np.allclose(rep.optimizer.sigma.mat, np.diag([0.0, 1.0]))
 
@@ -45,7 +45,7 @@ class TestSingleShot:
         # exact spread answer: max over {0},{0,1},{0,2} groupings
         spreads = [0.4, 0.5, 0.1]
         assert abs(rep.value - (0.5 - max(spreads) / 2)) < 1e-12
-        assert rep.grouping.indices == frozenset({0, 1})
+        assert rep.grouping.accept.tolist() == [True, True, False]
 
     def test_never_beaten_by_sampled_pairs(self):
         rng = np.random.default_rng(31)
