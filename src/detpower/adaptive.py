@@ -45,6 +45,14 @@ class AdaptiveStrategy:
                 raise StructuralError(f"candidate index out of range at history {hist}")
         object.__setattr__(self, "candidates", cands)
         object.__setattr__(self, "choices", dict(self.choices))
+        if self.grouping is not None:
+            grouping = frozenset(self.grouping)
+            for hist in grouping:
+                if not isinstance(hist, tuple) or len(hist) != self.depth:
+                    raise StructuralError(
+                        f"grouping entry {hist!r} is not an outcome history of length {self.depth}"
+                    )
+            object.__setattr__(self, "grouping", grouping)
 
 
 @dataclass(frozen=True)
@@ -124,6 +132,9 @@ def evaluate_strategy(p: Povm, strat: AdaptiveStrategy) -> float:
     """Average error probability of the protocol under equal priors."""
     leaves = _history_weights(p, strat)
     if strat.grouping is not None:
+        unknown = strat.grouping.difference(leaves)
+        if unknown:
+            raise StructuralError(f"grouping history {next(iter(unknown))} is not an outcome sequence")
         alpha = sum(w0 for h, (w0, w1) in leaves.items() if h not in strat.grouping)
         beta = sum(w1 for h, (w0, w1) in leaves.items() if h in strat.grouping)
         return 0.5 * (alpha + beta)

@@ -67,6 +67,14 @@ def _probs(dist) -> np.ndarray:
     return _checked_probs(dist)
 
 
+def _pair(p_dist, q_dist):
+    """Both distributions as checked arrays of one length."""
+    p, q = _probs(p_dist), _probs(q_dist)
+    if len(p) != len(q):
+        raise StructuralError("distributions have different lengths")
+    return p, q
+
+
 def induced_probs(p: Povm, rho_mat: np.ndarray) -> np.ndarray:
     """tr(E_k rho) for every outcome, clamped at 0.  Raw-array fast path."""
     out = np.einsum("kij,ji->k", p.stacked(), rho_mat).real
@@ -87,15 +95,10 @@ def phi(s: float, p_dist, q_dist) -> float:
     """
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"s must lie in [0, 1], got {s}")
-    p = _probs(p_dist)
-    q = _probs(q_dist)
-    if len(p) != len(q):
-        raise StructuralError("distributions have different lengths")
-    mask = (p > 0) & (q > 0)
-    if not np.any(mask):
+    p, q = _pair(p_dist, q_dist)
+    if not np.any((p > 0) & (q > 0)):
         return -math.inf
-    terms = np.exp(s * np.log(p[mask]) + (1.0 - s) * np.log(q[mask]))
-    return min(float(np.log(terms.sum())), 0.0)
+    return _phi_evaluator(p, q)(s)
 
 
 def golden_section_min(f, a: float, b: float, xtol: float = 1e-12):
@@ -116,10 +119,6 @@ def golden_section_min(f, a: float, b: float, xtol: float = 1e-12):
     return x, f(x)
 
 
-def _disjoint_supports(p: np.ndarray, q: np.ndarray) -> bool:
-    return not np.any((p > 0) & (q > 0))
-
-
 def _phi_evaluator(p: np.ndarray, q: np.ndarray):
     """Fast phi(s) closure with logs precomputed on the common support."""
     mask = (p > 0) & (q > 0)
@@ -134,10 +133,8 @@ def _phi_evaluator(p: np.ndarray, q: np.ndarray):
 
 def chernoff_exponent(p_dist, q_dist) -> ExponentValue:
     """-min_s phi(s), the best symmetric error-probability decay rate."""
-    p, q = _probs(p_dist), _probs(q_dist)
-    if len(p) != len(q):
-        raise StructuralError("distributions have different lengths")
-    if _disjoint_supports(p, q):
+    p, q = _pair(p_dist, q_dist)
+    if not np.any((p > 0) & (q > 0)):
         return ExponentValue(math.inf, None)
     obj = _phi_evaluator(p, q)
     # phi is convex in s, so golden section on [0, 1] is reliable
@@ -148,9 +145,7 @@ def chernoff_exponent(p_dist, q_dist) -> ExponentValue:
 
 def relative_entropy(p_dist, q_dist) -> float:
     """D(P||Q) in nats; +inf when supp(P) is not contained in supp(Q)."""
-    p, q = _probs(p_dist), _probs(q_dist)
-    if len(p) != len(q):
-        raise StructuralError("distributions have different lengths")
+    p, q = _pair(p_dist, q_dist)
     sup = p > 0
     if np.any(sup & (q == 0)):
         return math.inf
@@ -187,9 +182,7 @@ def hoeffding_exponent(p_dist, q_dist, r: float) -> ExponentValue:
     """
     if r < 0:
         raise DomainError("constraint rate r must be nonnegative")
-    p, q = _probs(p_dist), _probs(q_dist)
-    if len(p) != len(q):
-        raise StructuralError("distributions have different lengths")
+    p, q = _pair(p_dist, q_dist)
     mask = (p > 0) & (q > 0)
     if not np.any(mask):
         return ExponentValue(math.inf, None)

@@ -233,7 +233,7 @@ def cmd_benchmarks(args) -> int:
         induced_distribution(mixed, rho0), induced_distribution(mixed, rho1)
     ).value
     results["mixing_mixed_zeta_p05"] = _scalar(mixed_zeta, "nats", bits)
-    _emit(_report("benchmarks", "-", results, {"mixed_povm_outcomes": mixed.n_outcomes}))
+    _emit(_report("benchmarks", "-", results, {}))
     return EXIT_OK
 
 

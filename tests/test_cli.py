@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -228,6 +230,35 @@ class TestAdaptive:
         code, _ = run(capsys, "adaptive", POVM_FILE, "--n", "6")
         assert code == 4
 
+    def test_candidates_not_a_list_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "candidates.json"
+        path.write_text('{"dim": 2, "states": 5}')
+        code, out = run(capsys, "adaptive", POVM_FILE, "--candidates", str(path))
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "field,value,code",
+        [
+            ("depth", "three", 2),
+            ("depth", 3.0, 2),
+            ("choices", {"": ["a", 1]}, 2),
+            ("choices", [1, 2], 2),
+            ("grouping", "12", 2),
+            ("grouping", ["1", "2"], 3),
+            ("grouping", ["333"], 3),
+        ],
+    )
+    def test_malformed_strategy_file(self, capsys, tmp_path, field, value, code):
+        with open(STRATEGY_FILE, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj[field] = value
+        path = tmp_path / "strategy.json"
+        path.write_text(json.dumps(obj))
+        got, out = run(capsys, "adaptive", POVM_FILE, "--strategy", str(path))
+        assert got == code
+        assert out == ""
+
 
 class TestBenchmarks:
     def test_table(self, capsys):
@@ -246,6 +277,10 @@ class TestBenchmarks:
             <= res["mixing_mixed_zeta_p05"]["value"]
             <= res["mixing_upper_p05"]["value"] + 1e-9
         )
+
+    def test_no_diagnostics(self, capsys):
+        _, rep = run_json(capsys, "benchmarks")
+        assert rep["diagnostics"] == {}
 
     def test_bits(self, capsys):
         _, rep = run_json(capsys, "benchmarks", "--bits")
@@ -268,3 +303,13 @@ class TestStrategyRoundTrip:
         assert again.grouping == strat.grouping
         for a, b in zip(again.candidates, strat.candidates):
             assert np.array_equal(a.mat, b.mat)
+
+
+def test_import_loads_no_scipy():
+    import detpower
+
+    src = os.path.dirname(os.path.dirname(detpower.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, detpower, detpower.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -21,7 +21,7 @@ from detpower import (
     sweep_x,
 )
 from detpower.channel import induced_probs
-from detpower.finite import _block_log_err
+from detpower.finite import _block_log_err, _log_factorials, _logsumexp, _xlogy
 from conftest import candidate_pool, diag_detector, random_povm, random_pure, rate_pairs
 import oracles
 
@@ -302,7 +302,59 @@ class TestSweep:
             sweep_x(p, 3)
 
 
+class TestScipyFormulas:
+    """The numpy helpers of the binomial sums reproduce scipy.special."""
+
+    def test_log_factorials_within_one_ulp(self):
+        from scipy.special import gammaln
+
+        n = 10**5 + 1
+        got, want = _log_factorials(n), gammaln(np.arange(n) + 1.0)
+        assert got.shape == (n,)
+        assert np.all(np.abs(got - want) <= np.spacing(want))
+        # equal bit for bit except where np.log and libm's log round apart
+        assert np.count_nonzero(got != want) <= 10
+        assert np.array_equal(_log_factorials(5), want[:5])
+
+    @property_test
+    @given(
+        values=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=60),
+        ties=st.integers(0, 5),
+        scale=st.sampled_from([1e-3, 1.0, 100.0]),
+    )
+    def test_logsumexp_matches_scipy(self, values, ties, scale):
+        from scipy.special import logsumexp
+
+        a = np.array(values) * scale
+        a = np.concatenate((a, np.full(ties, a.max())))  # repeated maxima
+        assert _logsumexp(a) == logsumexp(a)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, 0.5, 1e-300, 0.3, 1 - 1e-12])
+    def test_xlogy_matches_scipy(self, r):
+        from scipy.special import xlogy
+
+        k = np.arange(40)
+        assert np.array_equal(_xlogy(k, r), xlogy(k, r))
+        assert np.array_equal(_xlogy(40 - k, 1 - r), xlogy(40 - k, 1 - r))
+
+
 class TestEmpiricalRate:
+    def test_is_sweep_first_row(self, diag_povm):
+        for n in (1, 7, 400, 5000):
+            rate = empirical_rate(diag_povm, n)
+            assert rate == sweep_x(diag_povm, n, points=2)[0][2]
+            assert rate == -_block_log_err(0.4, 0.2, n, n) / n
+        perfect = diag_detector(1.0, 0.0)
+        assert empirical_rate(perfect, 5) == math.inf
+
+    def test_errors_as_sweep(self, diag_povm):
+        with pytest.raises(DomainError, match="n must be positive"):
+            empirical_rate(diag_povm, 0)
+        with pytest.raises(ResourceError, match="aggregation cap"):
+            empirical_rate(diag_povm, 10**5 + 1)
+        with pytest.raises(DomainError, match="two-element qubit POVM"):
+            empirical_rate(Povm((np.eye(3, dtype=complex) / 2,) * 2), 3)
+
     def test_single_use(self, diag_povm):
         assert abs(empirical_rate(diag_povm, 1) - (-np.log(0.4))) < 1e-12
 
