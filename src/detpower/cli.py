@@ -132,6 +132,7 @@ def cmd_exponent(args) -> int:
         "restarts_used": rep.restarts_used,
         "seed": args.seed,
         "s_star": rep.s_star,
+        "value_kind": "achievable lower bound",
     }
     if rep.optimizer is not None:
         diagnostics["optimal_rho"] = matrix_to_json(rep.optimizer.rho.mat)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .adaptive import AdaptiveStrategy
 from .core import DensityMatrix, Povm
-from .errors import ParseError
+from .errors import ParseError, StructuralError
 
 
 def _reject_constant(token):
@@ -86,6 +86,9 @@ def _history_from_string(text) -> tuple:
 
 
 def _history_to_string(hist) -> str:
+    # one digit per outcome, so only outcomes 0..8 can be written
+    if not all(0 <= k <= 8 for k in hist):
+        raise StructuralError(f"history {hist!r}: a strategy file holds outcomes 1-9 only")
     return "".join(str(k + 1) for k in hist)
 
 

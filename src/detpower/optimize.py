@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    ClassicalDistribution,
     ExponentValue,
     chernoff_exponent,
     golden_section_min,
@@ -42,6 +43,10 @@ class SearchOptions:
     restarts: int = 64
     seed: int = 0
     mixed: bool = False
+
+    def __post_init__(self):
+        if self.restarts < 0:
+            raise DomainError(f"restarts must be >= 0, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -137,36 +142,40 @@ def _candidate_bases(p: Povm):
 
 
 def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -> PowerReport:
-    """Maximize objective(rho_mat, sigma_mat) -> (value, s_star) over state pairs.
+    """Maximize objective(P, Q) -> ExponentValue over input state pairs.
+
+    The detector is fixed, so the objective sees the states only through the
+    classical pair it induces, P_k = tr(E_k rho) and Q_k = tr(E_k sigma), each
+    a ClassicalDistribution.  Every state is converted and checked once: a
+    candidate basis costs d distributions for its d(d-1) ordered pairs.
 
     Deterministic for a fixed seed: candidates are scanned in a fixed order and
     a restart only replaces the incumbent on strict improvement.
     """
     opts = opts or SearchOptions()
     d = p.dim
-    best_val = -math.inf
+    best = ExponentValue(-math.inf)
     best_pair = None
-    best_s = None
 
-    def consider(val, s_star, rho_mat, sigma_mat):
-        nonlocal best_val, best_pair, best_s
-        if val > best_val:
-            best_val = val
-            best_pair = (rho_mat, sigma_mat)
-            best_s = s_star
+    def dist(mat):
+        return ClassicalDistribution(induced_probs(p, mat))
+
+    def score(rho_mat, sigma_mat):
+        return objective(dist(rho_mat), dist(sigma_mat))
+
+    def consider(ev, rho_mat, sigma_mat):
+        nonlocal best, best_pair
+        if ev.value > best.value:
+            best, best_pair = ev, (rho_mat, sigma_mat)
 
     # (a) exhaustive orthogonal pure pairs from grouped-element eigenbases
     for evecs in _candidate_bases(p):
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    continue
-                rho_mat = np.outer(evecs[:, i], evecs[:, i].conj())
-                sigma_mat = np.outer(evecs[:, j], evecs[:, j].conj())
-                val, s_star = objective(rho_mat, sigma_mat)
-                consider(val, s_star, rho_mat, sigma_mat)
-                if math.isinf(best_val):
-                    return _finish(best_val, best_pair, best_s, 0)
+        mats = [np.outer(v, v.conj()) for v in evecs.T]
+        dists = [dist(mat) for mat in mats]
+        for i, j in itertools.permutations(range(d), 2):
+            consider(objective(dists[i], dists[j]), mats[i], mats[j])
+            if best.infinite:
+                return _finish(best, best_pair, 0)
 
     # (b) random pure-pair restarts with coordinate-wise refinement
     rng = np.random.default_rng(opts.seed)
@@ -182,12 +191,7 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
                 rng.uniform(0, 2 * math.pi, d - 1),
             ]
         )
-
-        def eval_params(q):
-            rho_mat, sigma_mat = _pair_mats(q, d)
-            return objective(rho_mat, sigma_mat)[0]
-
-        cur = eval_params(params)
+        cur = score(*_pair_mats(params, d)).value
         width = math.pi / 2
         for _ in range(REFINE_PASSES):
             improved = 0.0
@@ -195,7 +199,7 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
                 def along(x, idx=idx):
                     q = params.copy()
                     q[idx] = x
-                    v = eval_params(q)
+                    v = score(*_pair_mats(q, d)).value
                     return -v if math.isfinite(v) else -1e300
 
                 x0 = params[idx]
@@ -208,41 +212,36 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
             if improved < REFINE_TOL:
                 break
         rho_mat, sigma_mat = _pair_mats(params, d)
-        val, s_star = objective(rho_mat, sigma_mat)
-        consider(val, s_star, rho_mat, sigma_mat)
-        if math.isinf(best_val):
+        consider(score(rho_mat, sigma_mat), rho_mat, sigma_mat)
+        if best.infinite:
             break
 
     # (c) optional mixed-state refinement toward the maximally mixed state
-    if opts.mixed and best_pair is not None and math.isfinite(best_val):
+    if opts.mixed and best_pair is not None and math.isfinite(best.value):
         eye = np.eye(d) / d
         rho_mat, sigma_mat = best_pair
 
-        def mixed_obj(t_rho, t_sigma):
-            r = (1 - t_rho) * rho_mat + t_rho * eye
-            s = (1 - t_sigma) * sigma_mat + t_sigma * eye
-            return objective(r, s)
+        def mixed(t_rho, t_sigma):
+            return (1 - t_rho) * rho_mat + t_rho * eye, (1 - t_sigma) * sigma_mat + t_sigma * eye
 
         t_r = t_s = 0.0
         for _ in range(2):
-            t_r, _ = golden_section_min(lambda t: -mixed_obj(t, t_s)[0], 0.0, 1.0, 1e-8)
-            t_s, _ = golden_section_min(lambda t: -mixed_obj(t_r, t)[0], 0.0, 1.0, 1e-8)
-        val, s_star = mixed_obj(t_r, t_s)
-        r = (1 - t_r) * rho_mat + t_r * eye
-        s = (1 - t_s) * sigma_mat + t_s * eye
-        consider(val, s_star, r, s)
+            t_r, _ = golden_section_min(lambda t: -score(*mixed(t, t_s)).value, 0.0, 1.0, 1e-8)
+            t_s, _ = golden_section_min(lambda t: -score(*mixed(t_r, t)).value, 0.0, 1.0, 1e-8)
+        r, s = mixed(t_r, t_s)
+        consider(score(r, s), r, s)
 
-    return _finish(best_val, best_pair, best_s, restarts_used)
+    return _finish(best, best_pair, restarts_used)
 
 
-def _finish(val, pair, s_star, restarts_used) -> PowerReport:
+def _finish(best: ExponentValue, pair, restarts_used) -> PowerReport:
     optimizer = None
     if pair is not None:
         optimizer = StatePair(DensityMatrix(_hermitize(pair[0])), DensityMatrix(_hermitize(pair[1])))
     return PowerReport(
-        value=max(val, 0.0),
+        value=max(best.value, 0.0),
         optimizer=optimizer,
-        s_star=s_star,
+        s_star=best.optimizer_s,
         restarts_used=restarts_used,
     )
 
@@ -251,41 +250,18 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def _chernoff_objective(p: Povm):
-    def obj(rho_mat, sigma_mat):
-        ev = chernoff_exponent(induced_probs(p, rho_mat), induced_probs(p, sigma_mat))
-        return ev.value, ev.optimizer_s
-
-    return obj
-
-
-def _stein_objective(p: Povm):
-    def obj(rho_mat, sigma_mat):
-        return relative_entropy(induced_probs(p, rho_mat), induced_probs(p, sigma_mat)), None
-
-    return obj
-
-
-def _hoeffding_objective(p: Povm, r: float):
-    def obj(rho_mat, sigma_mat):
-        ev = hoeffding_exponent(induced_probs(p, rho_mat), induced_probs(p, sigma_mat), r)
-        return ev.value, ev.optimizer_s
-
-    return obj
-
-
 def zeta_chernoff(p: Povm, opts: SearchOptions | None = None) -> PowerReport:
     """Asymptotic symmetric-error exponent of the detector (dual Chernoff)."""
-    return optimize_state_pair(_chernoff_objective(p), p, opts)
+    return optimize_state_pair(chernoff_exponent, p, opts)
 
 
 def zeta_stein(p: Povm, opts: SearchOptions | None = None) -> PowerReport:
     """Dual Stein exponent: max over pairs of D(P||Q)."""
-    return optimize_state_pair(_stein_objective(p), p, opts)
+    return optimize_state_pair(lambda P, Q: ExponentValue(relative_entropy(P, Q)), p, opts)
 
 
 def zeta_hoeffding(p: Povm, r: float, opts: SearchOptions | None = None) -> PowerReport:
     """Dual Hoeffding exponent at type-I rate constraint r >= 0."""
     if r < 0:
         raise DomainError("rate r must be nonnegative")
-    return optimize_state_pair(_hoeffding_objective(p, r), p, opts)
+    return optimize_state_pair(lambda P, Q: hoeffding_exponent(P, Q, r), p, opts)

@@ -118,6 +118,17 @@ class TestExponent:
         assert code == 0
         assert rep["results"]["zeta_chernoff"]["value"] == "inf"
 
+    def test_value_kind_is_lower_bound(self, capsys):
+        code, rep = run_json(capsys, "exponent", POVM_FILE, "--kind", "stein", "--restarts", "0")
+        assert code == 0
+        assert rep["diagnostics"]["value_kind"] == "achievable lower bound"
+        assert list(rep["results"]) == ["zeta_stein"]
+
+    def test_negative_restarts_exit_3(self, capsys):
+        code, out = run(capsys, "exponent", POVM_FILE, "--restarts", "-3")
+        assert code == 3
+        assert out == ""
+
     def test_deterministic_output(self, capsys):
         _, a = run(capsys, "exponent", POVM_FILE, "--restarts", "4", "--seed", "7")
         _, b = run(capsys, "exponent", POVM_FILE, "--restarts", "4", "--seed", "7")
@@ -303,6 +314,32 @@ class TestStrategyRoundTrip:
         assert again.grouping == strat.grouping
         for a, b in zip(again.candidates, strat.candidates):
             assert np.array_equal(a.mat, b.mat)
+
+    @staticmethod
+    def _strategy(outcome):
+        from detpower import AdaptiveStrategy, DensityMatrix
+
+        cands = (DensityMatrix(np.diag([1.0, 0.0]).astype(complex)), DensityMatrix(np.diag([0.0, 1.0]).astype(complex)))
+        return AdaptiveStrategy(
+            depth=2, candidates=cands, choices={(): (0, 1), (outcome,): (1, 0)}, grouping={(outcome, 0)}
+        )
+
+    def test_outcome_8_roundtrips(self):
+        from detpower.io import strategy_from_json, strategy_to_json
+
+        strat = self._strategy(8)
+        obj = strategy_to_json(strat, 2)
+        assert obj["choices"]["9"] == [1, 0]
+        again = strategy_from_json(json.loads(json.dumps(obj)))
+        assert again.choices == strat.choices
+        assert again.grouping == strat.grouping
+
+    def test_outcome_9_refused_when_written(self):
+        from detpower import StructuralError
+        from detpower.io import strategy_to_json
+
+        with pytest.raises(StructuralError):
+            strategy_to_json(self._strategy(9), 2)
 
 
 def test_import_loads_no_scipy():

@@ -1,7 +1,13 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 from detpower import (
+    ClassicalDistribution,
+    DomainError,
+    ExponentValue,
     Povm,
     ResourceError,
     SearchOptions,
@@ -13,6 +19,7 @@ from detpower import (
     zeta_hoeffding,
     zeta_stein,
 )
+from detpower import optimize
 from detpower.channel import induced_distribution, induced_probs
 from conftest import random_povm, random_pure
 
@@ -166,3 +173,70 @@ class TestHoeffdingSearch:
         cb = zeta_chernoff(diag_povm, FAST).value
         hb = zeta_hoeffding(diag_povm, cb, FAST).value
         assert abs(hb - cb) < 1e-6
+
+
+class TestSearchOverDistributions:
+    """The search scores induced distributions and converts each state once."""
+
+    def test_negative_restarts_refused(self):
+        with pytest.raises(DomainError):
+            SearchOptions(restarts=-3)
+        assert SearchOptions(restarts=0).restarts == 0
+
+    def test_objective_sees_checked_distributions(self, diag_povm):
+        seen = []
+
+        def objective(P, Q):
+            seen.append((P, Q))
+            return ExponentValue(float(P.probs[0] - Q.probs[0]))
+
+        rep = optimize.optimize_state_pair(objective, diag_povm, SearchOptions(restarts=0))
+        n_bases = sum(1 for _ in optimize._candidate_bases(diag_povm))
+        assert len(seen) == n_bases * 2  # d(d-1) ordered pairs per basis
+        assert all(isinstance(x, ClassicalDistribution) for pair in seen for x in pair)
+        assert rep.value == pytest.approx(0.2)
+        assert rep.s_star is None
+
+    @pytest.mark.parametrize("kind", ["chernoff", "stein", "hoeffding"])
+    def test_one_conversion_per_basis_state(self, monkeypatch, kind):
+        p = random_povm(np.random.default_rng(7), 3, 4)
+        calls = []
+
+        def counted(povm, mat):
+            calls.append(1)
+            return induced_probs(povm, mat)
+
+        monkeypatch.setattr(optimize, "induced_probs", counted)
+        opts = SearchOptions(restarts=0)
+        if kind == "hoeffding":
+            zeta_hoeffding(p, 0.05, opts)
+        else:
+            {"chernoff": zeta_chernoff, "stein": zeta_stein}[kind](p, opts)
+        n_bases = sum(1 for _ in optimize._candidate_bases(p))
+        assert n_bases == 7  # the 2^(m-1) - 1 proper groupings of 4 outcomes
+        assert len(calls) == p.dim * n_bases
+
+    @pytest.mark.parametrize(
+        "case",
+        [f"{det}/{kind}" for det in ("commuting", "random_d3_m4") for kind in ("chernoff", "stein", "hoeffding")],
+    )
+    def test_bit_identical_to_recorded_search(self, diag_povm, case):
+        # recorded from the search that scored state matrices, before the objective
+        # took induced distributions; the floating-point path must not move
+        with open(os.path.join(os.path.dirname(__file__), "search_reference.json")) as fh:
+            ref = json.load(fh)["cases"][case]
+        det, kind = case.split("/")
+        p = diag_povm if det == "commuting" else random_povm(np.random.default_rng(7), 3, 4)
+        opts = SearchOptions(restarts=2, seed=0)
+        if kind == "hoeffding":
+            rep = zeta_hoeffding(p, 0.05, opts)
+        else:
+            rep = {"chernoff": zeta_chernoff, "stein": zeta_stein}[kind](p, opts)
+
+        def unhex(rows):
+            return np.array([[complex(float.fromhex(re), float.fromhex(im)) for re, im in row] for row in rows])
+
+        assert rep.value == float.fromhex(ref["value"])
+        assert rep.s_star == (None if ref["s_star"] is None else float.fromhex(ref["s_star"]))
+        assert np.array_equal(rep.optimizer.rho.mat, unhex(ref["rho"]))
+        assert np.array_equal(rep.optimizer.sigma.mat, unhex(ref["sigma"]))
