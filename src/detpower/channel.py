@@ -55,7 +55,7 @@ def _checked_probs(probs) -> np.ndarray:
         raise DomainError("distribution has non-finite entries")
     if p.min(initial=0.0) < -NEG_CLAMP:
         raise DomainError(f"negative probability {p.min():.3e}")
-    p = np.clip(p, 0.0, None)  # a new array, so the caller's stays untouched
+    p = np.maximum(p, 0.0)  # a new array, so the caller's stays untouched
     if abs(p.sum() - 1.0) > SUM_TOL:
         raise DomainError(f"probabilities sum to {p.sum()}, not 1")
     return p
@@ -78,7 +78,7 @@ def _pair(p_dist, q_dist):
 def induced_probs(p: Povm, rho_mat: np.ndarray) -> np.ndarray:
     """tr(E_k rho) for every outcome, clamped at 0.  Raw-array fast path."""
     out = np.einsum("kij,ji->k", p.stacked(), rho_mat).real
-    return np.clip(out, 0.0, None)
+    return np.maximum(out, 0.0)
 
 
 def induced_distribution(p: Povm, rho: DensityMatrix) -> ClassicalDistribution:
@@ -120,13 +120,25 @@ def golden_section_min(f, a: float, b: float, xtol: float = 1e-12):
 
 
 def _phi_evaluator(p: np.ndarray, q: np.ndarray):
-    """Fast phi(s) closure with logs precomputed on the common support."""
+    """Fast phi(s) closure with logs precomputed on the common support.
+
+    Each call writes s*lp, (1-s)*lq, their sum and its exp into two scratch
+    arrays the closure owns, with the ufuncs and order of
+    log(sum(exp(s*lp + (1-s)*lq))), so the floats are the same.  Because of
+    those buffers, one closure must not be shared across threads.
+    """
     mask = (p > 0) & (q > 0)
     lp = np.log(p[mask])
     lq = np.log(q[mask])
+    t = np.empty_like(lp)
+    u = np.empty_like(lq)
 
     def f(s: float) -> float:
-        return min(float(np.log(np.exp(s * lp + (1.0 - s) * lq).sum())), 0.0)
+        np.multiply(s, lp, out=t)
+        np.multiply(1.0 - s, lq, out=u)
+        np.add(t, u, out=t)
+        np.exp(t, out=t)
+        return min(float(np.log(np.add.reduce(t))), 0.0)
 
     return f
 
@@ -180,8 +192,8 @@ def hoeffding_exponent(p_dist, q_dist, r: float) -> ExponentValue:
     -phi(0), which is 0 when supp Q lies in supp P.  If r < -log P(supp Q)
     the supremum diverges as s -> 1 and the exponent is +inf.
     """
-    if r < 0:
-        raise DomainError("constraint rate r must be nonnegative")
+    if not r >= 0.0:  # also refuses NaN
+        raise DomainError(f"constraint rate r must be nonnegative, got {r}")
     p, q = _pair(p_dist, q_dist)
     mask = (p > 0) & (q > 0)
     if not np.any(mask):

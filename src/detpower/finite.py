@@ -163,6 +163,8 @@ def best_product_pair(p: Povm, n: int, candidates):
     pairwise minima, and with nc > 2 the pairs are formed one rho pattern at a
     time, so no array exceeds DENSE_CAP entries (8 MB).
     """
+    if n < 1:
+        raise DomainError("n must be positive")
     cands = list(candidates)
     if len(cands) < 2:
         raise DomainError("need at least two candidate states")

@@ -47,6 +47,8 @@ class SearchOptions:
     def __post_init__(self):
         if self.restarts < 0:
             raise DomainError(f"restarts must be >= 0, got {self.restarts}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -123,11 +125,10 @@ def _pure_vec(params: np.ndarray, d: int) -> np.ndarray:
     return v
 
 
-def _pair_mats(params: np.ndarray, d: int):
-    n = 2 * (d - 1)
-    v1 = _pure_vec(params[:n], d)
-    v2 = _pure_vec(params[n : 2 * n], d)
-    return np.outer(v1, v1.conj()), np.outer(v2, v2.conj())
+def _pure_mat(params: np.ndarray, d: int) -> np.ndarray:
+    """The projector onto _pure_vec(params, d)."""
+    v = _pure_vec(params, d)
+    return np.outer(v, v.conj())
 
 
 def _candidate_bases(p: Povm):
@@ -147,7 +148,9 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     The detector is fixed, so the objective sees the states only through the
     classical pair it induces, P_k = tr(E_k rho) and Q_k = tr(E_k sigma), each
     a ClassicalDistribution.  Every state is converted and checked once: a
-    candidate basis costs d distributions for its d(d-1) ordered pairs.
+    candidate basis costs d distributions for its d(d-1) ordered pairs, and a
+    restart's refinement converts only the state it moves, since each
+    coordinate line search holds the other state fixed.
 
     Deterministic for a fixed seed: candidates are scanned in a fixed order and
     a restart only replaces the incumbent on strict improvement.
@@ -179,7 +182,8 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
 
     # (b) random pure-pair restarts with coordinate-wise refinement
     rng = np.random.default_rng(opts.seed)
-    n_params = 4 * (d - 1)
+    n = 2 * (d - 1)
+    halves = (slice(0, n), slice(n, 2 * n))  # rho's angles, then sigma's
     restarts_used = 0
     for _ in range(opts.restarts):
         restarts_used += 1
@@ -191,15 +195,20 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
                 rng.uniform(0, 2 * math.pi, d - 1),
             ]
         )
-        cur = score(*_pair_mats(params, d)).value
+        cur = score(*(_pure_mat(params[h], d) for h in halves)).value
         width = math.pi / 2
         for _ in range(REFINE_PASSES):
             improved = 0.0
-            for idx in range(n_params):
-                def along(x, idx=idx):
-                    q = params.copy()
-                    q[idx] = x
-                    v = score(*_pair_mats(q, d)).value
+            for idx in range(2 * n):
+                side, k = divmod(idx, n)  # side 0 moves rho, side 1 sigma
+                moved = params[halves[side]].copy()
+                pair = [None, None]
+                pair[1 - side] = dist(_pure_mat(params[halves[1 - side]], d))
+
+                def along(x, side=side, k=k, moved=moved, pair=pair):
+                    moved[k] = x
+                    pair[side] = dist(_pure_mat(moved, d))
+                    v = objective(*pair).value
                     return -v if math.isfinite(v) else -1e300
 
                 x0 = params[idx]
@@ -211,7 +220,7 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
             width *= 0.5
             if improved < REFINE_TOL:
                 break
-        rho_mat, sigma_mat = _pair_mats(params, d)
+        rho_mat, sigma_mat = (_pure_mat(params[h], d) for h in halves)
         consider(score(rho_mat, sigma_mat), rho_mat, sigma_mat)
         if best.infinite:
             break
@@ -262,6 +271,6 @@ def zeta_stein(p: Povm, opts: SearchOptions | None = None) -> PowerReport:
 
 def zeta_hoeffding(p: Povm, r: float, opts: SearchOptions | None = None) -> PowerReport:
     """Dual Hoeffding exponent at type-I rate constraint r >= 0."""
-    if r < 0:
-        raise DomainError("rate r must be nonnegative")
+    if not r >= 0.0:  # also refuses NaN
+        raise DomainError(f"rate r must be nonnegative, got {r}")
     return optimize_state_pair(lambda P, Q: hoeffding_exponent(P, Q, r), p, opts)

@@ -1,7 +1,9 @@
 """Direct enumerations of the exact finite-n quantities, kept as test oracles.
 
 Each one spells out its definition cell by cell or node by node; the library
-computes the same numbers with vectorized code.
+computes the same numbers with vectorized code.  phi_closure is the one-line
+phi(s) evaluator that the buffered channel._phi_evaluator must match bit for
+bit.
 """
 
 import itertools
@@ -93,3 +95,15 @@ def best_product_pair(p, n, candidates):
         if best is None or p_err < best[0] - 1e-15:
             best = (p_err, (pat0, pat1))
     return best
+
+
+def phi_closure(p, q):
+    """phi(s) = log sum_k P_k^s Q_k^(1-s) on the common support, one temporary per step."""
+    mask = (p > 0) & (q > 0)
+    lp = np.log(p[mask])
+    lq = np.log(q[mask])
+
+    def f(s):
+        return min(float(np.log(np.exp(s * lp + (1.0 - s) * lq).sum())), 0.0)
+
+    return f

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from detpower import (
     phi,
     relative_entropy,
 )
+from detpower.channel import _INVPHI, _phi_evaluator
 from conftest import random_density, random_distribution, random_povm
+import oracles
 
 
 def dist(*vals):
@@ -30,6 +34,20 @@ def full_support_pairs(draw):
     p, q = np.array(draw(weights)), np.array(draw(weights))
     return p / p.sum(), q / q.sum()
 
+
+@st.composite
+def pairs_with_zeros(draw):
+    """(P, Q) with 1-8 outcomes, exact zeros allowed, and a common support."""
+    m = draw(st.integers(1, 8))
+    weights = st.lists(st.just(0.0) | st.floats(1e-6, 1.0), min_size=m, max_size=m)
+    p, q = np.array(draw(weights)), np.array(draw(weights))
+    if not np.any((p > 0) & (q > 0)):
+        p[0] = q[0] = 1.0
+    return p / p.sum(), q / q.sum()
+
+
+# s at both ends, at golden_section_min's first two points on [0, 1], or anywhere
+s_values = st.sampled_from([0.0, 1.0, 1.0 - _INVPHI, _INVPHI]) | st.floats(0.0, 1.0)
 
 # derandomized so that every tier-1 run checks the same examples
 property_test = settings(deadline=None, derandomize=True)
@@ -135,6 +153,16 @@ class TestPhi:
             q = ClassicalDistribution(random_distribution(rng, 4))
             s = rng.uniform(0.0, 1.0)
             assert phi(s, p, q) <= 1e-15
+
+    @property_test
+    @given(pair=pairs_with_zeros(), ss=st.lists(s_values, min_size=1, max_size=6))
+    def test_buffered_evaluator_matches_one_line_closure(self, pair, ss):
+        # one closure called over ss and back again: its scratch buffers carry
+        # nothing from one call to the next, and every float is the oracle's
+        p, q = pair
+        f, ref = _phi_evaluator(p, q), oracles.phi_closure(p, q)
+        calls = ss + ss[::-1]
+        assert [f(s).hex() for s in calls] == [ref(s).hex() for s in calls]
 
 
 class TestChernoff:
@@ -262,6 +290,14 @@ class TestHoeffding:
     def test_negative_rate_rejected(self):
         with pytest.raises(DomainError):
             hoeffding_exponent(dist(0.4, 0.6), dist(0.2, 0.8), -0.1)
+
+    def test_nan_rate_rejected(self):
+        with pytest.raises(DomainError):
+            hoeffding_exponent(dist(0.4, 0.6), dist(0.2, 0.8), float("nan"))
+
+    def test_infinite_rate_zero(self):
+        assert hoeffding_exponent(dist(0.4, 0.6), dist(0.2, 0.8), math.inf).value == 0.0
+        assert hoeffding_exponent([0.5, 0.5], [1.0, 0.0], math.inf).value == 0.0
 
 
 class TestGolden:

@@ -129,6 +129,18 @@ class TestExponent:
         assert code == 3
         assert out == ""
 
+    def test_negative_seed_exit_3(self, capsys):
+        code, out = run(capsys, "exponent", POVM_FILE, "--seed", "-1", "--restarts", "1")
+        assert code == 3
+        assert out == ""
+
+    def test_nan_rate_exit_3(self, capsys):
+        code, out = run(
+            capsys, "exponent", POVM_FILE, "--kind", "hoeffding", "--rate", "nan", "--restarts", "0"
+        )
+        assert code == 3
+        assert out == ""
+
     def test_deterministic_output(self, capsys):
         _, a = run(capsys, "exponent", POVM_FILE, "--restarts", "4", "--seed", "7")
         _, b = run(capsys, "exponent", POVM_FILE, "--restarts", "4", "--seed", "7")
@@ -157,6 +169,12 @@ class TestFinite:
         assert code == 0
         assert abs(rep["results"]["p_err"]["value"] - 0.344) < 1e-12
         assert sorted(rep["results"]["pattern"]["value"]) == ["001", "110"]
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_pattern_nonpositive_n_exit_3(self, capsys, n):
+        code, out = run(capsys, "finite", POVM_FILE, "--n", n, "--mode", "pattern")
+        assert code == 3
+        assert out == ""
 
     def test_sweep_json(self, capsys):
         code, rep = run_json(capsys, "finite", POVM_FILE, "--n", "3", "--mode", "sweep")

@@ -164,7 +164,7 @@ class TestBruteForce:
 
 class TestBestProductPair:
     @property_test
-    @given(case=detector_and_pool(), picks=st.lists(st.integers(0, 3), min_size=2, max_size=3), n=st.integers(0, 6))
+    @given(case=detector_and_pool(), picks=st.lists(st.integers(0, 3), min_size=2, max_size=3), n=st.integers(1, 6))
     def test_matches_pattern_loop(self, case, picks, n):
         povm, pool = case
         cands = [pool[k] for k in picks]
@@ -193,6 +193,11 @@ class TestBestProductPair:
     def test_single_use(self, diag_povm, basis_states):
         p_err, _ = best_product_pair(diag_povm, 1, basis_states)
         assert abs(p_err - 0.4) < 1e-14
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_n_refused(self, diag_povm, basis_states, n):
+        with pytest.raises(DomainError, match="n must be positive"):
+            best_product_pair(diag_povm, n, basis_states)
 
     def test_beats_or_ties_iid(self, diag_povm, basis_states):
         for n in range(1, 6):

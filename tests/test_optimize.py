@@ -20,7 +20,7 @@ from detpower import (
     zeta_stein,
 )
 from detpower import optimize
-from detpower.channel import induced_distribution, induced_probs
+from detpower.channel import chernoff_exponent, golden_section_min, induced_distribution, induced_probs
 from conftest import random_povm, random_pure
 
 FAST = SearchOptions(restarts=8, seed=0)
@@ -168,6 +168,10 @@ class TestHoeffdingSearch:
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-7
 
+    def test_nan_rate_refused(self, diag_povm):
+        with pytest.raises(DomainError):
+            zeta_hoeffding(diag_povm, float("nan"), FAST)
+
     def test_between_chernoff_and_stein_at_crossover(self, diag_povm):
         # at r = zeta_CB the optimal Hoeffding exponent equals zeta_CB
         cb = zeta_chernoff(diag_povm, FAST).value
@@ -182,6 +186,11 @@ class TestSearchOverDistributions:
         with pytest.raises(DomainError):
             SearchOptions(restarts=-3)
         assert SearchOptions(restarts=0).restarts == 0
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(DomainError):
+            SearchOptions(seed=-1)
+        assert SearchOptions(seed=0).seed == 0
 
     def test_objective_sees_checked_distributions(self, diag_povm):
         seen = []
@@ -215,6 +224,34 @@ class TestSearchOverDistributions:
         n_bases = sum(1 for _ in optimize._candidate_bases(p))
         assert n_bases == 7  # the 2^(m-1) - 1 proper groupings of 4 outcomes
         assert len(calls) == p.dim * n_bases
+
+    def test_refinement_converts_only_the_moved_state(self, monkeypatch):
+        p = random_povm(np.random.default_rng(7), 3, 4)
+        conversions, objective_calls, line_searches = [], [], []
+
+        def counted_probs(povm, mat):
+            conversions.append(1)
+            return induced_probs(povm, mat)
+
+        def counted_search(*args, **kwargs):
+            line_searches.append(1)
+            return golden_section_min(*args, **kwargs)
+
+        def objective(P, Q):
+            objective_calls.append(1)
+            return chernoff_exponent(P, Q)
+
+        monkeypatch.setattr(optimize, "induced_probs", counted_probs)
+        monkeypatch.setattr(optimize, "golden_section_min", counted_search)
+        optimize.optimize_state_pair(objective, p, SearchOptions(restarts=1, seed=0))
+        n_bases = sum(1 for _ in optimize._candidate_bases(p))
+        scan_calls = n_bases * p.dim * (p.dim - 1)
+        restart_calls = len(objective_calls) - scan_calls
+        restart_conversions = len(conversions) - n_bases * p.dim
+        assert line_searches and restart_calls > len(line_searches)
+        # one moved state per line-search evaluation, one fixed state per line
+        # search, and both states of the start and the final pair
+        assert restart_conversions == (restart_calls - 2) + len(line_searches) + 2 * 2
 
     @pytest.mark.parametrize(
         "case",
