@@ -164,6 +164,97 @@ def relative_entropy(p_dist, q_dist) -> float:
     return max(float(np.sum(p[sup] * (np.log(p[sup]) - np.log(q[sup])))), 0.0)
 
 
+# Row forms: one call scores every row pair (P[k], Q[k]) of two (L, m) stacks
+# of checked distributions and gives the floats of the per-pair function.
+# Rows without a zero entry are computed together: the per-pair mask then
+# keeps every entry, and np.log, np.exp and np.add.reduce(axis=1) on rows
+# round like their 1-D calls.  A row with a zero entry goes through the
+# per-pair function, which drops zero terms before summing.
+
+
+def _full_rows(p_rows, q_rows):
+    p, q = np.asarray(p_rows, dtype=float), np.asarray(q_rows, dtype=float)
+    if p.shape != q.shape or p.ndim != 2:
+        raise StructuralError(f"row stacks of shapes {p.shape} and {q.shape}")
+    return p, q, np.all(p > 0, axis=1) & np.all(q > 0, axis=1)
+
+
+def _phi_rows(s: np.ndarray, lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
+    """_phi_evaluator's phi at s[k] for each row k of the logs; s is a column."""
+    t = s * lp
+    t += (1.0 - s) * lq
+    np.exp(t, out=t)
+    f = np.log(np.add.reduce(t, axis=1, keepdims=True))
+    return np.minimum(f, 0.0)  # log never gives -0.0 or NaN here, so this is min(f, 0.0)
+
+
+def _golden_rows(lp: np.ndarray, lq: np.ndarray, xtol: float = 1e-12):
+    """golden_section_min(phi_k, 0, 1, xtol) for every row k, in lockstep.
+
+    Each row takes the same branch and the same probe points as the scalar
+    loop and leaves it when its own |d - c| <= xtol.  Returns the columns
+    (s_k, phi_k(s_k)).
+    """
+    n = len(lp)
+    s_out, f_out = np.empty((n, 1)), np.empty((n, 1))
+    live = np.arange(n)
+    a, b = np.zeros((n, 1)), np.ones((n, 1))
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = _phi_rows(c, lp, lq), _phi_rows(d, lp, lq)
+    while True:
+        go = np.abs(d - c) > xtol
+        if np.count_nonzero(go) < len(go):
+            stop = ~go[:, 0]
+            x = (a[stop] + b[stop]) / 2
+            s_out[live[stop]] = x
+            f_out[live[stop]] = _phi_rows(x, lp[stop], lq[stop])
+            keep = go[:, 0]
+            if not keep.any():
+                return s_out, f_out
+            live, a, b, c, d, fc, fd, lp, lq = (v[keep] for v in (live, a, b, c, d, fc, fd, lp, lq))
+        left = fc < fd  # the scalar loop's branch: keep [a, d], else [c, b]
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        w = _INVPHI * (b - a)
+        x = np.where(left, b - w, a + w)
+        fx = _phi_rows(x, lp, lq)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+
+
+def chernoff_rows(p_rows, q_rows) -> list[ExponentValue]:
+    """chernoff_exponent(P[k], Q[k]) for every row k, with the same floats.
+
+    The rows without zeros run golden_section_min's iteration in lockstep,
+    then take the same min over s = 0 and 1, the same clamp and the same clip.
+    """
+    p, q, full = _full_rows(p_rows, q_rows)
+    out = [chernoff_exponent(p[k], q[k]) if not full[k] else None for k in range(len(p))]
+    if full.any():
+        lp, lq = np.log(p[full]), np.log(q[full])
+        s_star, f_star = _golden_rows(lp, lq)
+        f_star = np.minimum(f_star, _phi_rows(np.zeros_like(s_star), lp, lq))
+        f_star = np.minimum(f_star, _phi_rows(np.ones_like(s_star), lp, lq))
+        values = np.maximum(-f_star, 0.0) + 0.0
+        s_star = np.clip(s_star, 0.0, 1.0)
+        for k, v, s in zip(np.flatnonzero(full).tolist(), values[:, 0].tolist(), s_star[:, 0].tolist()):
+            out[k] = ExponentValue(v, s)
+    return out
+
+
+def relative_entropy_rows(p_rows, q_rows) -> np.ndarray:
+    """relative_entropy(P[k], Q[k]) for every row k, with the same floats."""
+    p, q, full = _full_rows(p_rows, q_rows)
+    out = np.empty(len(p))
+    for k in np.flatnonzero(~full):
+        out[k] = relative_entropy(p[k], q[k])
+    pf, qf = p[full], q[full]
+    d = np.add.reduce(pf * (np.log(pf) - np.log(qf)), axis=1)
+    out[full] = np.where(0.0 > d, 0.0, d)  # max(d, 0.0), keeping a -0.0 as max does
+    return out
+
+
 def _tilted(s: float, lp: np.ndarray, lq: np.ndarray, llr: np.ndarray):
     """phi(s), phi'(s) and phi''(s) from the logs of P and Q on the common support.
 

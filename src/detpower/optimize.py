@@ -4,7 +4,11 @@ single_shot_power is exact (spread formula over all outcome groupings).
 The asymptotic exponents are maximized over state pairs by an exhaustive
 scan of eigenvector pairs of grouped elements plus seeded random restarts
 with coordinate-wise golden-section refinement, so the reported value is a
-certified-achievable lower bound on the true exponent.
+certified-achievable lower bound on the true exponent.  zeta_chernoff and
+zeta_stein score each scanned basis's ordered pairs in one row-wise call
+(channel.chernoff_rows, a lockstep golden-section solve with the per-pair
+floats, and channel.relative_entropy_rows); rows with a zero entry fall back
+to the per-pair functions, and custom objectives are called once per pair.
 """
 
 from __future__ import annotations
@@ -19,10 +23,12 @@ from .channel import (
     ClassicalDistribution,
     ExponentValue,
     chernoff_exponent,
+    chernoff_rows,
     golden_section_min,
     hoeffding_exponent,
     induced_probs,
     relative_entropy,
+    relative_entropy_rows,
 )
 from .core import DensityMatrix, GroupingMask, Povm, eig_hermitian
 from .errors import DomainError, ResourceError
@@ -87,6 +93,7 @@ def single_shot_power(p: Povm) -> PowerReport:
     about 2.5 s at m = 16 and 10 s at m = 18, and so about 11 min at the cap
     of MAX_OUTCOMES_SINGLE_SHOT = 24 outcomes.
     """
+    _require_two_outcomes(p)
     m = p.n_outcomes
     if m > MAX_OUTCOMES_SINGLE_SHOT:
         raise ResourceError(
@@ -110,6 +117,11 @@ def single_shot_power(p: Povm) -> PowerReport:
         optimizer=StatePair(rho, sigma),
         grouping=GroupingMask(np.isin(np.arange(m), group)),
     )
+
+
+def _require_two_outcomes(p: Povm):
+    if p.n_outcomes < 2:  # no proper grouping exists, and no pair can be told apart
+        raise DomainError("POVM must have at least 2 outcomes")
 
 
 def _pure_vec(params: np.ndarray, d: int) -> np.ndarray:
@@ -148,13 +160,21 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     The detector is fixed, so the objective sees the states only through the
     classical pair it induces, P_k = tr(E_k rho) and Q_k = tr(E_k sigma), each
     a ClassicalDistribution.  Every state is converted and checked once: a
-    candidate basis costs d distributions for its d(d-1) ordered pairs, and a
-    restart's refinement converts only the state it moves, since each
-    coordinate line search holds the other state fixed.
+    candidate basis costs d distributions for its d(d-1) ordered pairs, and
+    the restart and --mixed refinements convert only the state they move,
+    since each line search holds the other state fixed.
+
+    An objective with a `rows` attribute has each basis's ordered pairs
+    scored in one call, rows(P_stack, Q_stack) -> one ExponentValue per row,
+    equal to objective(P_k, Q_k); zeta_chernoff and zeta_stein pass the
+    channel row forms, whose lockstep solve keeps the per-pair floats and
+    whose rows with a zero entry fall back to the per-pair functions.  Any
+    other objective is called once per pair, as are the refinements.
 
     Deterministic for a fixed seed: candidates are scanned in a fixed order and
     a restart only replaces the incumbent on strict improvement.
     """
+    _require_two_outcomes(p)
     opts = opts or SearchOptions()
     d = p.dim
     best = ExponentValue(-math.inf)
@@ -172,11 +192,19 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
             best, best_pair = ev, (rho_mat, sigma_mat)
 
     # (a) exhaustive orthogonal pure pairs from grouped-element eigenbases
+    rows = getattr(objective, "rows", None)
+    pairs = list(itertools.permutations(range(d), 2))
+    first, second = np.array(pairs).T
     for evecs in _candidate_bases(p):
         mats = [np.outer(v, v.conj()) for v in evecs.T]
         dists = [dist(mat) for mat in mats]
-        for i, j in itertools.permutations(range(d), 2):
-            consider(objective(dists[i], dists[j]), mats[i], mats[j])
+        if rows is None:
+            scores = (objective(dists[i], dists[j]) for i, j in pairs)
+        else:
+            stack = np.stack([x.probs for x in dists])
+            scores = rows(stack[first], stack[second])
+        for (i, j), ev in zip(pairs, scores):
+            consider(ev, mats[i], mats[j])
             if best.infinite:
                 return _finish(best, best_pair, 0)
 
@@ -230,15 +258,18 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
         eye = np.eye(d) / d
         rho_mat, sigma_mat = best_pair
 
-        def mixed(t_rho, t_sigma):
-            return (1 - t_rho) * rho_mat + t_rho * eye, (1 - t_sigma) * sigma_mat + t_sigma * eye
+        def mixed(mat, t):
+            return (1 - t) * mat + t * eye
 
+        # each line search moves one state, so the other is converted once
         t_r = t_s = 0.0
         for _ in range(2):
-            t_r, _ = golden_section_min(lambda t: -score(*mixed(t, t_s)).value, 0.0, 1.0, 1e-8)
-            t_s, _ = golden_section_min(lambda t: -score(*mixed(t_r, t)).value, 0.0, 1.0, 1e-8)
-        r, s = mixed(t_r, t_s)
-        consider(score(r, s), r, s)
+            fixed = dist(mixed(sigma_mat, t_s))
+            t_r, _ = golden_section_min(lambda t: -objective(dist(mixed(rho_mat, t)), fixed).value, 0.0, 1.0, 1e-8)
+            fixed = dist(mixed(rho_mat, t_r))
+            t_s, _ = golden_section_min(lambda t: -objective(fixed, dist(mixed(sigma_mat, t))).value, 0.0, 1.0, 1e-8)
+        r, s = mixed(rho_mat, t_r), mixed(sigma_mat, t_s)
+        consider(objective(fixed, dist(s)), r, s)
 
     return _finish(best, best_pair, restarts_used)
 
@@ -259,14 +290,31 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
+def _row_scored(pair, rows):
+    """The objective pair(P, Q), carrying rows(P_stack, Q_stack) for the basis scan."""
+
+    def objective(P, Q):
+        return pair(P, Q)
+
+    objective.rows = rows
+    return objective
+
+
 def zeta_chernoff(p: Povm, opts: SearchOptions | None = None) -> PowerReport:
     """Asymptotic symmetric-error exponent of the detector (dual Chernoff)."""
-    return optimize_state_pair(chernoff_exponent, p, opts)
+    return optimize_state_pair(_row_scored(chernoff_exponent, chernoff_rows), p, opts)
 
 
 def zeta_stein(p: Povm, opts: SearchOptions | None = None) -> PowerReport:
     """Dual Stein exponent: max over pairs of D(P||Q)."""
-    return optimize_state_pair(lambda P, Q: ExponentValue(relative_entropy(P, Q)), p, opts)
+    return optimize_state_pair(
+        _row_scored(
+            lambda P, Q: ExponentValue(relative_entropy(P, Q)),
+            lambda P, Q: [ExponentValue(v) for v in relative_entropy_rows(P, Q).tolist()],
+        ),
+        p,
+        opts,
+    )
 
 
 def zeta_hoeffding(p: Povm, r: float, opts: SearchOptions | None = None) -> PowerReport:

@@ -9,6 +9,7 @@ from detpower import (
     ClassicalDistribution,
     DensityMatrix,
     DomainError,
+    StructuralError,
     chernoff_exponent,
     golden_section_min,
     hoeffding_exponent,
@@ -17,7 +18,7 @@ from detpower import (
     phi,
     relative_entropy,
 )
-from detpower.channel import _INVPHI, _phi_evaluator
+from detpower.channel import _INVPHI, _golden_rows, _phi_evaluator, chernoff_rows, relative_entropy_rows
 from conftest import random_density, random_distribution, random_povm
 import oracles
 
@@ -44,6 +45,56 @@ def pairs_with_zeros(draw):
     if not np.any((p > 0) & (q > 0)):
         p[0] = q[0] = 1.0
     return p / p.sum(), q / q.sum()
+
+
+@st.composite
+def row_pair(draw, m):
+    """One row pair with m outcomes: full supports, exact zeros, or disjoint supports."""
+    kind = draw(st.sampled_from(["full", "zeros", "disjoint"] if m > 1 else ["full", "zeros"]))
+    if kind == "full":
+        weights = st.lists(st.floats(1e-12, 1.0), min_size=m, max_size=m)
+        p, q = np.array(draw(weights)), np.array(draw(weights))
+    elif kind == "zeros":
+        weights = st.lists(st.just(0.0) | st.floats(1e-6, 1.0), min_size=m, max_size=m)
+        p, q = np.array(draw(weights)), np.array(draw(weights))
+        p[0] += p.sum() == 0.0
+        q[-1] += q.sum() == 0.0
+    else:
+        split = draw(st.integers(1, m - 1))
+        p = np.array([1.0] * split + [0.0] * (m - split))
+        q = 1.0 - p
+    return p / p.sum(), q / q.sum()
+
+
+@st.composite
+def row_stacks(draw):
+    """Two (L, m) stacks of distributions, m in 1-14 and L in 1-30."""
+    m = draw(st.integers(1, 14))
+    rows = draw(st.lists(row_pair(m), min_size=1, max_size=30))
+    return np.array([p for p, _ in rows]), np.array([q for _, q in rows])
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+def _bracket_widths(f):
+    """|d - c| at each step of golden_section_min(f, 0, 1, 1e-12)'s loop."""
+    a, b = 0.0, 1.0
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    widths = []
+    while abs(d - c) > 1e-12:
+        widths.append(abs(d - c))
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return widths
 
 
 # s at both ends, at golden_section_min's first two points on [0, 1], or anywhere
@@ -209,6 +260,52 @@ class TestChernoff:
     def test_disjoint_infinite(self):
         val = chernoff_exponent(dist(1.0, 0.0), dist(0.0, 1.0))
         assert val.infinite
+
+
+class TestRowForms:
+    """One call scores every row pair of two stacks, with the per-pair floats."""
+
+    @property_test
+    @given(stacks=row_stacks())
+    def test_chernoff_rows_match_per_pair(self, stacks):
+        got = chernoff_rows(*stacks)
+        want = [chernoff_exponent(p, q) for p, q in zip(*stacks)]
+        assert [(_hex(e.value), _hex(e.optimizer_s)) for e in got] == [
+            (_hex(e.value), _hex(e.optimizer_s)) for e in want
+        ]
+
+    @property_test
+    @given(stacks=row_stacks())
+    def test_relative_entropy_rows_match_per_pair(self, stacks):
+        got = relative_entropy_rows(*stacks)
+        assert [_hex(v) for v in got] == [_hex(relative_entropy(p, q)) for p, q in zip(*stacks)]
+
+    def test_rows_stop_at_their_own_step(self):
+        # the rows' brackets shrink alike up to round-off, so an xtol between
+        # two rows' widths at one step stops some rows there and not others
+        rng = np.random.default_rng(5)
+        p, q = (np.array([random_distribution(rng, 4) for _ in range(8)]) for _ in range(2))
+        closures = [_phi_evaluator(a, b) for a, b in zip(p, q)]
+        widths = np.array([_bracket_widths(f) for f in closures])
+        step = next(k for k in range(widths.shape[1]) if widths[:, k].min() < widths[:, k].max())
+        xtol = widths[:, step].min()
+        s, f = _golden_rows(np.log(p), np.log(q), xtol)
+        want = [golden_section_min(g, 0.0, 1.0, xtol) for g in closures]
+        assert list(zip(map(_hex, s[:, 0]), map(_hex, f[:, 0]))) == [(_hex(x), _hex(v)) for x, v in want]
+
+    def test_disjoint_row_is_infinite(self):
+        got = chernoff_rows([[1.0, 0.0], [0.5, 0.5]], [[0.0, 1.0], [0.5, 0.5]])
+        assert got[0].infinite and got[0].optimizer_s is None
+        assert got[1] == chernoff_exponent([0.5, 0.5], [0.5, 0.5])
+        assert got[1].value == 0.0
+        assert relative_entropy_rows([[0.5, 0.5]], [[1.0, 0.0]]).tolist() == [math.inf]
+
+    @pytest.mark.parametrize("rows", [chernoff_rows, relative_entropy_rows])
+    def test_stacks_of_different_shapes_refused(self, rows):
+        with pytest.raises(StructuralError):
+            rows(np.full((2, 3), 1 / 3), np.full((2, 2), 0.5))
+        with pytest.raises(StructuralError):
+            rows([0.5, 0.5], [0.5, 0.5])
 
 
 class TestRelativeEntropy:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -21,9 +22,12 @@ from detpower import (
 )
 from detpower import optimize
 from detpower.channel import chernoff_exponent, golden_section_min, induced_distribution, induced_probs
+from detpower.io import load_json_file, povm_from_json
 from conftest import random_povm, random_pure
 
 FAST = SearchOptions(restarts=8, seed=0)
+SG_FILE = os.path.join(os.path.dirname(__file__), "..", "data", "povm_noisy_sg_062.json")
+ONE_OUTCOME = Povm((np.eye(2, dtype=complex),))
 
 
 class TestSingleShot:
@@ -72,6 +76,10 @@ class TestSingleShot:
         p = Povm(tuple([eye / 30] * 30))
         with pytest.raises(ResourceError):
             single_shot_power(p)
+
+    def test_one_outcome_refused(self):
+        with pytest.raises(DomainError, match="at least 2 outcomes"):
+            single_shot_power(ONE_OUTCOME)
 
 
 class TestChernoffSearch:
@@ -254,6 +262,43 @@ class TestSearchOverDistributions:
         assert restart_conversions == (restart_calls - 2) + len(line_searches) + 2 * 2
 
     @pytest.mark.parametrize(
+        "search, opts",
+        [(zeta_chernoff, SearchOptions(restarts=1)), (zeta_stein, SearchOptions(restarts=0))],
+    )
+    def test_one_outcome_refused(self, search, opts):
+        # with one outcome every state pair induces (1), (1): nothing to search
+        with pytest.raises(DomainError, match="at least 2 outcomes"):
+            search(ONE_OUTCOME, opts)
+
+    def test_mixed_refinement_converts_only_the_moved_state(self, monkeypatch):
+        p = povm_from_json(load_json_file(SG_FILE))
+        conversions, evaluations, line_searches = [], [], []
+
+        def counted_probs(povm, mat):
+            conversions.append(1)
+            return induced_probs(povm, mat)
+
+        def counted_search(f, *args):
+            line_searches.append(1)
+
+            def counted(x):
+                evaluations.append(1)
+                return f(x)
+
+            return golden_section_min(counted, *args)
+
+        monkeypatch.setattr(optimize, "induced_probs", counted_probs)
+        zeta_chernoff(p, SearchOptions(restarts=0))
+        scan = len(conversions)
+        monkeypatch.setattr(optimize, "golden_section_min", counted_search)
+        zeta_chernoff(p, SearchOptions(restarts=0, mixed=True))
+        mixed = len(conversions) - 2 * scan
+        assert len(line_searches) == 4
+        # one moved state per evaluation and for the final pair, and one fixed
+        # state per line search (converting both states every time made 314)
+        assert mixed == len(evaluations) + 1 + len(line_searches) == 161
+
+    @pytest.mark.parametrize(
         "case",
         [f"{det}/{kind}" for det in ("commuting", "random_d3_m4") for kind in ("chernoff", "stein", "hoeffding")],
     )
@@ -277,3 +322,58 @@ class TestSearchOverDistributions:
         assert rep.s_star == (None if ref["s_star"] is None else float.fromhex(ref["s_star"]))
         assert np.array_equal(rep.optimizer.rho.mat, unhex(ref["rho"]))
         assert np.array_equal(rep.optimizer.sigma.mat, unhex(ref["sigma"]))
+
+
+def _projective(d):
+    return Povm(tuple(np.diag(np.eye(d)[k]).astype(complex) for k in range(d)))
+
+
+def _partly_zero():
+    # diagonal elements with zeros: basis pairs have zero entries, some with
+    # a common support (finite Chernoff) and some without (infinite Stein)
+    return Povm(tuple(np.diag(e).astype(complex) for e in ([0.5, 0.0, 0.2], [0.5, 0.6, 0.0], [0.0, 0.4, 0.8])))
+
+
+class TestRowScoredScan:
+    """zeta_chernoff and zeta_stein score each basis's ordered pairs in one
+    row-wise call; the result must be the per-pair scan's, to the bit."""
+
+    SIZES = [(2, 2), (2, 6), (3, 4), (3, 8), (4, 3), (4, 7), (5, 2), (5, 5), (5, 8)]
+
+    @pytest.mark.parametrize("kind", ["chernoff", "stein"])
+    def test_same_result_as_per_pair_scan(self, kind):
+        rng = np.random.default_rng(12)
+        detectors = [random_povm(rng, d, m) for d, m in self.SIZES] + [_projective(3), _partly_zero()]
+        search, pair = {
+            "chernoff": (zeta_chernoff, chernoff_exponent),
+            "stein": (zeta_stein, lambda P, Q: ExponentValue(relative_entropy(P, Q))),
+        }[kind]
+        opts = SearchOptions(restarts=0)
+        for p in detectors:
+            rows = search(p, opts)
+            plain = optimize.optimize_state_pair(lambda P, Q: pair(P, Q), p, opts)  # no rows: one call per pair
+            assert rows.value == plain.value
+            assert rows.s_star == plain.s_star
+            assert np.array_equal(rows.optimizer.rho.mat, plain.optimizer.rho.mat)
+            assert np.array_equal(rows.optimizer.sigma.mat, plain.optimizer.sigma.mat)
+        # zero rows: the projective detector ends the scan on an infinite pair,
+        # the partly-zero one (checked last) only for Stein
+        assert math.isinf(search(_projective(3), opts).value)
+        assert math.isinf(rows.value) == (kind == "stein")
+
+    @pytest.mark.parametrize("kind", ["chernoff", "stein"])
+    def test_scan_does_not_call_the_per_pair_function(self, monkeypatch, kind):
+        calls = []
+        name = {"chernoff": "chernoff_exponent", "stein": "relative_entropy"}[kind]
+        original = getattr(optimize, name)
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(optimize, name, counted)
+        p = random_povm(np.random.default_rng(7), 3, 4)
+        {"chernoff": zeta_chernoff, "stein": zeta_stein}[kind](p, SearchOptions(restarts=0))
+        assert calls == []
+        {"chernoff": zeta_chernoff, "stein": zeta_stein}[kind](p, SearchOptions(restarts=1))
+        assert calls  # the restarts still score one pair at a time
