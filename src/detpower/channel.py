@@ -61,6 +61,28 @@ def _checked_probs(probs) -> np.ndarray:
     return p
 
 
+def _checked_rows(probs):
+    """_checked_probs on every row of an (L, m) stack, up to the first row that fails.
+
+    Returns (rows, error): the clamped rows before the first failing row, and
+    the DomainError _checked_probs raises on that row, or None when every row
+    passes.  The checks are _checked_probs's on the same floats, so they fail
+    on the same rows.
+    """
+    p = np.asarray(probs, dtype=float)
+    bad = ~np.all(np.isfinite(p), axis=1) | (p.min(axis=1, initial=0.0) < -NEG_CLAMP)
+    p = np.maximum(p, 0.0)
+    bad |= np.abs(p.sum(axis=1) - 1.0) > SUM_TOL
+    if not bad.any():
+        return p, None
+    k = int(np.argmax(bad))
+    try:
+        _checked_probs(probs[k])
+    except DomainError as exc:
+        return p[:k], exc
+    raise AssertionError(f"row {k} fails the row checks but not _checked_probs")
+
+
 def _probs(dist) -> np.ndarray:
     if isinstance(dist, ClassicalDistribution):
         return dist.probs
@@ -76,9 +98,36 @@ def _pair(p_dist, q_dist):
 
 
 def induced_probs(p: Povm, rho_mat: np.ndarray) -> np.ndarray:
-    """tr(E_k rho) for every outcome, clamped at 0.  Raw-array fast path."""
-    out = np.einsum("kij,ji->k", p.stacked(), rho_mat).real
+    """tr(E_k rho) for every outcome, clamped at 0.  Raw-array fast path.
+
+    A (..., d, d) stack of states gives (..., m); each row has the floats of
+    the single-state call on that state in C order.
+    """
+    rho_mat = np.asarray(rho_mat)
+    if rho_mat.ndim == 2:
+        out = np.einsum("kij,ji->k", p.stacked(), rho_mat).real
+    else:
+        out = _trace_rows(p.stacked(), rho_mat)
     return np.maximum(out, 0.0)
+
+
+def _trace_rows(elements: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Re tr(E_k rho) for a stack of states, summed in einsum("kij,ji->k")'s order.
+
+    That einsum, on a C-ordered rho, sums Re(E_kij rho_ji) = Re E Re rho -
+    Im E Im rho over j from zero for each i, then those sums over i from zero.
+    Other summation orders, "...ji,ij->..." among them, move the last bit.
+    """
+    rt = np.swapaxes(rho, -1, -2)[..., None, :, :]  # rt[..., 0, i, j] = rho[..., j, i]
+    inner = np.zeros(rho.shape[:-2] + elements.shape[:-1])  # (..., k, i)
+    for j in range(elements.shape[-1]):
+        t = elements.real[..., j] * rt.real[..., j]
+        t -= elements.imag[..., j] * rt.imag[..., j]
+        inner += t
+    out = np.zeros(inner.shape[:-1])
+    for i in range(inner.shape[-1]):
+        out += inner[..., i]
+    return out
 
 
 def induced_distribution(p: Povm, rho: DensityMatrix) -> ClassicalDistribution:

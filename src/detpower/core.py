@@ -205,14 +205,34 @@ def eig_hermitian(mat):
     eigenvectors as orthonormal columns.  Columns with equal eigenvalues are
     ordered by the row of each eigenvector's largest-magnitude entry, so a
     diagonal input keeps its diagonal order.
+
+    A (..., d, d) stack gives (..., d) and (..., d, d): one LAPACK call for
+    the whole stack, with each matrix checked, decomposed and ordered as if
+    it were passed alone, to the same floats.
     """
-    a = _as_square_complex(mat, "matrix")
+    a = np.asarray(mat, dtype=complex)
+    if a.ndim > 2 and a.shape[-1] == a.shape[-2]:
+        return _eig_hermitian_stack(a)
+    a = _as_square_complex(a, "matrix")  # refuses every other shape
     scale = max(1.0, float(np.max(np.abs(a))))
     if herm_deviation(a) > TOL_HERM * scale:
         raise DomainError("eig_hermitian requires a Hermitian matrix")
     evals, evecs = np.linalg.eigh((a + a.conj().T) / 2)
     order = np.lexsort((np.argmax(np.abs(evecs), axis=0), -evals))
     return evals[order], evecs[:, order]
+
+
+def _eig_hermitian_stack(a: np.ndarray):
+    """eig_hermitian on every matrix of a (..., d, d) stack, with its checks and tie order."""
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix has non-finite entries")
+    ah = a.conj().swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1), initial=0.0))
+    if np.any(np.max(np.abs(a - ah), axis=(-2, -1), initial=0.0) > TOL_HERM * scale):
+        raise DomainError("eig_hermitian requires a Hermitian matrix")
+    evals, evecs = np.linalg.eigh((a + ah) / 2)
+    order = np.lexsort((np.argmax(np.abs(evecs), axis=-2), -evals), axis=-1)
+    return np.take_along_axis(evals, order, -1), np.take_along_axis(evecs, order[..., None, :], -1)
 
 
 def sequence_operator(p: Povm, seq) -> np.ndarray:

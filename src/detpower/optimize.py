@@ -4,11 +4,16 @@ single_shot_power is exact (spread formula over all outcome groupings).
 The asymptotic exponents are maximized over state pairs by an exhaustive
 scan of eigenvector pairs of grouped elements plus seeded random restarts
 with coordinate-wise golden-section refinement, so the reported value is a
-certified-achievable lower bound on the true exponent.  zeta_chernoff and
-zeta_stein score each scanned basis's ordered pairs in one row-wise call
-(channel.chernoff_rows, a lockstep golden-section solve with the per-pair
-floats, and channel.relative_entropy_rows); rows with a zero entry fall back
-to the per-pair functions, and custom objectives are called once per pair.
+certified-achievable lower bound on the true exponent.
+
+Both grouping scans work in chunks of SCAN_CHUNK matrices: one stacked
+eig_hermitian call per chunk of grouped elements, and in the basis scan one
+stacked induced_probs call for the chunk's projectors and one row-wise call
+for all its ordered pairs (channel.chernoff_rows, a lockstep golden-section
+solve with the per-pair floats, and channel.relative_entropy_rows; rows with
+a zero entry fall back to the per-pair functions).  Custom objectives are
+called once per pair.  Every float, and so every result, is the one the scan
+gives a grouping or basis at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 from .channel import (
     ClassicalDistribution,
     ExponentValue,
+    _checked_rows,
     chernoff_exponent,
     chernoff_rows,
     golden_section_min,
@@ -38,6 +44,10 @@ MAX_OUTCOMES_SINGLE_SHOT = 24
 # per-element eigenbases (capped), keeping the search tractable
 MAX_OUTCOMES_GROUPING_SCAN = 14
 MAX_BASIS_ELEMENTS = 256
+# d x d matrices built per stacked call of the grouping scans: grouped
+# elements in single_shot_power, projectors in the basis scan.  It bounds
+# their memory; the results do not depend on it.
+SCAN_CHUNK = 128
 # coordinate-wise refinement passes per restart; each pass halves the bracket,
 # and a pass that gains less than REFINE_TOL ends the refinement
 REFINE_PASSES = 4
@@ -85,13 +95,37 @@ def _proper_groupings(m: int):
             yield (0,) + combo
 
 
+def _chunks(items, size: int):
+    """Lists of up to `size` consecutive items."""
+    items = iter(items)
+    while chunk := list(itertools.islice(items, size)):
+        yield chunk
+
+
+def _grouped_elements(p: Povm, groups) -> np.ndarray:
+    """p.grouped_element(g) for each increasing grouping g, as one (n, d, d) stack.
+
+    E_k is added in increasing k to the sums whose grouping holds k, starting
+    from zeros, so each sum has grouped_element's floats.
+    """
+    rows = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    holds = np.zeros((len(groups), p.n_outcomes), dtype=bool)
+    holds[rows, list(itertools.chain.from_iterable(groups))] = True
+    out = np.zeros((len(groups), p.dim, p.dim), dtype=complex)
+    for k, e in enumerate(p.elements):
+        out[holds[:, k]] += e
+    return out
+
+
 def single_shot_power(p: Povm) -> PowerReport:
     """Minimum single-use error probability 1/2 - max_a spread(E^a)/2.
 
-    The scan diagonalizes every one of the 2^(m-1) - 1 proper groupings, so
-    its time doubles with each outcome: at d = 2 on a 2-vCPU Xeon it takes
-    about 2.5 s at m = 16 and 10 s at m = 18, and so about 11 min at the cap
-    of MAX_OUTCOMES_SINGLE_SHOT = 24 outcomes.
+    The scan diagonalizes every one of the 2^(m-1) - 1 proper groupings,
+    SCAN_CHUNK of them per stacked eig_hermitian call, so its time doubles
+    with each outcome: at d = 2 on a 2-vCPU Xeon with BLAS on one thread it
+    takes about 0.2 s at m = 16, 0.9 s at m = 18 and 70 s at the cap of
+    MAX_OUTCOMES_SINGLE_SHOT = 24 outcomes (a scan of one grouping at a time
+    took 1.9 s at m = 16 and 9 s at m = 18).
     """
     _require_two_outcomes(p)
     m = p.n_outcomes
@@ -101,14 +135,13 @@ def single_shot_power(p: Povm) -> PowerReport:
         )
     best_spread = -1.0
     best = None
-    for group in _proper_groupings(m):
-        ea = p.grouped_element(group)
-        evals, evecs = eig_hermitian(ea)
-        spread = float(evals[0] - evals[-1])
-        if spread > best_spread + 1e-15:
-            best_spread = spread
-            best = (group, evals, evecs)
-    group, evals, evecs = best
+    for groups in _chunks(_proper_groupings(m), SCAN_CHUNK):
+        evals, evecs = eig_hermitian(_grouped_elements(p, groups))
+        for r, spread in enumerate((evals[:, 0] - evals[:, -1]).tolist()):
+            if spread > best_spread + 1e-15:
+                best_spread = spread
+                best = (groups[r], evecs[r])
+    group, evecs = best
     rho = DensityMatrix.pure(evecs[:, 0])
     sigma = DensityMatrix.pure(evecs[:, -1])
     value = min(max(0.5 - best_spread / 2.0, 0.0), 0.5)
@@ -143,15 +176,33 @@ def _pure_mat(params: np.ndarray, d: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _n_candidate_bases(p: Povm) -> int:
+    m = p.n_outcomes
+    return 2 ** (m - 1) - 1 if m <= MAX_OUTCOMES_GROUPING_SCAN else min(m, MAX_BASIS_ELEMENTS)
+
+
 def _candidate_bases(p: Povm):
-    """Eigenbases of grouped elements (small m) or of single elements (large m)."""
+    """Eigenbases of grouped elements (small m) or of single elements (large m).
+
+    Yields the _n_candidate_bases(p) bases one at a time; each SCAN_CHUNK of
+    them comes from one stacked eig_hermitian call.
+    """
     if p.n_outcomes <= MAX_OUTCOMES_GROUPING_SCAN:
-        ops = [p.grouped_element(g) for g in _proper_groupings(p.n_outcomes)]
+        ops = (_grouped_elements(p, g) for g in _chunks(_proper_groupings(p.n_outcomes), SCAN_CHUNK))
     else:
-        ops = [np.asarray(e) for e in p.elements[:MAX_BASIS_ELEMENTS]]
-    for op in ops:
-        _, evecs = eig_hermitian(op)
-        yield evecs
+        elems = p.stacked()[:MAX_BASIS_ELEMENTS]
+        ops = (elems[i : i + SCAN_CHUNK] for i in range(0, len(elems), SCAN_CHUNK))
+    for chunk in ops:
+        _, evecs = eig_hermitian(chunk)
+        yield from evecs
+
+
+def _pair_scores(objective, states, d: int, pairs):
+    """objective(P_i, Q_j) for each basis's ordered pairs, lazily, in scan order."""
+    for b in range(len(states) // d):
+        dists = [ClassicalDistribution(row) for row in states[b * d : (b + 1) * d]]
+        for i, j in pairs:
+            yield objective(dists[i], dists[j])
 
 
 def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -> PowerReport:
@@ -164,12 +215,18 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     the restart and --mixed refinements convert only the state they move,
     since each line search holds the other state fixed.
 
-    An objective with a `rows` attribute has each basis's ordered pairs
-    scored in one call, rows(P_stack, Q_stack) -> one ExponentValue per row,
-    equal to objective(P_k, Q_k); zeta_chernoff and zeta_stein pass the
-    channel row forms, whose lockstep solve keeps the per-pair floats and
+    The basis scan takes the candidate bases a chunk at a time (SCAN_CHUNK
+    projectors): their eigenvectors come from one stacked eig_hermitian call,
+    their projectors are converted and checked in one stacked induced_probs
+    call, and an objective with a `rows` attribute scores all the chunk's
+    ordered pairs in one call, rows(P_stack, Q_stack) -> one ExponentValue
+    per row, equal to objective(P_k, Q_k).  zeta_chernoff and zeta_stein pass
+    the channel row forms, whose lockstep solve keeps the per-pair floats and
     whose rows with a zero entry fall back to the per-pair functions.  Any
-    other objective is called once per pair, as are the refinements.
+    other objective is called once per pair, lazily and in scan order, as are
+    the refinements.  The incumbent is the first strict maximum in (basis,
+    itertools.permutations) order, and the scan ends at the first infinite
+    value, as in a scan of one pair at a time.
 
     Deterministic for a fixed seed: candidates are scanned in a fixed order and
     a restart only replaces the incumbent on strict improvement.
@@ -191,22 +248,32 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
         if ev.value > best.value:
             best, best_pair = ev, (rho_mat, sigma_mat)
 
-    # (a) exhaustive orthogonal pure pairs from grouped-element eigenbases
+    # (a) exhaustive orthogonal pure pairs from grouped-element eigenbases,
+    # a chunk of bases at a time
     rows = getattr(objective, "rows", None)
     pairs = list(itertools.permutations(range(d), 2))
-    first, second = np.array(pairs).T
-    for evecs in _candidate_bases(p):
-        mats = [np.outer(v, v.conj()) for v in evecs.T]
-        dists = [dist(mat) for mat in mats]
+    first, second = np.array(pairs, dtype=int).reshape(-1, 2).T
+    bases = _candidate_bases(p)
+    n_bases, size = _n_candidate_bases(p), max(1, SCAN_CHUNK // d)
+    for start in range(0, n_bases, size):
+        # take exactly this chunk, so the generator ends only after the last one is scored
+        vecs = np.stack(list(itertools.islice(bases, min(size, n_bases - start)))).swapaxes(-1, -2)
+        proj = vecs[..., :, None] * vecs.conj()[..., None, :]  # proj[b, i] = np.outer(v_i, v_i*)
+        states, error = _checked_rows(induced_probs(p, proj.reshape(-1, d, d)))
         if rows is None:
-            scores = (objective(dists[i], dists[j]) for i, j in pairs)
+            scores = _pair_scores(objective, states, d, pairs)
         else:
-            stack = np.stack([x.probs for x in dists])
-            scores = rows(stack[first], stack[second])
-        for (i, j), ev in zip(pairs, scores):
-            consider(ev, mats[i], mats[j])
-            if best.infinite:
-                return _finish(best, best_pair, 0)
+            at = np.arange(len(states) // d)[:, None] * d
+            scores = rows(states[(at + first).ravel()], states[(at + second).ravel()])
+        for t, ev in enumerate(scores):
+            if ev.value > best.value:
+                b, k = divmod(t, len(pairs))
+                best, best_pair = ev, (proj[b, pairs[k][0]], proj[b, pairs[k][1]])
+                if best.infinite:
+                    return _finish(best, best_pair, 0)
+        if error is not None:  # a state of the next basis is not a distribution
+            raise error
+    next(bases, None)  # ends the generator: the scan is complete
 
     # (b) random pure-pair restarts with coordinate-wise refinement
     rng = np.random.default_rng(opts.seed)

@@ -1,7 +1,9 @@
 """Direct enumerations of the exact finite-n quantities, kept as test oracles.
 
 Each one spells out its definition cell by cell or node by node; the library
-computes the same numbers with vectorized code.  phi_closure is the one-line
+computes the same numbers with vectorized code.  basis_scan and
+single_shot_scan visit one basis or grouping per step, as the optimizer did
+before it stacked them.  phi_closure is the one-line
 phi(s) evaluator that the buffered channel._phi_evaluator must match bit for
 bit.
 """
@@ -12,7 +14,8 @@ import math
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
-from detpower.channel import induced_probs
+from detpower.channel import ClassicalDistribution, ExponentValue, induced_probs
+from detpower.core import eig_hermitian
 
 
 def block_log_err(pp, qq, n, m):
@@ -107,3 +110,31 @@ def phi_closure(p, q):
         return min(float(np.log(np.exp(s * lp + (1.0 - s) * lq).sum())), 0.0)
 
     return f
+
+
+def basis_scan(objective, p, bases):
+    """(best ExponentValue, (rho, sigma)) over the ordered eigenvector pairs of
+    each basis in turn: the first strict maximum, or the first infinite value."""
+    best, best_pair = ExponentValue(-math.inf), None
+    for evecs in bases:
+        mats = [np.outer(v, v.conj()) for v in evecs.T]
+        dists = [ClassicalDistribution(induced_probs(p, mat)) for mat in mats]
+        for i, j in itertools.permutations(range(p.dim), 2):
+            ev = objective(dists[i], dists[j])
+            if ev.value > best.value:
+                best, best_pair = ev, (mats[i], mats[j])
+                if best.infinite:
+                    return best, best_pair
+    return best, best_pair
+
+
+def single_shot_scan(p, groupings):
+    """(spread, grouping, eigenvectors) of the first grouping whose spread
+    beats every earlier one by more than 1e-15."""
+    best = (-1.0, None, None)
+    for group in groupings:
+        evals, evecs = eig_hermitian(p.grouped_element(group))
+        spread = float(evals[0] - evals[-1])
+        if spread > best[0] + 1e-15:
+            best = (spread, group, evecs)
+    return best

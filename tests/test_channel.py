@@ -18,7 +18,15 @@ from detpower import (
     phi,
     relative_entropy,
 )
-from detpower.channel import _INVPHI, _golden_rows, _phi_evaluator, chernoff_rows, relative_entropy_rows
+from detpower.channel import (
+    _INVPHI,
+    _checked_probs,
+    _checked_rows,
+    _golden_rows,
+    _phi_evaluator,
+    chernoff_rows,
+    relative_entropy_rows,
+)
 from conftest import random_density, random_distribution, random_povm
 import oracles
 
@@ -131,6 +139,86 @@ RAW_CHECKERS = {
     "relative_entropy": lambda p: relative_entropy([0.2, 0.3, 0.5], p),
     "hoeffding_exponent": lambda p: hoeffding_exponent(p, [0.2, 0.3, 0.5], 0.05),
 }
+
+
+@st.composite
+def povm_and_states(draw):
+    """A random POVM (d in 1-6, m in 1-14) and a (n, d, d) stack of C-ordered
+    states, n in 1-8: pure, eigenvector projectors, diagonal or mixed."""
+    d, m, n = draw(st.integers(1, 6)), draw(st.integers(1, 14)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["pure", "eigenvectors", "diagonal", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = random_povm(rng, d, m)
+    if kind == "diagonal":
+        return p, np.array([np.diag(rng.dirichlet(np.ones(d))) for _ in range(n)], dtype=complex)
+    if kind == "mixed":
+        return p, np.array([random_density(rng, d).mat for _ in range(n)])
+    if kind == "pure":
+        v = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    else:
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        v = np.linalg.eigh(g + g.conj().T)[1].T[np.arange(n) % d]
+    return p, np.array([np.outer(x, x.conj()) for x in v])
+
+
+class TestInducedStack:
+    """A stack of states is converted in one call, row for row to the bit."""
+
+    @property_test
+    @given(case=povm_and_states())
+    def test_rows_match_single_state_calls(self, case):
+        p, states = case
+        got = induced_probs(p, states)
+        assert got.shape == (len(states), p.n_outcomes)
+        for row, state in zip(got, states):
+            assert row.tobytes() == induced_probs(p, state).tobytes()
+
+    def test_higher_stack_dimensions(self):
+        rng = np.random.default_rng(4)
+        p = random_povm(rng, 3, 5)
+        states = np.array([random_density(rng, 3).mat for _ in range(6)])
+        got = induced_probs(p, states.reshape(2, 3, 3, 3))
+        assert got.shape == (2, 3, 5)
+        assert got.tobytes() == induced_probs(p, states).tobytes()
+
+
+bad_rows = st.sampled_from(["nan", "inf", "negative", "sum"])
+
+
+def _spoil(row, bad):
+    row = row.copy()
+    if bad in ("nan", "inf"):
+        row[-1] = math.nan if bad == "nan" else math.inf
+    elif bad == "negative":  # the mass moves to the last entry, so the sum still passes
+        row[-1] += row[0] + 1e-9
+        row[0] = -1e-9
+    else:
+        row *= 1.01
+    return row
+
+
+class TestCheckedRows:
+    """_checked_rows is _checked_probs on every row, up to the first failing one."""
+
+    @property_test
+    @given(stacks=row_stacks(), spoiled=st.lists(st.tuples(st.integers(0, 29), bad_rows), max_size=3))
+    def test_same_checks_messages_and_clamp(self, stacks, spoiled):
+        probs = stacks[0] - 1e-13 * (stacks[0] == 0.0)  # zeros become tiny negatives, clamped to 0
+        for where, bad in spoiled:
+            probs[where % len(probs)] = _spoil(probs[where % len(probs)], bad)
+        rows, error = _checked_rows(probs)
+        want = []
+        for row in probs:
+            try:
+                want.append(_checked_probs(row))
+            except DomainError as exc:
+                assert str(error) == str(exc)
+                break
+        else:
+            assert error is None
+        assert rows.shape == (len(want), probs.shape[1])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, want))
 
 
 class TestValidation:

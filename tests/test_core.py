@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detpower import (
     BlochVector,
@@ -172,6 +176,91 @@ class TestEig:
         h = (h + h.T).astype(complex)
         evals, _ = eig_hermitian(h)
         assert np.all(np.diff(evals) <= 1e-12)
+
+
+def _hermitian_matrix(rng, d, kind):
+    """A d x d Hermitian matrix: random, diagonal, a projector, or with a repeated eigenvalue."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if kind == "random":
+        return g + g.conj().T
+    if kind == "diagonal":
+        return np.diag(rng.choice([0.0, 0.25, 0.5, 1.0], size=d) + rng.uniform(0, 1e-3, d) * rng.integers(0, 2, d))
+    u, _ = np.linalg.qr(g)
+    if kind == "projector":
+        v = u[:, 0]
+        return np.outer(v, v.conj())
+    evals = rng.choice([0.3, 0.7], size=d)  # "degenerate": each eigenvalue repeated
+    return u @ np.diag(evals) @ u.conj().T
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """A (n, d, d) stack, n in 0-6 and d in 1-6, of one kind of Hermitian matrix."""
+    d, n = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["random", "diagonal", "projector", "degenerate"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array([_hermitian_matrix(rng, d, kind) for _ in range(n)], dtype=complex).reshape(n, d, d)
+
+
+def _same(a, b) -> bool:
+    """Equal shapes and equal bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# derandomized so that every tier-1 run checks the same examples
+property_test = settings(deadline=None, derandomize=True)
+
+
+class TestEigStack:
+    """A stack is decomposed in one call, matrix by matrix as if passed alone."""
+
+    @property_test
+    @given(stack=hermitian_stacks())
+    def test_matches_per_matrix_calls(self, stack):
+        evals, evecs = eig_hermitian(stack)
+        assert evals.shape == stack.shape[:-1] and evecs.shape == stack.shape
+        for k, mat in enumerate(stack):
+            want = eig_hermitian(mat)
+            assert _same(evals[k], want[0]) and _same(evecs[k], want[1])
+
+    def test_degenerate_diagonal_stack_keeps_diagonal_order(self):
+        stack = np.array([np.diag(x) for x in ([0.5, 0.2, 0.5], [0.3, 0.3, 0.1], [1 / 3] * 3)], dtype=complex)
+        evals, evecs = eig_hermitian(stack)
+        for k, order in enumerate(([0, 2, 1], [0, 1, 2], [0, 1, 2])):
+            assert np.allclose(np.abs(evecs[k]), np.eye(3)[:, order])
+            assert _same(evals[k], eig_hermitian(stack[k])[0])
+
+    def test_higher_stack_dimensions(self):
+        rng = np.random.default_rng(3)
+        stack = np.array([_hermitian_matrix(rng, 3, "random") for _ in range(6)]).reshape(2, 3, 3, 3)
+        evals, evecs = eig_hermitian(stack)
+        flat = eig_hermitian(stack.reshape(6, 3, 3))
+        assert _same(evals, flat[0].reshape(2, 3, 3)) and _same(evecs, flat[1].reshape(2, 3, 3, 3))
+
+    @property_test
+    @given(stack=hermitian_stacks(), where=st.integers(0, 5), bad=st.sampled_from(["non-hermitian", "nan", "inf"]))
+    def test_one_bad_slice_raises_the_2d_error(self, stack, where, bad):
+        if len(stack) == 0:
+            stack = np.eye(2, dtype=complex)[None]
+        stack = stack.copy()
+        k = where % len(stack)
+        d = stack.shape[-1]
+        if bad == "non-hermitian":
+            if d == 1:
+                stack[k, 0, 0] += 1j  # a 1 x 1 matrix is Hermitian only when real
+            else:
+                stack[k, 0, d - 1] += 1.0
+        else:
+            stack[k, d // 2, 0] = complex(np.nan if bad == "nan" else np.inf, 0.0)
+        with pytest.raises(DomainError) as alone:
+            eig_hermitian(stack[k])
+        with pytest.raises(DomainError, match=re.escape(str(alone.value))):
+            eig_hermitian(stack)
+
+    def test_non_square_stack_refused(self):
+        with pytest.raises(StructuralError, match="square"):
+            eig_hermitian(np.zeros((2, 3, 2), dtype=complex))
 
 
 class TestSequenceOperator:

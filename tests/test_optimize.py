@@ -7,6 +7,7 @@ import pytest
 
 from detpower import (
     ClassicalDistribution,
+    DensityMatrix,
     DomainError,
     ExponentValue,
     Povm,
@@ -20,10 +21,18 @@ from detpower import (
     zeta_hoeffding,
     zeta_stein,
 )
-from detpower import optimize
-from detpower.channel import chernoff_exponent, golden_section_min, induced_distribution, induced_probs
+from detpower import eig_hermitian, optimize
+from detpower.channel import (
+    chernoff_exponent,
+    chernoff_rows,
+    golden_section_min,
+    hoeffding_exponent,
+    induced_distribution,
+    induced_probs,
+)
 from detpower.io import load_json_file, povm_from_json
 from conftest import random_povm, random_pure
+import oracles
 
 FAST = SearchOptions(restarts=8, seed=0)
 SG_FILE = os.path.join(os.path.dirname(__file__), "..", "data", "povm_noisy_sg_062.json")
@@ -220,7 +229,7 @@ class TestSearchOverDistributions:
         calls = []
 
         def counted(povm, mat):
-            calls.append(1)
+            calls.append(_states(mat))
             return induced_probs(povm, mat)
 
         monkeypatch.setattr(optimize, "induced_probs", counted)
@@ -231,14 +240,14 @@ class TestSearchOverDistributions:
             {"chernoff": zeta_chernoff, "stein": zeta_stein}[kind](p, opts)
         n_bases = sum(1 for _ in optimize._candidate_bases(p))
         assert n_bases == 7  # the 2^(m-1) - 1 proper groupings of 4 outcomes
-        assert len(calls) == p.dim * n_bases
+        assert sum(calls) == p.dim * n_bases
 
     def test_refinement_converts_only_the_moved_state(self, monkeypatch):
         p = random_povm(np.random.default_rng(7), 3, 4)
         conversions, objective_calls, line_searches = [], [], []
 
         def counted_probs(povm, mat):
-            conversions.append(1)
+            conversions.append(_states(mat))
             return induced_probs(povm, mat)
 
         def counted_search(*args, **kwargs):
@@ -255,7 +264,7 @@ class TestSearchOverDistributions:
         n_bases = sum(1 for _ in optimize._candidate_bases(p))
         scan_calls = n_bases * p.dim * (p.dim - 1)
         restart_calls = len(objective_calls) - scan_calls
-        restart_conversions = len(conversions) - n_bases * p.dim
+        restart_conversions = sum(conversions) - n_bases * p.dim
         assert line_searches and restart_calls > len(line_searches)
         # one moved state per line-search evaluation, one fixed state per line
         # search, and both states of the start and the final pair
@@ -275,7 +284,7 @@ class TestSearchOverDistributions:
         conversions, evaluations, line_searches = [], [], []
 
         def counted_probs(povm, mat):
-            conversions.append(1)
+            conversions.append(_states(mat))
             return induced_probs(povm, mat)
 
         def counted_search(f, *args):
@@ -289,10 +298,10 @@ class TestSearchOverDistributions:
 
         monkeypatch.setattr(optimize, "induced_probs", counted_probs)
         zeta_chernoff(p, SearchOptions(restarts=0))
-        scan = len(conversions)
+        scan = sum(conversions)
         monkeypatch.setattr(optimize, "golden_section_min", counted_search)
         zeta_chernoff(p, SearchOptions(restarts=0, mixed=True))
-        mixed = len(conversions) - 2 * scan
+        mixed = sum(conversions) - 2 * scan
         assert len(line_searches) == 4
         # one moved state per evaluation and for the final pair, and one fixed
         # state per line search (converting both states every time made 314)
@@ -322,6 +331,11 @@ class TestSearchOverDistributions:
         assert rep.s_star == (None if ref["s_star"] is None else float.fromhex(ref["s_star"]))
         assert np.array_equal(rep.optimizer.rho.mat, unhex(ref["rho"]))
         assert np.array_equal(rep.optimizer.sigma.mat, unhex(ref["sigma"]))
+
+
+def _states(mat) -> int:
+    """States converted by one induced_probs call: a 3-D stack holds len(mat)."""
+    return len(mat) if np.ndim(mat) == 3 else 1
 
 
 def _projective(d):
@@ -377,3 +391,148 @@ class TestRowScoredScan:
         assert calls == []
         {"chernoff": zeta_chernoff, "stein": zeta_stein}[kind](p, SearchOptions(restarts=1))
         assert calls  # the restarts still score one pair at a time
+
+
+def _near_tie():
+    e0 = np.diag([0.5, 0.1]).astype(complex)
+    e1 = np.diag([2e-16, 0.0]).astype(complex)
+    return Povm((e0, e1, np.eye(2) - e0 - e1))
+
+
+def _report_bits(rep):
+    """A report's value, s_star, optimizer and grouping, compared to the bit."""
+    states = None if rep.optimizer is None else (rep.optimizer.rho.mat.tobytes(), rep.optimizer.sigma.mat.tobytes())
+    grouping = None if rep.grouping is None else rep.grouping.accept.tolist()
+    return rep.value.hex(), None if rep.s_star is None else rep.s_star.hex(), states, grouping
+
+
+class TestChunkedScan:
+    """The grouping scans build, diagonalize, convert and score SCAN_CHUNK
+    matrices per stacked call; the chunk size bounds memory only."""
+
+    @pytest.mark.parametrize("which", ["random_d4_m11", "covariant_12"])
+    def test_chunk_size_does_not_change_reports(self, monkeypatch, which):
+        from detpower import fibonacci_covariant_discretization
+
+        if which == "covariant_12":  # grouped elements with repeated eigenvalues: the tie order counts
+            p = fibonacci_covariant_discretization(12).to_povm()
+        else:
+            p = random_povm(np.random.default_rng(21), 4, 11)
+        opts = SearchOptions(restarts=0)
+        reports = []
+        for chunk in (1, 10**6, optimize.SCAN_CHUNK):
+            monkeypatch.setattr(optimize, "SCAN_CHUNK", chunk)
+            reports.append([_report_bits(f(p)) for f in (single_shot_power, lambda p: zeta_chernoff(p, opts),
+                                                           lambda p: zeta_stein(p, opts))])
+        assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("kind", ["chernoff", "stein"])
+    @pytest.mark.parametrize("d, m", [(3, 11), (2, 14), (3, 17)])
+    def test_same_result_as_per_pair_scan(self, kind, d, m):
+        # m = 17 takes the element-basis path: one basis per element
+        p = random_povm(np.random.default_rng(100 * d + m), d, m)
+        search, pair = {
+            "chernoff": (zeta_chernoff, chernoff_exponent),
+            "stein": (zeta_stein, lambda P, Q: ExponentValue(relative_entropy(P, Q))),
+        }[kind]
+        opts = SearchOptions(restarts=0)
+        plain = optimize.optimize_state_pair(lambda P, Q: pair(P, Q), p, opts)  # no rows: one call per pair
+        assert _report_bits(search(p, opts)) == _report_bits(plain)
+
+    @pytest.mark.parametrize("which", ["random_d3_m9", "covariant_12", "near_tie"])
+    def test_single_shot_matches_per_grouping_scan(self, which):
+        from detpower import fibonacci_covariant_discretization
+
+        p = {
+            "random_d3_m9": lambda: random_povm(np.random.default_rng(22), 3, 9),
+            "covariant_12": lambda: fibonacci_covariant_discretization(12).to_povm(),
+            "near_tie": _near_tie,
+        }[which]()
+        spread, group, evecs = oracles.single_shot_scan(p, optimize._proper_groupings(p.n_outcomes))
+        rep = single_shot_power(p)
+        assert rep.value == min(max(0.5 - spread / 2.0, 0.0), 0.5)
+        assert np.flatnonzero(rep.grouping.accept).tolist() == list(group)
+        assert np.array_equal(rep.optimizer.rho.mat, DensityMatrix.pure(evecs[:, 0]).mat)
+        assert np.array_equal(rep.optimizer.sigma.mat, DensityMatrix.pure(evecs[:, -1]).mat)
+        if which == "near_tie":  # {0, 1} spreads a few ulps wider than {0}, within 1e-15
+            assert rep.grouping.accept.tolist() == [True, False, False]
+
+    @pytest.mark.parametrize("kind", ["chernoff", "stein", "hoeffding"])
+    @pytest.mark.parametrize("which", ["covariant_12", "noisy_sg", "commuting"])
+    def test_scan_matches_per_basis_oracle(self, kind, which, diag_povm):
+        # symmetric detectors give equal values at different pairs: the first one must win
+        from detpower import fibonacci_covariant_discretization
+
+        p = {
+            "covariant_12": lambda: fibonacci_covariant_discretization(12).to_povm(),
+            "noisy_sg": lambda: noisy_sg_povm(0.62),
+            "commuting": lambda: diag_povm,
+        }[which]()
+        pair, search = {
+            "chernoff": (chernoff_exponent, zeta_chernoff),
+            "stein": (lambda P, Q: ExponentValue(relative_entropy(P, Q)), zeta_stein),
+            "hoeffding": (lambda P, Q: hoeffding_exponent(P, Q, 0.05), lambda p, o: zeta_hoeffding(p, 0.05, o)),
+        }[kind]
+        bases = [p.grouped_element(g) for g in optimize._proper_groupings(p.n_outcomes)]
+        best, (rho, sigma) = oracles.basis_scan(pair, p, (eig_hermitian(op)[1] for op in bases))
+        rep = search(p, SearchOptions(restarts=0))
+        assert rep.value == max(best.value, 0.0) and rep.s_star == best.optimizer_s
+        assert np.array_equal(rep.optimizer.rho.mat, (rho + rho.conj().T) / 2)
+        assert np.array_equal(rep.optimizer.sigma.mat, (sigma + sigma.conj().T) / 2)
+
+    def test_grouped_elements_match_grouped_element(self):
+        p = random_povm(np.random.default_rng(23), 3, 6)
+        groups = list(optimize._proper_groupings(6))
+        stack = optimize._grouped_elements(p, groups)
+        assert all(stack[r].tobytes() == p.grouped_element(g).tobytes() for r, g in enumerate(groups))
+
+    def test_generator_ends_after_the_last_chunk_is_scored(self, monkeypatch):
+        # a profiler stamps the end of the scan when _candidate_bases is exhausted
+        events = []
+        original = optimize._candidate_bases
+
+        def watched(p):
+            yield from original(p)
+            events.append("exhausted")
+
+        def rows(P, Q):
+            events.append("scored")
+            return chernoff_rows(P, Q)
+
+        monkeypatch.setattr(optimize, "SCAN_CHUNK", 8)
+        monkeypatch.setattr(optimize, "_candidate_bases", watched)
+        p = random_povm(np.random.default_rng(24), 3, 6)  # 31 bases, 2 per chunk: the last chunk is short
+        optimize.optimize_state_pair(optimize._row_scored(chernoff_exponent, rows), p, SearchOptions(restarts=0))
+        assert events == ["scored"] * 16 + ["exhausted"]
+
+    def test_scan_stops_at_the_first_infinite_value(self, monkeypatch):
+        calls = []
+
+        def rows(P, Q):
+            calls.append(len(P))
+            return chernoff_rows(P, Q)
+
+        monkeypatch.setattr(optimize, "SCAN_CHUNK", 3)  # one basis per chunk
+        objective = optimize._row_scored(chernoff_exponent, rows)
+        rep = optimize.optimize_state_pair(objective, _projective(3), SearchOptions(restarts=2))
+        assert math.isinf(rep.value) and rep.restarts_used == 0
+        assert calls == [6]  # the first basis already separates two states
+
+    @pytest.mark.parametrize("search", [zeta_chernoff, zeta_stein])
+    def test_one_dimensional_detector_has_no_pairs(self, search):
+        # d = 1: a basis holds one state and no ordered pair, and every state induces one distribution
+        p = Povm((np.array([[0.3]], dtype=complex), np.array([[0.7]], dtype=complex)))
+        rep = search(p, SearchOptions(restarts=0))
+        assert rep.value == 0.0 and rep.optimizer is None
+
+    def test_bad_state_raises_after_the_bases_before_it(self):
+        # an incomplete detector: the first state whose outcome sum is off raises
+        # its own error, after every basis before it was scored
+        p = Povm(tuple(e * w for e, w in zip(random_povm(np.random.default_rng(25), 3, 4).elements, (1, 1, 1, 0.9))))
+        messages = []
+        for objective in (zeta_stein, lambda p, o: optimize.optimize_state_pair(
+                lambda P, Q: ExponentValue(relative_entropy(P, Q)), p, o)):
+            with pytest.raises(DomainError, match="probabilities sum to") as err:
+                objective(p, SearchOptions(restarts=0))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
