@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import induced_probs
+from .channel import candidate_probs
 from .core import DensityMatrix, Povm
 from .errors import DomainError, ResourceError, StructuralError
 
@@ -110,7 +110,7 @@ def conditional_state(joint: JointState, p: Povm, history):
 def _history_weights(p: Povm, strat: AdaptiveStrategy):
     """Forward recursion: unnormalized history probabilities under H0 and H1."""
     m = p.n_outcomes
-    singles = [induced_probs(p, c.mat) for c in strat.candidates]
+    singles = candidate_probs(p, strat.candidates)
     layer = {(): (1.0, 1.0)}
     for _ in range(strat.depth):
         nxt = {}
@@ -163,7 +163,7 @@ def optimal_adaptive(p: Povm, candidates, n: int):
         raise DomainError("need at least one candidate state")
     m = p.n_outcomes
     pairs = list(itertools.product(range(len(cands)), repeat=2))
-    singles = np.array([induced_probs(p, c.mat) for c in cands])
+    singles = candidate_probs(p, cands)
     # (pair, outcome) factors of the H0 and H1 weights at every branch
     f0 = singles[[i for i, _ in pairs]]
     f1 = singles[[j for _, j in pairs]]

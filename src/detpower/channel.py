@@ -61,26 +61,20 @@ def _checked_probs(probs) -> np.ndarray:
     return p
 
 
-def _checked_rows(probs):
-    """_checked_probs on every row of an (L, m) stack, up to the first row that fails.
+def _checked_rows(probs) -> np.ndarray:
+    """_checked_probs on every row of an (L, m) stack: the clamped rows.
 
-    Returns (rows, error): the clamped rows before the first failing row, and
-    the DomainError _checked_probs raises on that row, or None when every row
-    passes.  The checks are _checked_probs's on the same floats, so they fail
-    on the same rows.
+    A failing row raises the DomainError _checked_probs raises on the first
+    of them.  The checks are _checked_probs's on the same floats, so they
+    fail on the same rows.
     """
-    p = np.asarray(probs, dtype=float)
-    bad = ~np.all(np.isfinite(p), axis=1) | (p.min(axis=1, initial=0.0) < -NEG_CLAMP)
-    p = np.maximum(p, 0.0)
+    raw = np.asarray(probs, dtype=float)
+    bad = ~np.all(np.isfinite(raw), axis=1) | (raw.min(axis=1, initial=0.0) < -NEG_CLAMP)
+    p = np.maximum(raw, 0.0)
     bad |= np.abs(p.sum(axis=1) - 1.0) > SUM_TOL
-    if not bad.any():
-        return p, None
-    k = int(np.argmax(bad))
-    try:
-        _checked_probs(probs[k])
-    except DomainError as exc:
-        return p[:k], exc
-    raise AssertionError(f"row {k} fails the row checks but not _checked_probs")
+    if bad.any():
+        _checked_probs(raw[np.argmax(bad)])
+    return p
 
 
 def _probs(dist) -> np.ndarray:
@@ -101,9 +95,10 @@ def induced_probs(p: Povm, rho_mat: np.ndarray) -> np.ndarray:
     """tr(E_k rho) for every outcome, clamped at 0.  Raw-array fast path.
 
     A (..., d, d) stack of states gives (..., m); each row has the floats of
-    the single-state call on that state in C order.
+    the single-state call on that state.  A state is read in C order whatever
+    its layout, so equal states give equal floats.
     """
-    rho_mat = np.asarray(rho_mat)
+    rho_mat = np.ascontiguousarray(rho_mat)
     if rho_mat.ndim == 2:
         out = np.einsum("kij,ji->k", p.stacked(), rho_mat).real
     else:
@@ -134,6 +129,18 @@ def induced_distribution(p: Povm, rho: DensityMatrix) -> ClassicalDistribution:
     if p.dim != rho.dim:
         raise StructuralError(f"POVM dimension {p.dim} != state dimension {rho.dim}")
     return ClassicalDistribution(induced_probs(p, rho.mat))
+
+
+def candidate_probs(p: Povm, states) -> np.ndarray:
+    """induced_probs(p, c.mat) for each DensityMatrix c of `states`, as rows.
+
+    Refuses a state whose dimension is not the POVM's with StructuralError.
+    """
+    states = tuple(states)
+    for k, c in enumerate(states):
+        if c.dim != p.dim:
+            raise StructuralError(f"candidate state {k} has dimension {c.dim}, the POVM {p.dim}")
+    return np.array([induced_probs(p, c.mat) for c in states])
 
 
 def phi(s: float, p_dist, q_dist) -> float:
@@ -272,24 +279,42 @@ def _golden_rows(lp: np.ndarray, lq: np.ndarray, xtol: float = 1e-12):
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
 
 
-def chernoff_rows(p_rows, q_rows) -> list[ExponentValue]:
+def chernoff_rows(p_rows, q_rows):
     """chernoff_exponent(P[k], Q[k]) for every row k, with the same floats.
 
-    The rows without zeros run golden_section_min's iteration in lockstep,
-    then take the same min over s = 0 and 1, the same clamp and the same clip.
+    Returns the float arrays (values, s), with s NaN where optimizer_s is
+    None.  The rows without zeros run golden_section_min's iteration in
+    lockstep, then take the same min over s = 0 and 1, the same clamp and
+    the same clip.
     """
     p, q, full = _full_rows(p_rows, q_rows)
-    out = [chernoff_exponent(p[k], q[k]) if not full[k] else None for k in range(len(p))]
+    values, s_star = np.empty(len(p)), np.empty(len(p))
+    values[~full], s_star[~full] = _pair_rows(chernoff_exponent)(p[~full], q[~full])
     if full.any():
         lp, lq = np.log(p[full]), np.log(q[full])
-        s_star, f_star = _golden_rows(lp, lq)
-        f_star = np.minimum(f_star, _phi_rows(np.zeros_like(s_star), lp, lq))
-        f_star = np.minimum(f_star, _phi_rows(np.ones_like(s_star), lp, lq))
-        values = np.maximum(-f_star, 0.0) + 0.0
-        s_star = np.clip(s_star, 0.0, 1.0)
-        for k, v, s in zip(np.flatnonzero(full).tolist(), values[:, 0].tolist(), s_star[:, 0].tolist()):
-            out[k] = ExponentValue(v, s)
-    return out
+        s, f = _golden_rows(lp, lq)
+        f = np.minimum(f, _phi_rows(np.zeros_like(s), lp, lq))
+        f = np.minimum(f, _phi_rows(np.ones_like(s), lp, lq))
+        values[full] = np.maximum(-f[:, 0], 0.0) + 0.0
+        s_star[full] = np.clip(s[:, 0], 0.0, 1.0)
+    return values, s_star
+
+
+def _pair_rows(pair):
+    """The row form of a per-pair objective pair(P, Q) -> ExponentValue.
+
+    rows(P, Q) calls pair on each row pair, as ClassicalDistributions, and
+    returns the float arrays (values, s), with s NaN where optimizer_s is None.
+    """
+
+    def rows(p_rows, q_rows):
+        scores = np.empty((len(p_rows), 2))
+        for k, (p, q) in enumerate(zip(p_rows, q_rows)):
+            ev = pair(ClassicalDistribution(p), ClassicalDistribution(q))
+            scores[k] = ev.value, math.nan if ev.optimizer_s is None else ev.optimizer_s
+        return scores[:, 0], scores[:, 1]
+
+    return rows
 
 
 def relative_entropy_rows(p_rows, q_rows) -> np.ndarray:

@@ -26,12 +26,17 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _as_square_complex(mat, what: str) -> np.ndarray:
+    """`mat` as a C-ordered complex square matrix with finite entries.
+
+    C order whatever the input's layout, so that equal matrices give equal
+    floats downstream (induced_probs's einsum sums in an order set by layout).
+    """
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StructuralError(f"{what} must be a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise DomainError(f"{what} has non-finite entries")
-    return m
+    return np.ascontiguousarray(m)
 
 
 def herm_deviation(m: np.ndarray) -> float:

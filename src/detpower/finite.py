@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _checked_probs, induced_probs
+from .channel import _checked_probs, candidate_probs
 from .core import DensityMatrix, GroupingMask, Povm, eig_hermitian
 from .errors import DomainError, ResourceError, StructuralError
 
@@ -92,8 +92,8 @@ def sequence_distribution(p: Povm, inp: ProductInput) -> SequenceDistribution:
     if m**n > DENSE_CAP:
         raise ResourceError(f"{m}^{n} sequences exceed the dense cap {DENSE_CAP}")
     probs = np.array([1.0])
-    for rho in inp.factors:
-        probs = np.kron(probs, induced_probs(p, rho.mat))
+    for row in candidate_probs(p, inp.factors):
+        probs = np.kron(probs, row)
     return SequenceDistribution(m, n, probs)
 
 
@@ -172,7 +172,7 @@ def best_product_pair(p: Povm, n: int, candidates):
     count = 2**n if nc == 2 else nc ** (2 * n)
     if count * (p.n_outcomes**n) > DENSE_CAP:
         raise ResourceError(f"candidate-pattern enumeration exceeds the dense cap {DENSE_CAP}")
-    table = _pattern_table(np.array([induced_probs(p, c.mat) for c in cands]), n)
+    table = _pattern_table(candidate_probs(p, cands), n)
     if nc == 2:
         # the complement of pattern a is pattern 2^n - 1 - a: the reversed rows
         errs = 0.5 * np.sum(np.minimum(table, table[::-1]), axis=1)
@@ -286,20 +286,22 @@ def sweep_x(p: Povm, n: int, points: int | None = None):
 
     Returns a list of (x, p_err, rate) rows for m = 0..n or, when
     0 < points <= n, for the m of `points` evenly spaced nodes on [0, n]
-    rounded to integers.  Below about 1e-308 (beyond n = 3*10^4 on the
-    bundled detector) p_err loses precision and then underflows to 0; the
-    rate is computed from the log and stays exact.  Each distinct block
+    rounded to integers; points < 1 is refused.  Below about 1e-308
+    (beyond n = 3*10^4 on the bundled detector) p_err loses precision and
+    then underflows to 0; the rate is computed from the log and stays exact.  Each distinct block
     min(m, n-m) costs O(n) (about 0.5 ms at n = 400 and 30 ms at n = 10^5
     on a 2-vCPU Xeon), and m and n - m share one value.  Sweeps whose
     blocks x (n + 1) exceed SWEEP_WORK_CAP are refused up front.
     """
     if n < 1:
         raise DomainError("n must be positive")
+    if points is not None and points < 1:
+        raise DomainError(f"points must be positive, got {points}")
     if n > AGGREGATION_CAP:
         raise ResourceError(f"n = {n} exceeds the aggregation cap {AGGREGATION_CAP}")
     pp, qq = _diag_qubit_rates(p)
     ms = range(n + 1)
-    if points is not None and 0 < points < n + 1:
+    if points is not None and points < n + 1:
         ms = np.unique(np.linspace(0, n, points).round().astype(int)).tolist()
     blocks = sorted({min(m, n - m) for m in ms})
     if len(blocks) * (n + 1) > SWEEP_WORK_CAP:

@@ -6,14 +6,12 @@ scan of eigenvector pairs of grouped elements plus seeded random restarts
 with coordinate-wise golden-section refinement, so the reported value is a
 certified-achievable lower bound on the true exponent.
 
-Both grouping scans work in chunks of SCAN_CHUNK matrices: one stacked
+Both grouping scans work in chunks of about SCAN_CHUNK matrices: one stacked
 eig_hermitian call per chunk of grouped elements, and in the basis scan one
 stacked induced_probs call for the chunk's projectors and one row-wise call
-for all its ordered pairs (channel.chernoff_rows, a lockstep golden-section
-solve with the per-pair floats, and channel.relative_entropy_rows; rows with
-a zero entry fall back to the per-pair functions).  Custom objectives are
-called once per pair.  Every float, and so every result, is the one the scan
-gives a grouping or basis at a time.
+that scores all its ordered pairs, rows(P_stack, Q_stack) -> (values, s).
+Every float, and so every result, is the one the scan gives a grouping or
+basis at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from .channel import (
     ClassicalDistribution,
     ExponentValue,
     _checked_rows,
+    _pair_rows,
     chernoff_exponent,
     chernoff_rows,
     golden_section_min,
@@ -176,33 +175,20 @@ def _pure_mat(params: np.ndarray, d: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _n_candidate_bases(p: Povm) -> int:
-    m = p.n_outcomes
-    return 2 ** (m - 1) - 1 if m <= MAX_OUTCOMES_GROUPING_SCAN else min(m, MAX_BASIS_ELEMENTS)
-
-
 def _candidate_bases(p: Povm):
     """Eigenbases of grouped elements (small m) or of single elements (large m).
 
-    Yields the _n_candidate_bases(p) bases one at a time; each SCAN_CHUNK of
-    them comes from one stacked eig_hermitian call.
+    Yields (n, d, d) stacks of eigenvector columns, one stacked eig_hermitian
+    call each, of up to max(1, SCAN_CHUNK // d) bases: about SCAN_CHUNK
+    projectors.
     """
+    size = max(1, SCAN_CHUNK // p.dim)
     if p.n_outcomes <= MAX_OUTCOMES_GROUPING_SCAN:
-        ops = (_grouped_elements(p, g) for g in _chunks(_proper_groupings(p.n_outcomes), SCAN_CHUNK))
+        ops = (_grouped_elements(p, g) for g in _chunks(_proper_groupings(p.n_outcomes), size))
     else:
-        elems = p.stacked()[:MAX_BASIS_ELEMENTS]
-        ops = (elems[i : i + SCAN_CHUNK] for i in range(0, len(elems), SCAN_CHUNK))
+        ops = _chunks(p.elements[:MAX_BASIS_ELEMENTS], size)
     for chunk in ops:
-        _, evecs = eig_hermitian(chunk)
-        yield from evecs
-
-
-def _pair_scores(objective, states, d: int, pairs):
-    """objective(P_i, Q_j) for each basis's ordered pairs, lazily, in scan order."""
-    for b in range(len(states) // d):
-        dists = [ClassicalDistribution(row) for row in states[b * d : (b + 1) * d]]
-        for i, j in pairs:
-            yield objective(dists[i], dists[j])
+        yield eig_hermitian(chunk)[1]
 
 
 def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -> PowerReport:
@@ -215,18 +201,20 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     the restart and --mixed refinements convert only the state they move,
     since each line search holds the other state fixed.
 
-    The basis scan takes the candidate bases a chunk at a time (SCAN_CHUNK
-    projectors): their eigenvectors come from one stacked eig_hermitian call,
-    their projectors are converted and checked in one stacked induced_probs
-    call, and an objective with a `rows` attribute scores all the chunk's
-    ordered pairs in one call, rows(P_stack, Q_stack) -> one ExponentValue
-    per row, equal to objective(P_k, Q_k).  zeta_chernoff and zeta_stein pass
-    the channel row forms, whose lockstep solve keeps the per-pair floats and
-    whose rows with a zero entry fall back to the per-pair functions.  Any
-    other objective is called once per pair, lazily and in scan order, as are
-    the refinements.  The incumbent is the first strict maximum in (basis,
-    itertools.permutations) order, and the scan ends at the first infinite
-    value, as in a scan of one pair at a time.
+    The basis scan takes the candidate bases a chunk at a time, as
+    _candidate_bases yields them from one stacked eig_hermitian call.  The
+    chunk's projectors are converted and checked in one stacked induced_probs
+    call; a state that is not a distribution raises its own DomainError there,
+    before the chunk is scored.  All the chunk's ordered pairs are then scored
+    in one call, rows(P_stack, Q_stack) -> (values, s): two float arrays whose
+    row k holds objective(P_k, Q_k)'s value and optimizer_s, with NaN for a
+    None optimizer_s.  rows is the objective's `rows` attribute (zeta_chernoff
+    and zeta_stein carry the channel row forms), or else channel._pair_rows,
+    which calls the objective once per pair.  The incumbent is the first
+    largest value of a chunk that beats the incumbent so far; NaN never
+    counts.  So, as in a scan of one pair at a time in (basis,
+    itertools.permutations) order, it is the first strict maximum, and the
+    scan ends at the first infinite value.
 
     Deterministic for a fixed seed: candidates are scanned in a fixed order and
     a restart only replaces the incumbent on strict improvement.
@@ -250,30 +238,23 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
 
     # (a) exhaustive orthogonal pure pairs from grouped-element eigenbases,
     # a chunk of bases at a time
-    rows = getattr(objective, "rows", None)
-    pairs = list(itertools.permutations(range(d), 2))
-    first, second = np.array(pairs, dtype=int).reshape(-1, 2).T
-    bases = _candidate_bases(p)
-    n_bases, size = _n_candidate_bases(p), max(1, SCAN_CHUNK // d)
-    for start in range(0, n_bases, size):
-        # take exactly this chunk, so the generator ends only after the last one is scored
-        vecs = np.stack(list(itertools.islice(bases, min(size, n_bases - start)))).swapaxes(-1, -2)
+    rows = getattr(objective, "rows", None) or _pair_rows(objective)
+    pairs = np.array(list(itertools.permutations(range(d), 2)), dtype=int).reshape(-1, 2)
+    for evecs in _candidate_bases(p):
+        vecs = evecs.swapaxes(-1, -2)
         proj = vecs[..., :, None] * vecs.conj()[..., None, :]  # proj[b, i] = np.outer(v_i, v_i*)
-        states, error = _checked_rows(induced_probs(p, proj.reshape(-1, d, d)))
-        if rows is None:
-            scores = _pair_scores(objective, states, d, pairs)
-        else:
-            at = np.arange(len(states) // d)[:, None] * d
-            scores = rows(states[(at + first).ravel()], states[(at + second).ravel()])
-        for t, ev in enumerate(scores):
-            if ev.value > best.value:
-                b, k = divmod(t, len(pairs))
-                best, best_pair = ev, (proj[b, pairs[k][0]], proj[b, pairs[k][1]])
-                if best.infinite:
-                    return _finish(best, best_pair, 0)
-        if error is not None:  # a state of the next basis is not a distribution
-            raise error
-    next(bases, None)  # ends the generator: the scan is complete
+        states = _checked_rows(induced_probs(p, proj.reshape(-1, d, d)))
+        at = np.arange(len(proj))[:, None] * d
+        values, s = rows(states[(at + pairs[:, 0]).ravel()], states[(at + pairs[:, 1]).ravel()])
+        if not len(values):  # d = 1: a basis holds no ordered pair
+            continue
+        t = int(np.argmax(np.fmax(values, -math.inf)))  # the first maximum; fmax ranks NaN as -inf
+        if values[t] > best.value:
+            b, (i, j) = t // len(pairs), pairs[t % len(pairs)]
+            best = ExponentValue(float(values[t]), None if math.isnan(s[t]) else float(s[t]))
+            best_pair = (proj[b, i], proj[b, j])
+            if best.infinite:
+                return _finish(best, best_pair, 0)
 
     # (b) random pure-pair restarts with coordinate-wise refinement
     rng = np.random.default_rng(opts.seed)
@@ -377,7 +358,7 @@ def zeta_stein(p: Povm, opts: SearchOptions | None = None) -> PowerReport:
     return optimize_state_pair(
         _row_scored(
             lambda P, Q: ExponentValue(relative_entropy(P, Q)),
-            lambda P, Q: [ExponentValue(v) for v in relative_entropy_rows(P, Q).tolist()],
+            lambda P, Q: (relative_entropy_rows(P, Q), np.full(len(P), math.nan)),
         ),
         p,
         opts,

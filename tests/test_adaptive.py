@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from detpower import (
     AdaptiveStrategy,
+    DensityMatrix,
     JointState,
     Povm,
     ProductInput,
@@ -17,6 +18,7 @@ from detpower import (
     optimal_adaptive,
     sequence_distribution,
 )
+from detpower.channel import candidate_probs, induced_probs
 from conftest import candidate_pool, diag_detector, random_povm, rate_pairs
 import oracles
 
@@ -208,3 +210,30 @@ class TestOptimal:
         d1 = sequence_distribution(p, ProductInput.iid(basis_states[1], 3))
         iid_err, _ = ml_error_probability(d0, d1)
         assert abs(adaptive_err - iid_err) < 1e-12
+
+
+class TestCandidateDimension:
+    """Every candidate-state consumer refuses states of another dimension than the POVM's."""
+
+    QUTRIT = DensityMatrix(np.eye(3, dtype=complex) / 3)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, c: optimal_adaptive(p, [c], 2),
+            lambda p, c: evaluate_strategy(p, AdaptiveStrategy(depth=1, candidates=(c,), choices={(): (0, 0)})),
+            lambda p, c: best_product_pair(p, 2, [c, c]),
+            lambda p, c: sequence_distribution(p, ProductInput.iid(c, 2)),
+        ],
+        ids=["optimal_adaptive", "evaluate_strategy", "best_product_pair", "sequence_distribution"],
+    )
+    def test_dimension_mismatch_refused(self, diag_povm, call):
+        with pytest.raises(StructuralError, match="candidate state 0 has dimension 3, the POVM 2"):
+            call(diag_povm, self.QUTRIT)
+
+    def test_rows_are_the_induced_distributions(self):
+        rng = np.random.default_rng(3)
+        p, pool = random_povm(rng, 2, 3), candidate_pool(rng)
+        rows = candidate_probs(p, pool)
+        assert rows.shape == (len(pool), 3)
+        assert all(row.tobytes() == induced_probs(p, c.mat).tobytes() for row, c in zip(rows, pool))

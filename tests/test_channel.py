@@ -199,7 +199,7 @@ def _spoil(row, bad):
 
 
 class TestCheckedRows:
-    """_checked_rows is _checked_probs on every row, up to the first failing one."""
+    """_checked_rows is _checked_probs on every row; the first failing row raises its error."""
 
     @property_test
     @given(stacks=row_stacks(), spoiled=st.lists(st.tuples(st.integers(0, 29), bad_rows), max_size=3))
@@ -207,17 +207,17 @@ class TestCheckedRows:
         probs = stacks[0] - 1e-13 * (stacks[0] == 0.0)  # zeros become tiny negatives, clamped to 0
         for where, bad in spoiled:
             probs[where % len(probs)] = _spoil(probs[where % len(probs)], bad)
-        rows, error = _checked_rows(probs)
         want = []
         for row in probs:
             try:
                 want.append(_checked_probs(row))
             except DomainError as exc:
-                assert str(error) == str(exc)
-                break
-        else:
-            assert error is None
-        assert rows.shape == (len(want), probs.shape[1])
+                with pytest.raises(DomainError) as err:
+                    _checked_rows(probs)
+                assert str(err.value) == str(exc)
+                return
+        rows = _checked_rows(probs)
+        assert rows.shape == probs.shape
         assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, want))
 
 
@@ -356,9 +356,9 @@ class TestRowForms:
     @property_test
     @given(stacks=row_stacks())
     def test_chernoff_rows_match_per_pair(self, stacks):
-        got = chernoff_rows(*stacks)
+        values, s = chernoff_rows(*stacks)
         want = [chernoff_exponent(p, q) for p, q in zip(*stacks)]
-        assert [(_hex(e.value), _hex(e.optimizer_s)) for e in got] == [
+        assert [(_hex(v), _hex(None if math.isnan(x) else x)) for v, x in zip(values, s)] == [
             (_hex(e.value), _hex(e.optimizer_s)) for e in want
         ]
 
@@ -382,10 +382,11 @@ class TestRowForms:
         assert list(zip(map(_hex, s[:, 0]), map(_hex, f[:, 0]))) == [(_hex(x), _hex(v)) for x, v in want]
 
     def test_disjoint_row_is_infinite(self):
-        got = chernoff_rows([[1.0, 0.0], [0.5, 0.5]], [[0.0, 1.0], [0.5, 0.5]])
-        assert got[0].infinite and got[0].optimizer_s is None
-        assert got[1] == chernoff_exponent([0.5, 0.5], [0.5, 0.5])
-        assert got[1].value == 0.0
+        values, s = chernoff_rows([[1.0, 0.0], [0.5, 0.5]], [[0.0, 1.0], [0.5, 0.5]])
+        assert math.isinf(values[0]) and math.isnan(s[0])  # NaN stands for optimizer_s None
+        want = chernoff_exponent([0.5, 0.5], [0.5, 0.5])
+        assert (_hex(values[1]), _hex(s[1])) == (_hex(want.value), _hex(want.optimizer_s))
+        assert values[1] == 0.0
         assert relative_entropy_rows([[0.5, 0.5]], [[1.0, 0.0]]).tolist() == [math.inf]
 
     @pytest.mark.parametrize("rows", [chernoff_rows, relative_entropy_rows])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from detpower.cli import main
-from detpower.io import povm_to_json
+from detpower.io import matrix_to_json, povm_to_json
 from detpower import Povm
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -202,6 +202,12 @@ class TestFinite:
         assert len(curve) == 11
         assert curve[0][0] == 0.0 and curve[-1][0] == 1.0
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_sweep_nonpositive_points_exit_3(self, capsys, points):
+        code, out = run(capsys, "finite", POVM_FILE, "--n", "10", "--mode", "sweep", "--points", points)
+        assert code == 3
+        assert out == ""
+
     def test_sweep_largest_n_with_points(self, capsys):
         # 31 distinct O(n) blocks; about 1 s on a 2-vCPU Xeon, budget 10 s
         t0 = time.perf_counter()
@@ -287,6 +293,23 @@ class TestAdaptive:
         got, out = run(capsys, "adaptive", POVM_FILE, "--strategy", str(path))
         assert got == code
         assert out == ""
+
+
+    @pytest.mark.parametrize("flag", ["--candidates", "--strategy"])
+    def test_state_dimension_mismatch_exit_3(self, capsys, tmp_path, flag):
+        # qutrit states against the qubit detector of POVM_FILE
+        qutrit = matrix_to_json(np.eye(3) / 3)
+        if flag == "--candidates":
+            obj = {"dim": 3, "states": [qutrit]}
+        else:
+            obj = {"depth": 1, "dim": 3, "candidates": [qutrit], "choices": {"": [0, 0]}}
+        path = tmp_path / "states.json"
+        path.write_text(json.dumps(obj))
+        code = main(["adaptive", POVM_FILE, flag, str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "candidate state 0 has dimension 3, the POVM 2" in captured.err
 
 
 class TestBenchmarks:

@@ -18,6 +18,7 @@ from detpower import (
     sequence_operator,
     validate_povm,
 )
+from detpower.channel import induced_distribution, induced_probs
 from conftest import random_density, random_povm
 
 
@@ -93,6 +94,39 @@ class TestDensityMatrix:
     def test_hermitian_enforced(self):
         with pytest.raises(DomainError):
             DensityMatrix(np.array([[0.5, 0.4], [0.1, 0.5]], dtype=complex))
+
+
+class TestLayout:
+    """A matrix in Fortran layout (a transpose, say) is accepted and stored in C order."""
+
+    def test_transposed_inputs_accepted(self):
+        r = random_density(np.random.default_rng(8), 3).mat.conj()  # r.T is then the original state
+        rho = DensityMatrix(r.T)
+        assert rho.mat.flags.c_contiguous and np.array_equal(rho.mat, r.T)
+        evals, evecs = eig_hermitian(r.T)
+        want = eig_hermitian(np.ascontiguousarray(r.T))
+        assert evals.tobytes() == want[0].tobytes() and evecs.tobytes() == want[1].tobytes()
+        p = random_povm(np.random.default_rng(9), 3, 4)
+        q = Povm(tuple(np.asfortranarray(e) for e in p.elements))
+        assert all(e.flags.c_contiguous for e in q.elements)
+        assert q.stacked().tobytes() == p.stacked().tobytes()
+
+    def test_non_finite_entry_refused_in_either_layout(self):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = complex(0.0, np.nan)
+        for mat in (m, m.T):
+            with pytest.raises(DomainError, match="non-finite"):
+                DensityMatrix(mat)
+
+    def test_equal_states_induce_equal_floats(self):
+        # induced_probs's einsum sums in an order set by the memory layout
+        rng = np.random.default_rng(10)
+        for d in (2, 3, 5, 8):
+            p = random_povm(rng, d, 7)
+            r = random_density(rng, d).mat
+            rho_c, rho_f = DensityMatrix(r), DensityMatrix(np.asfortranarray(r))
+            assert induced_distribution(p, rho_c).probs.tobytes() == induced_distribution(p, rho_f).probs.tobytes()
+            assert induced_probs(p, r).tobytes() == induced_probs(p, np.asfortranarray(r)).tobytes()
 
 
 class TestBloch:

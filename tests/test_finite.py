@@ -260,9 +260,13 @@ class TestSweep:
         full = sweep_x(diag_povm, 100)
         picks = np.unique(np.linspace(0, 100, 11).round().astype(int))
         assert sweep_x(diag_povm, 100, points=11) == [full[i] for i in picks]
-        # points outside 1..n leave the full curve
-        assert sweep_x(diag_povm, 100, points=0) == full
+        # points beyond n leave the full curve
         assert sweep_x(diag_povm, 100, points=101) == full
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_nonpositive_points_refused(self, diag_povm, points):
+        with pytest.raises(DomainError, match="points must be positive"):
+            sweep_x(diag_povm, 10, points=points)
 
     def test_work_cap_refused_up_front(self, diag_povm):
         with pytest.raises(ResourceError, match="work cap"):

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detpower import (
     ClassicalDistribution,
@@ -35,6 +37,8 @@ from conftest import random_povm, random_pure
 import oracles
 
 FAST = SearchOptions(restarts=8, seed=0)
+# derandomized so that every tier-1 run checks the same examples
+property_test = settings(deadline=None, derandomize=True)
 SG_FILE = os.path.join(os.path.dirname(__file__), "..", "data", "povm_noisy_sg_062.json")
 ONE_OUTCOME = Povm((np.eye(2, dtype=complex),))
 
@@ -217,7 +221,7 @@ class TestSearchOverDistributions:
             return ExponentValue(float(P.probs[0] - Q.probs[0]))
 
         rep = optimize.optimize_state_pair(objective, diag_povm, SearchOptions(restarts=0))
-        n_bases = sum(1 for _ in optimize._candidate_bases(diag_povm))
+        n_bases = sum(len(chunk) for chunk in optimize._candidate_bases(diag_povm))
         assert len(seen) == n_bases * 2  # d(d-1) ordered pairs per basis
         assert all(isinstance(x, ClassicalDistribution) for pair in seen for x in pair)
         assert rep.value == pytest.approx(0.2)
@@ -238,7 +242,7 @@ class TestSearchOverDistributions:
             zeta_hoeffding(p, 0.05, opts)
         else:
             {"chernoff": zeta_chernoff, "stein": zeta_stein}[kind](p, opts)
-        n_bases = sum(1 for _ in optimize._candidate_bases(p))
+        n_bases = sum(len(chunk) for chunk in optimize._candidate_bases(p))
         assert n_bases == 7  # the 2^(m-1) - 1 proper groupings of 4 outcomes
         assert sum(calls) == p.dim * n_bases
 
@@ -261,7 +265,7 @@ class TestSearchOverDistributions:
         monkeypatch.setattr(optimize, "induced_probs", counted_probs)
         monkeypatch.setattr(optimize, "golden_section_min", counted_search)
         optimize.optimize_state_pair(objective, p, SearchOptions(restarts=1, seed=0))
-        n_bases = sum(1 for _ in optimize._candidate_bases(p))
+        n_bases = sum(len(chunk) for chunk in optimize._candidate_bases(p))
         scan_calls = n_bases * p.dim * (p.dim - 1)
         restart_calls = len(objective_calls) - scan_calls
         restart_conversions = sum(conversions) - n_bases * p.dim
@@ -527,7 +531,8 @@ class TestChunkedScan:
 
     def test_bad_state_raises_after_the_bases_before_it(self):
         # an incomplete detector: the first state whose outcome sum is off raises
-        # its own error, after every basis before it was scored
+        # its own error when its chunk of bases is converted, before that chunk
+        # is scored, for a row-scored and a per-pair objective alike
         p = Povm(tuple(e * w for e, w in zip(random_povm(np.random.default_rng(25), 3, 4).elements, (1, 1, 1, 0.9))))
         messages = []
         for objective in (zeta_stein, lambda p, o: optimize.optimize_state_pair(
@@ -536,3 +541,80 @@ class TestChunkedScan:
                 objective(p, SearchOptions(restarts=0))
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+
+@st.composite
+def scan_detectors(draw):
+    """A detector with d in 2-4 and m in 2-6: random full-rank, projective in a
+    random basis (outcomes may own no vector), or diagonal with exact zeros."""
+    d, m = draw(st.integers(2, 4)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "projective", "zeros"]))
+    if kind == "random":
+        return random_povm(rng, d, m)
+    if kind == "projective":
+        u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        owner = draw(st.lists(st.integers(0, m - 1), min_size=d, max_size=d))
+        return Povm(tuple(u @ np.diag([float(o == k) for o in owner]) @ u.conj().T for k in range(m)))
+    # column i holds the outcome distribution of basis state i
+    w = np.array([draw(st.lists(st.just(0.0) | st.floats(0.05, 1.0), min_size=m, max_size=m)) for _ in range(d)]).T
+    w[0, w.sum(axis=0) == 0.0] = 1.0
+    return Povm(tuple(np.diag(row).astype(complex) for row in w / w.sum(axis=0)))
+
+
+def _oracle_scan(pair, p):
+    """oracles.basis_scan over the grouped-element eigenbases, one basis at a time."""
+    bases = (eig_hermitian(p.grouped_element(g))[1] for g in optimize._proper_groupings(p.n_outcomes))
+    return oracles.basis_scan(pair, p, bases)
+
+
+def _oracle_bits(best, best_pair):
+    """_report_bits of the report the scan's incumbent gives, as _finish builds it."""
+    states = None
+    if best_pair is not None:
+        states = tuple(((m + m.conj().T) / 2).tobytes() for m in best_pair)
+    return max(best.value, 0.0).hex(), None if best.optimizer_s is None else best.optimizer_s.hex(), states, None
+
+
+class TestScanMatchesOracle:
+    """The chunked, row-scored scan gives the incumbent of a scan of one pair at a time."""
+
+    @property_test
+    @given(p=scan_detectors(), kind=st.sampled_from(["chernoff", "stein", "hoeffding"]),
+           r=st.sampled_from([0.0, 0.05, 0.4]))
+    def test_zeta_equals_per_basis_scan(self, p, kind, r):
+        pair, search = {
+            "chernoff": (chernoff_exponent, zeta_chernoff),
+            "stein": (lambda P, Q: ExponentValue(relative_entropy(P, Q)), zeta_stein),
+            "hoeffding": (lambda P, Q: hoeffding_exponent(P, Q, r), lambda p, o: zeta_hoeffding(p, r, o)),
+        }[kind]
+        rep = search(p, SearchOptions(restarts=0))
+        assert _report_bits(rep) == _oracle_bits(*_oracle_scan(pair, p))
+
+    @property_test
+    @given(p=scan_detectors())
+    def test_nan_scores_never_win(self, p):
+        # NaN where P_0 > Q_0: the sequential `>` scan skips those pairs
+        def objective(P, Q):
+            return ExponentValue(math.nan) if P.probs[0] > Q.probs[0] else chernoff_exponent(P, Q)
+
+        rep = optimize.optimize_state_pair(objective, p, SearchOptions(restarts=0))
+        assert _report_bits(rep) == _oracle_bits(*_oracle_scan(objective, p))
+
+    def test_nan_before_the_maximum_does_not_hide_it(self):
+        # all 7 bases of a d = 3, m = 4 detector form one chunk, and NaN scores
+        # come before the chunk's largest finite score
+        p = random_povm(np.random.default_rng(7), 3, 4)
+        scores = []
+
+        def objective(P, Q):
+            ev = ExponentValue(math.nan) if P.probs[0] > Q.probs[0] else chernoff_exponent(P, Q)
+            scores.append(ev.value)
+            return ev
+
+        rep = optimize.optimize_state_pair(objective, p, SearchOptions(restarts=0))
+        assert len(scores) == 7 * 6
+        first_max = int(np.nanargmax(scores))
+        assert any(math.isnan(v) for v in scores[:first_max])
+        assert rep.value == scores[first_max] > 0.0
+        assert _report_bits(rep) == _oracle_bits(*_oracle_scan(objective, p))
