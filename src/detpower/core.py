@@ -26,17 +26,15 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _as_square_complex(mat, what: str) -> np.ndarray:
-    """`mat` as a C-ordered complex square matrix with finite entries.
-
-    C order whatever the input's layout, so that equal matrices give equal
-    floats downstream (induced_probs's einsum sums in an order set by layout).
-    """
-    m = np.asarray(mat, dtype=complex)
+    """A private C-ordered complex copy of `mat`, a nonempty square matrix with finite entries."""
+    m = np.array(mat, dtype=complex, order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StructuralError(f"{what} must be a square matrix, got shape {m.shape}")
+    if not m.size:
+        raise StructuralError(f"{what} has dimension 0")
     if not np.all(np.isfinite(m)):
         raise DomainError(f"{what} has non-finite entries")
-    return np.ascontiguousarray(m)
+    return m
 
 
 def herm_deviation(m: np.ndarray) -> float:
@@ -183,16 +181,18 @@ def validate_povm(p: Povm) -> ValidationReport:
     rep = ValidationReport(valid=True, dim=p.dim, n_outcomes=p.n_outcomes)
     if p.n_outcomes < 2:
         rep.problems.append("POVM must have at least 2 outcomes")
+    s = p.stacked()
+    sh = s.conj().swapaxes(-1, -2)
+    devs = np.max(np.abs(s - sh), axis=(-2, -1)).tolist()
+    lam_mins = eig_hermitian((s + sh) / 2)[0].min(axis=-1).tolist()
     total = np.zeros((p.dim, p.dim), dtype=complex)
     for k, e in enumerate(p.elements):
-        dev = herm_deviation(e)
-        rep.herm_deviations.append(dev)
-        if dev > TOL_HERM:
-            rep.problems.append(f"element {k} deviates from Hermitian by {dev:.3e}")
-        lam_min = float(eig_hermitian((e + e.conj().T) / 2)[0].min())
-        rep.min_eigenvalues.append(lam_min)
-        if lam_min < -TOL_PSD:
-            rep.problems.append(f"element {k} has negative eigenvalue {lam_min:.3e}")
+        rep.herm_deviations.append(devs[k])
+        if devs[k] > TOL_HERM:
+            rep.problems.append(f"element {k} deviates from Hermitian by {devs[k]:.3e}")
+        rep.min_eigenvalues.append(lam_mins[k])
+        if lam_mins[k] < -TOL_PSD:
+            rep.problems.append(f"element {k} has negative eigenvalue {lam_mins[k]:.3e}")
         if np.max(np.abs(e)) == 0.0:
             rep.warnings.append(f"element {k} is identically zero")
         total += e
@@ -204,31 +204,19 @@ def validate_povm(p: Povm) -> ValidationReport:
 
 
 def eig_hermitian(mat):
-    """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
+    """Eigendecomposition of a Hermitian matrix, or of a stack of them, by LAPACK.
 
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
-    eigenvectors as orthonormal columns.  Columns with equal eigenvalues are
-    ordered by the row of each eigenvector's largest-magnitude entry, so a
-    diagonal input keeps its diagonal order.
-
-    A (..., d, d) stack gives (..., d) and (..., d, d): one LAPACK call for
-    the whole stack, with each matrix checked, decomposed and ordered as if
-    it were passed alone, to the same floats.
+    A (d, d) matrix gives (eigenvalues, eigenvectors): eigenvalues sorted
+    descending and eigenvectors as orthonormal columns.  Columns with equal
+    eigenvalues are ordered by the row of each eigenvector's largest-magnitude
+    entry, so a diagonal input keeps its diagonal order.  A (..., d, d) stack
+    gives (..., d) and (..., d, d) from one numpy.linalg.eigh call, each
+    matrix checked, decomposed and ordered in the same way; a 2-D matrix is
+    the stack of one.
     """
     a = np.asarray(mat, dtype=complex)
-    if a.ndim > 2 and a.shape[-1] == a.shape[-2]:
-        return _eig_hermitian_stack(a)
-    a = _as_square_complex(a, "matrix")  # refuses every other shape
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if herm_deviation(a) > TOL_HERM * scale:
-        raise DomainError("eig_hermitian requires a Hermitian matrix")
-    evals, evecs = np.linalg.eigh((a + a.conj().T) / 2)
-    order = np.lexsort((np.argmax(np.abs(evecs), axis=0), -evals))
-    return evals[order], evecs[:, order]
-
-
-def _eig_hermitian_stack(a: np.ndarray):
-    """eig_hermitian on every matrix of a (..., d, d) stack, with its checks and tie order."""
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise StructuralError(f"matrix must be a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix has non-finite entries")
     ah = a.conj().swapaxes(-1, -2)

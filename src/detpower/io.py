@@ -34,6 +34,14 @@ def load_json_file(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _dim_from_json(obj) -> int:
+    """obj["dim"], a JSON integer >= 1; true and 2.0 are refused."""
+    dim = obj["dim"]
+    if type(dim) is not int or dim < 1:
+        raise ParseError('"dim" must be a positive integer')
+    return dim
+
+
 def matrix_from_json(obj, dim: int, what: str) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
@@ -54,9 +62,7 @@ def matrix_to_json(mat: np.ndarray):
 def povm_from_json(obj) -> Povm:
     if not isinstance(obj, dict) or "dim" not in obj or "elements" not in obj:
         raise ParseError('POVM file must be an object with "dim" and "elements"')
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ParseError('"dim" must be a positive integer')
+    dim = _dim_from_json(obj)
     elems = obj["elements"]
     if not isinstance(elems, list) or not elems:
         raise ParseError('"elements" must be a non-empty list')
@@ -71,7 +77,7 @@ def povm_to_json(p: Povm):
 def candidates_from_json(obj) -> list:
     if not isinstance(obj, dict) or "dim" not in obj or not isinstance(obj.get("states"), list):
         raise ParseError('candidates file must be an object with "dim" and a list of "states"')
-    dim = obj["dim"]
+    dim = _dim_from_json(obj)
     return [
         DensityMatrix(matrix_from_json(s, dim, f"state {k}"))
         for k, s in enumerate(obj["states"])
@@ -105,7 +111,7 @@ def strategy_from_json(obj) -> AdaptiveStrategy:
     grouping = obj.get("grouping")
     if grouping is not None and not isinstance(grouping, list):
         raise ParseError('"grouping" must be a list of history strings')
-    dim = obj["dim"]
+    dim = _dim_from_json(obj)
     cands = tuple(
         DensityMatrix(matrix_from_json(s, dim, f"candidate {k}"))
         for k, s in enumerate(obj["candidates"])

@@ -4,7 +4,12 @@ single_shot_power is exact (spread formula over all outcome groupings).
 The asymptotic exponents are maximized over state pairs by an exhaustive
 scan of eigenvector pairs of grouped elements plus seeded random restarts
 with coordinate-wise golden-section refinement, so the reported value is a
-certified-achievable lower bound on the true exponent.
+certified-achievable lower bound on the true exponent.  With
+SearchOptions.mixed the incumbent (rho, sigma) is also compared with the
+other three corners of its square of mixtures ((1-t) rho + t I/d,
+(1-u) sigma + u I/d): (I/d, sigma), (rho, I/d) and (I/d, I/d).  The Chernoff,
+Stein and Hoeffding exponents are jointly convex in the state pair, so no
+point of that square beats its best corner.
 
 Both grouping scans work in chunks of about SCAN_CHUNK matrices: one stacked
 eig_hermitian call per chunk of grouped elements, and in the basis scan one
@@ -198,8 +203,8 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     classical pair it induces, P_k = tr(E_k rho) and Q_k = tr(E_k sigma), each
     a ClassicalDistribution.  Every state is converted and checked once: a
     candidate basis costs d distributions for its d(d-1) ordered pairs, and
-    the restart and --mixed refinements convert only the state they move,
-    since each line search holds the other state fixed.
+    the restart refinement converts only the state it moves, since each line
+    search holds the other state fixed.
 
     The basis scan takes the candidate bases a chunk at a time, as
     _candidate_bases yields them from one stacked eig_hermitian call.  The
@@ -216,8 +221,14 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     itertools.permutations) order, it is the first strict maximum, and the
     scan ends at the first infinite value.
 
+    With opts.mixed, the incumbent (rho, sigma) is then compared, in this
+    order, with (I/d, sigma), (rho, I/d) and (I/d, I/d), the other corners of
+    the square of mixtures with I/d.  For a jointly convex objective, as all
+    three zeta_* objectives are, the best corner is the maximum over the
+    whole square; for any objective the result is still an achievable value.
+
     Deterministic for a fixed seed: candidates are scanned in a fixed order and
-    a restart only replaces the incumbent on strict improvement.
+    a restart or corner only replaces the incumbent on strict improvement.
     """
     _require_two_outcomes(p)
     opts = opts or SearchOptions()
@@ -301,23 +312,13 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
         if best.infinite:
             break
 
-    # (c) optional mixed-state refinement toward the maximally mixed state
+    # (c) --mixed: the incumbent and I/d span a square of mixtures, and a
+    # jointly convex objective peaks at one of its corners
     if opts.mixed and best_pair is not None and math.isfinite(best.value):
-        eye = np.eye(d) / d
+        eye = np.eye(d, dtype=complex) / d
         rho_mat, sigma_mat = best_pair
-
-        def mixed(mat, t):
-            return (1 - t) * mat + t * eye
-
-        # each line search moves one state, so the other is converted once
-        t_r = t_s = 0.0
-        for _ in range(2):
-            fixed = dist(mixed(sigma_mat, t_s))
-            t_r, _ = golden_section_min(lambda t: -objective(dist(mixed(rho_mat, t)), fixed).value, 0.0, 1.0, 1e-8)
-            fixed = dist(mixed(rho_mat, t_r))
-            t_s, _ = golden_section_min(lambda t: -objective(fixed, dist(mixed(sigma_mat, t))).value, 0.0, 1.0, 1e-8)
-        r, s = mixed(rho_mat, t_r), mixed(sigma_mat, t_s)
-        consider(objective(fixed, dist(s)), r, s)
+        for r, s in ((eye, sigma_mat), (rho_mat, eye), (eye, eye)):
+            consider(score(r, s), r, s)
 
     return _finish(best, best_pair, restarts_used)
 

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from detpower import DensityMatrix, Povm
+
+# every property test runs without a deadline and derandomized, so that each
+# tier-1 run checks the same examples
+settings.register_profile("detpower", deadline=None, derandomize=True)
+settings.load_profile("detpower")
 
 
 @pytest.fixture

@@ -5,7 +5,9 @@ computes the same numbers with vectorized code.  basis_scan and
 single_shot_scan visit one basis or grouping per step, as the optimizer did
 before it stacked them.  phi_closure is the one-line
 phi(s) evaluator that the buffered channel._phi_evaluator must match bit for
-bit.
+bit.  eig_hermitian_2d decomposes one matrix by itself, as eig_hermitian did
+before a matrix became a stack of one, and mixed_line_search is the
+golden-section --mixed refinement that the corner check replaced.
 """
 
 import itertools
@@ -14,8 +16,9 @@ import math
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
-from detpower.channel import ClassicalDistribution, ExponentValue, induced_probs
-from detpower.core import eig_hermitian
+from detpower.channel import ClassicalDistribution, ExponentValue, golden_section_min, induced_probs
+from detpower.core import TOL_HERM, eig_hermitian
+from detpower.errors import DomainError, StructuralError
 
 
 def block_log_err(pp, qq, n, m):
@@ -138,3 +141,41 @@ def single_shot_scan(p, groupings):
         if spread > best[0] + 1e-15:
             best = (spread, group, evecs)
     return best
+
+
+def eig_hermitian_2d(mat):
+    """(descending eigenvalues, eigenvector columns) of one Hermitian matrix,
+    ties ordered by the row of each eigenvector's largest-magnitude entry."""
+    a = np.asarray(mat, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise StructuralError(f"matrix must be a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix has non-finite entries")
+    a = np.ascontiguousarray(a)
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if float(np.max(np.abs(a - a.conj().T))) > TOL_HERM * scale:
+        raise DomainError("eig_hermitian requires a Hermitian matrix")
+    evals, evecs = np.linalg.eigh((a + a.conj().T) / 2)
+    order = np.lexsort((np.argmax(np.abs(evecs), axis=0), -evals))
+    return evals[order], evecs[:, order]
+
+
+def mixed_line_search(objective, p, rho_mat, sigma_mat):
+    """The ExponentValue of the mixtures ((1 - t) rho + t I/d, (1 - u) sigma + u I/d)
+    that two rounds of golden-section line searches reach, over t and then u,
+    each search holding the other state's latest mixture fixed."""
+    eye = np.eye(p.dim) / p.dim
+
+    def dist(mat):
+        return ClassicalDistribution(induced_probs(p, mat))
+
+    def mixed(mat, t):
+        return (1 - t) * mat + t * eye
+
+    t_r = t_s = 0.0
+    for _ in range(2):
+        fixed = dist(mixed(sigma_mat, t_s))
+        t_r, _ = golden_section_min(lambda t: -objective(dist(mixed(rho_mat, t)), fixed).value, 0.0, 1.0, 1e-8)
+        fixed = dist(mixed(rho_mat, t_r))
+        t_s, _ = golden_section_min(lambda t: -objective(fixed, dist(mixed(sigma_mat, t))).value, 0.0, 1.0, 1e-8)
+    return objective(fixed, dist(mixed(sigma_mat, t_s)))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from detpower import (
@@ -22,8 +22,6 @@ from detpower.channel import candidate_probs, induced_probs
 from conftest import candidate_pool, diag_detector, random_povm, rate_pairs
 import oracles
 
-# derandomized so that every tier-1 run checks the same examples
-property_test = settings(deadline=None, derandomize=True)
 # deepest tree per candidate count that keeps the recursive oracle under 6k leaves
 MAX_ORACLE_DEPTH = {1: 4, 2: 4, 3: 3, 4: 2}
 
@@ -156,7 +154,6 @@ class TestEvaluate:
 
 
 class TestOptimal:
-    @property_test
     @given(case=two_outcome_cases())
     def test_matches_recursive_search(self, case):
         povm, cands, n = case

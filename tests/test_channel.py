@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from detpower import (
@@ -108,8 +108,6 @@ def _bracket_widths(f):
 # s at both ends, at golden_section_min's first two points on [0, 1], or anywhere
 s_values = st.sampled_from([0.0, 1.0, 1.0 - _INVPHI, _INVPHI]) | st.floats(0.0, 1.0)
 
-# derandomized so that every tier-1 run checks the same examples
-property_test = settings(deadline=None, derandomize=True)
 
 
 class TestInduced:
@@ -165,7 +163,6 @@ def povm_and_states(draw):
 class TestInducedStack:
     """A stack of states is converted in one call, row for row to the bit."""
 
-    @property_test
     @given(case=povm_and_states())
     def test_rows_match_single_state_calls(self, case):
         p, states = case
@@ -201,7 +198,6 @@ def _spoil(row, bad):
 class TestCheckedRows:
     """_checked_rows is _checked_probs on every row; the first failing row raises its error."""
 
-    @property_test
     @given(stacks=row_stacks(), spoiled=st.lists(st.tuples(st.integers(0, 29), bad_rows), max_size=3))
     def test_same_checks_messages_and_clamp(self, stacks, spoiled):
         probs = stacks[0] - 1e-13 * (stacks[0] == 0.0)  # zeros become tiny negatives, clamped to 0
@@ -293,7 +289,6 @@ class TestPhi:
             s = rng.uniform(0.0, 1.0)
             assert phi(s, p, q) <= 1e-15
 
-    @property_test
     @given(pair=pairs_with_zeros(), ss=st.lists(s_values, min_size=1, max_size=6))
     def test_buffered_evaluator_matches_one_line_closure(self, pair, ss):
         # one closure called over ss and back again: its scratch buffers carry
@@ -353,7 +348,6 @@ class TestChernoff:
 class TestRowForms:
     """One call scores every row pair of two stacks, with the per-pair floats."""
 
-    @property_test
     @given(stacks=row_stacks())
     def test_chernoff_rows_match_per_pair(self, stacks):
         values, s = chernoff_rows(*stacks)
@@ -362,7 +356,6 @@ class TestRowForms:
             (_hex(e.value), _hex(e.optimizer_s)) for e in want
         ]
 
-    @property_test
     @given(stacks=row_stacks())
     def test_relative_entropy_rows_match_per_pair(self, stacks):
         got = relative_entropy_rows(*stacks)
@@ -436,7 +429,6 @@ class TestHoeffding:
         val = hoeffding_exponent(dist(0.4, 0.6), dist(0.2, 0.8), 5.0)
         assert val.value == 0.0
 
-    @property_test
     @given(pair=full_support_pairs(), r=st.floats(1e-3, 0.2))
     def test_dense_grid_oracle(self, pair, r):
         # r >= 1e-3 keeps the optimal s well below the grid's end at 0.999999
@@ -448,7 +440,6 @@ class TestHoeffding:
         val = hoeffding_exponent(p, q, r).value
         assert abs(val - ref) < 1e-6
 
-    @property_test
     @given(pair=full_support_pairs(), r=st.floats(0.0, 2.0), dr=st.floats(1e-9, 2.0))
     def test_between_stein_and_larger_rate(self, pair, r, dr):
         p, q = pair
@@ -456,7 +447,6 @@ class TestHoeffding:
         b = hoeffding_exponent(p, q, r + dr).value
         assert relative_entropy(p, q) + 1e-10 >= a >= b - 1e-10
 
-    @property_test
     @given(pair=full_support_pairs(), extra=st.floats(0.0, 1.0))
     def test_zero_from_reverse_divergence(self, pair, extra):
         # a type-I rate of at least D(Q||P) leaves no type-II exponent

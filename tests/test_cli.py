@@ -295,6 +295,28 @@ class TestAdaptive:
         assert out == ""
 
 
+    @pytest.mark.parametrize("dim", [True, 2.0, 1.0, "2", 0])
+    @pytest.mark.parametrize("kind", ["povm", "--candidates", "--strategy"])
+    def test_dim_must_be_a_json_integer(self, capsys, tmp_path, kind, dim):
+        # true and 2.0 once read as 1 and 2
+        qubit = matrix_to_json(np.eye(2) / 2)
+        if kind == "povm":
+            with open(POVM_FILE, encoding="utf-8") as fh:
+                obj = json.load(fh)
+        elif kind == "--candidates":
+            obj = {"states": [qubit]}
+        else:
+            obj = {"depth": 1, "candidates": [qubit], "choices": {"": [0, 0]}}
+        obj["dim"] = dim
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        argv = ["validate", str(path)] if kind == "povm" else ["adaptive", POVM_FILE, kind, str(path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert '"dim" must be a positive integer' in captured.err
+
     @pytest.mark.parametrize("flag", ["--candidates", "--strategy"])
     def test_state_dimension_mismatch_exit_3(self, capsys, tmp_path, flag):
         # qutrit states against the qubit detector of POVM_FILE

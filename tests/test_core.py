@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from detpower import (
@@ -18,8 +18,10 @@ from detpower import (
     sequence_operator,
     validate_povm,
 )
+from detpower import core
 from detpower.channel import induced_distribution, induced_probs
 from conftest import random_density, random_povm
+import oracles
 
 
 class TestValidate:
@@ -66,6 +68,44 @@ class TestValidate:
             m = rng.integers(2, 6)
             assert validate_povm(random_povm(rng, d, m)).valid
 
+    @pytest.mark.parametrize("kind", ["random", "bad"])
+    def test_report_matches_per_element_checks(self, monkeypatch, kind):
+        # one stacked eig_hermitian call, with each element's report floats,
+        # problems and warnings as checking the elements one at a time gives
+        rng = np.random.default_rng(5)
+        elems = list(random_povm(rng, 3, 5).elements)
+        if kind == "bad":
+            elems[1] = elems[1] + np.diag([0.0, 0.0, 1e-6j])  # not Hermitian
+            elems[2] = np.diag([0.5, -0.2, 0.1]).astype(complex)  # not positive
+            elems[4] = np.zeros((3, 3), dtype=complex)
+        calls = []
+
+        def counted(mat):
+            calls.append(np.shape(mat))
+            return eig_hermitian(mat)
+
+        monkeypatch.setattr(core, "eig_hermitian", counted)
+        rep = validate_povm(Povm(tuple(elems)))
+        assert calls == [(5, 3, 3)]
+        problems, warnings, total = [], [], np.zeros((3, 3), dtype=complex)
+        for k, e in enumerate(elems):
+            dev = float(np.max(np.abs(e - e.conj().T)))
+            assert rep.herm_deviations[k] == dev
+            if dev > core.TOL_HERM:
+                problems.append(f"element {k} deviates from Hermitian by {dev:.3e}")
+            lam = float(oracles.eig_hermitian_2d((e + e.conj().T) / 2)[0].min())
+            assert rep.min_eigenvalues[k] == lam
+            if lam < -core.TOL_PSD:
+                problems.append(f"element {k} has negative eigenvalue {lam:.3e}")
+            if not e.any():
+                warnings.append(f"element {k} is identically zero")
+            total += e
+        residual = float(np.max(np.abs(total - np.eye(3))))
+        if residual > core.TOL_COMPLETE:
+            problems.append(f"completeness residual {residual:.3e}")
+        assert (rep.problems, rep.warnings, rep.completeness_residual) == (problems, warnings, residual)
+        assert rep.valid == (kind == "random")
+
     def test_probabilities_sum_to_one(self):
         # sum_k tr(E_k rho) = 1 for every valid POVM and state
         rng = np.random.default_rng(8)
@@ -94,6 +134,34 @@ class TestDensityMatrix:
     def test_hermitian_enforced(self):
         with pytest.raises(DomainError):
             DensityMatrix(np.array([[0.5, 0.4], [0.1, 0.5]], dtype=complex))
+
+
+class TestOwnCopy:
+    """States and POVMs keep a read-only copy; the caller's array is left alone."""
+
+    def test_density_matrix_copies(self):
+        a = np.eye(2, dtype=complex) / 2
+        rho = DensityMatrix(a)
+        a[0, 0] = 1.0  # still writable
+        assert rho.mat[0, 0] == 0.5 and not rho.mat.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rho.mat[0, 0] = 1.0
+
+    def test_povm_copies(self):
+        elems = [np.diag([0.4, 0.2]).astype(complex), np.diag([0.6, 0.8]).astype(complex)]
+        p = Povm(tuple(elems))
+        elems[0][0, 0] = 1.0
+        assert p.elements[0][0, 0] == 0.4
+        assert not any(e.flags.writeable for e in p.elements)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda z: Povm((z, z)), DensityMatrix],
+        ids=["povm", "state"],
+    )
+    def test_zero_dimension_refused(self, build):
+        with pytest.raises(StructuralError, match="dimension 0"):
+            build(np.zeros((0, 0), dtype=complex))
 
 
 class TestLayout:
@@ -242,37 +310,39 @@ def _same(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-# derandomized so that every tier-1 run checks the same examples
-property_test = settings(deadline=None, derandomize=True)
+def _oracle_stack(stack):
+    """eig_hermitian of each matrix of a (..., d, d) stack by oracles.eig_hermitian_2d."""
+    flat = stack.reshape(-1, *stack.shape[-2:])
+    pairs = [oracles.eig_hermitian_2d(m) for m in flat]
+    evals = np.array([e for e, _ in pairs], dtype=float).reshape(stack.shape[:-1])
+    evecs = np.array([v for _, v in pairs], dtype=complex).reshape(stack.shape)
+    return evals, evecs
 
 
 class TestEigStack:
-    """A stack is decomposed in one call, matrix by matrix as if passed alone."""
+    """A stack is decomposed in one call, and a matrix is a stack of one; every
+    matrix gets the floats of the one-matrix reference, tied and diagonal too."""
 
-    @property_test
     @given(stack=hermitian_stacks())
     def test_matches_per_matrix_calls(self, stack):
         evals, evecs = eig_hermitian(stack)
-        assert evals.shape == stack.shape[:-1] and evecs.shape == stack.shape
-        for k, mat in enumerate(stack):
-            want = eig_hermitian(mat)
-            assert _same(evals[k], want[0]) and _same(evecs[k], want[1])
+        want = _oracle_stack(stack)
+        assert _same(evals, want[0]) and _same(evecs, want[1])
+        for mat in stack:
+            assert all(map(_same, eig_hermitian(mat), oracles.eig_hermitian_2d(mat)))
 
     def test_degenerate_diagonal_stack_keeps_diagonal_order(self):
         stack = np.array([np.diag(x) for x in ([0.5, 0.2, 0.5], [0.3, 0.3, 0.1], [1 / 3] * 3)], dtype=complex)
         evals, evecs = eig_hermitian(stack)
         for k, order in enumerate(([0, 2, 1], [0, 1, 2], [0, 1, 2])):
             assert np.allclose(np.abs(evecs[k]), np.eye(3)[:, order])
-            assert _same(evals[k], eig_hermitian(stack[k])[0])
+        assert all(map(_same, (evals, evecs), _oracle_stack(stack)))
 
     def test_higher_stack_dimensions(self):
         rng = np.random.default_rng(3)
         stack = np.array([_hermitian_matrix(rng, 3, "random") for _ in range(6)]).reshape(2, 3, 3, 3)
-        evals, evecs = eig_hermitian(stack)
-        flat = eig_hermitian(stack.reshape(6, 3, 3))
-        assert _same(evals, flat[0].reshape(2, 3, 3)) and _same(evecs, flat[1].reshape(2, 3, 3, 3))
+        assert all(map(_same, eig_hermitian(stack), _oracle_stack(stack)))
 
-    @property_test
     @given(stack=hermitian_stacks(), where=st.integers(0, 5), bad=st.sampled_from(["non-hermitian", "nan", "inf"]))
     def test_one_bad_slice_raises_the_2d_error(self, stack, where, bad):
         if len(stack) == 0:
@@ -288,13 +358,15 @@ class TestEigStack:
         else:
             stack[k, d // 2, 0] = complex(np.nan if bad == "nan" else np.inf, 0.0)
         with pytest.raises(DomainError) as alone:
-            eig_hermitian(stack[k])
-        with pytest.raises(DomainError, match=re.escape(str(alone.value))):
-            eig_hermitian(stack)
+            oracles.eig_hermitian_2d(stack[k])
+        for mat in (stack[k], stack):
+            with pytest.raises(DomainError, match=re.escape(str(alone.value))):
+                eig_hermitian(mat)
 
     def test_non_square_stack_refused(self):
-        with pytest.raises(StructuralError, match="square"):
-            eig_hermitian(np.zeros((2, 3, 2), dtype=complex))
+        for shape in [(2, 3, 2), (2, 3), (3,), ()]:
+            with pytest.raises(StructuralError, match=re.escape(f"matrix must be a square matrix, got shape {shape}")):
+                eig_hermitian(np.zeros(shape, dtype=complex))
 
 
 class TestSequenceOperator:

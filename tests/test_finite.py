@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from detpower import (
@@ -25,8 +25,6 @@ from detpower.finite import _block_log_err, _log_factorials, _logsumexp, _xlogy
 from conftest import candidate_pool, diag_detector, random_povm, random_pure, rate_pairs
 import oracles
 
-# derandomized so that every tier-1 run checks the same examples
-property_test = settings(deadline=None, derandomize=True)
 
 @st.composite
 def detector_and_pool(draw):
@@ -163,7 +161,6 @@ class TestBruteForce:
 
 
 class TestBestProductPair:
-    @property_test
     @given(case=detector_and_pool(), picks=st.lists(st.integers(0, 3), min_size=2, max_size=3), n=st.integers(1, 6))
     def test_matches_pattern_loop(self, case, picks, n):
         povm, pool = case
@@ -217,7 +214,6 @@ class TestBestProductPair:
 
 
 class TestBlock:
-    @property_test
     @given(pair=rate_pairs(), n=st.integers(1, 40))
     def test_matches_click_table(self, pair, n):
         pp, qq = pair
@@ -247,7 +243,6 @@ class TestBlock:
 
 
 class TestSweep:
-    @property_test
     @given(pair=rate_pairs(), n=st.integers(1, 60), points=st.one_of(st.none(), st.integers(1, 61)))
     def test_mirror_blocks_equal(self, pair, n, points):
         rows = sweep_x(diag_detector(*pair), n, points=points)
@@ -325,7 +320,6 @@ class TestScipyFormulas:
         assert np.count_nonzero(got != want) <= 10
         assert np.array_equal(_log_factorials(5), want[:5])
 
-    @property_test
     @given(
         values=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=60),
         ties=st.integers(0, 5),
