@@ -57,6 +57,7 @@ from .finite import (
     best_product_pair,
     brute_force_grouping,
     empirical_rate,
+    iid_ml_log_error,
     ml_error_probability,
     sequence_distribution,
     sweep_x,

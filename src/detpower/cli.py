@@ -23,7 +23,7 @@ from .finite import (
     ProductInput,
     best_product_pair,
     brute_force_grouping,
-    ml_error_probability,
+    iid_ml_log_error,
     sequence_distribution,
     sweep_x,
 )
@@ -34,7 +34,7 @@ from .io import (
     povm_from_json,
     strategy_from_json,
 )
-from .channel import chernoff_exponent, induced_distribution
+from .channel import candidate_probs, chernoff_exponent, induced_distribution
 from .optimize import SearchOptions, zeta_chernoff, zeta_hoeffding, zeta_stein
 
 EXIT_OK = 0
@@ -147,13 +147,16 @@ def cmd_finite(args) -> int:
     diagnostics: dict = {}
     results: dict = {}
     basis = _basis_candidates(povm)
-    if args.mode in ("ml", "brute"):
+    if args.mode == "ml":
+        p_row, q_row = candidate_probs(povm, (basis[0], basis[-1]))
+        log_err, diagnostics["grouping_size"] = iid_ml_log_error(p_row, q_row, n)
+        results["p_err"] = {"value": math.exp(log_err), "units": "probability"}
+        # from the log, as in the sweep, so it survives p_err underflowing
+        results["rate"] = _scalar(-log_err / n, "nats", False)
+    elif args.mode == "brute":
         dist0 = sequence_distribution(povm, ProductInput.iid(basis[0], n))
         dist1 = sequence_distribution(povm, ProductInput.iid(basis[-1], n))
-        if args.mode == "ml":
-            p_err, mask = ml_error_probability(dist0, dist1)
-        else:
-            p_err, mask = brute_force_grouping(dist0, dist1)
+        p_err, mask = brute_force_grouping(dist0, dist1)
         results["p_err"] = {"value": p_err, "units": "probability"}
         diagnostics["grouping_size"] = int(mask.accept.sum())
     elif args.mode == "pattern":

@@ -1,8 +1,10 @@
 """Exact error probabilities for n repeated uses of the detector.
 
-Two representations are used: dense outcome-sequence distributions for small
-m^n, and binomially aggregated counts (log domain) for two-element qubit
-POVMs at large n, where the pattern-fraction sweeps and rate checks live.
+Three representations are used: dense outcome-sequence distributions for small
+m^n (brute force, product patterns, non-i.i.d. inputs), types of outcome
+counts (log domain) for the ML error of an i.i.d. pair, and binomially
+aggregated counts (log domain) for two-element qubit POVMs at large n, where
+the pattern-fraction sweeps and rate checks live.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _checked_probs, candidate_probs
+from .channel import _checked_probs, _pair, candidate_probs
 from .core import DensityMatrix, GroupingMask, Povm, eig_hermitian
 from .errors import DomainError, ResourceError, StructuralError
 
@@ -23,6 +25,12 @@ BRUTE_CAP = 20
 SWEEP_WORK_CAP = 10**7
 # largest n that sweep_x and empirical_rate aggregate
 AGGREGATION_CAP = 10**5
+# most types C(n + m - 1, m - 1) that iid_ml_log_error enumerates.  Its exact
+# counts are longest at m = 2, n = TYPES_CAP - 1: about 0.13 s and 19 MB above
+# the import (53 MB peak) on a 2-vCPU Xeon.  There m^n, the bound on
+# grouping_size, has 3010 digits, under Python's 4300-digit limit on printing
+# an int; m > 2 reaches a smaller n.
+TYPES_CAP = 10**4
 
 # Cephes lgam (scipy.special.gammaln) at x = k + 1 takes the log of the exact
 # factorial below x = 13 and Stirling's series from there on
@@ -103,7 +111,13 @@ def _grouping_error(p0: np.ndarray, p1: np.ndarray, accept_h0: np.ndarray) -> fl
 
 
 def ml_error_probability(p0: SequenceDistribution, p1: SequenceDistribution):
-    """Minimum average error and its maximum-likelihood grouping (ties to H0)."""
+    """Minimum average error and its maximum-likelihood grouping.
+
+    A sequence goes to H0 when its computed probabilities satisfy p0 >= p1.
+    Those are float kron products, so sequences that tie exactly (a permuted
+    sequence of a swapped pair, say) can round apart and go either way;
+    iid_ml_log_error decides per type and sends such ties to H0.
+    """
     if (p0.m, p0.n) != (p1.m, p1.n):
         raise StructuralError("sequence distributions are over different index sets")
     accept = p0.probs >= p1.probs
@@ -278,6 +292,77 @@ def _block_log_err(pp: float, qq: float, n: int, m: int) -> float:
     if terms.size == 0:
         return -math.inf
     return _logsumexp(terms) - math.log(2.0)
+
+
+def _types(n: int, m: int) -> np.ndarray:
+    """Every type (k_1, ..., k_m) of n uses over m outcomes, one per row, k_1
+    slowest.  Each of the m - 1 steps splits a row with r uses left into the
+    r + 1 rows that give the next outcome 0..r of them."""
+    counts = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([n])
+    for _ in range(m - 1):
+        size = rest + 1
+        parent = np.repeat(np.arange(len(rest)), size)
+        k = np.arange(len(parent)) - np.repeat(np.cumsum(size) - size, size)
+        counts = np.column_stack((counts[parent], k))
+        rest = rest[parent] - k
+    return np.column_stack((counts, rest))
+
+
+def _binomial_rows(rows: np.ndarray, width: int) -> np.ndarray:
+    """Exact C(r, k) as Python ints for each r of `rows` and k = 0..width, one
+    column per step of C(r, k + 1) = C(r, k) (r - k) / (k + 1)."""
+    table = np.empty((len(rows), width + 1), dtype=object)
+    col = np.ones(len(rows), dtype=object)
+    r = rows.astype(object)
+    for k in range(width + 1):
+        table[:, k] = col
+        col = col * (r - k) // (k + 1)
+    return table
+
+
+def _multinomial_sum(types: np.ndarray, n: int) -> int:
+    """Sum over the rows of multinom(n; t) = prod_j C(uses left before j, k_j),
+    as an exact Python int."""
+    rest = n - np.cumsum(types[:, :-1], axis=1) + types[:, :-1]
+    rows = np.unique(rest)
+    table = _binomial_rows(rows, n)
+    count = np.ones(len(types), dtype=object)
+    for j in range(types.shape[1] - 1):
+        count = count * table[np.searchsorted(rows, rest[:, j]), types[:, j]]
+    return int(count.sum())
+
+
+def iid_ml_log_error(p_dist, q_dist, n: int):
+    """(log p_err, grouping_size) of the ML decision between P^n and Q^n.
+
+    A sequence of type t = (k_1, ..., k_m) has probability P^t = prod_j P_j^k_j,
+    and multinom(n; t) sequences share it, so p_err = 1/2 sum_t multinom(n; t)
+    min(P^t, Q^t) (method of types): C(n + m - 1, m - 1) log-domain terms
+    instead of m^n.  A type goes to H0 when its log-likelihoods, summed in
+    outcome order, satisfy l0 >= l1: ties, and types that neither hypothesis
+    can produce, go to H0.  grouping_size is the exact number of sequences
+    that go to H0.  Disjoint supports give log p_err = -inf.  n < 1 is
+    refused with DomainError and more than TYPES_CAP types with ResourceError,
+    before any type is built.
+    """
+    if n < 1:
+        raise DomainError("n must be positive")
+    p, q = _pair(p_dist, q_dist)
+    m = len(p)
+    n_types = math.comb(n + m - 1, m - 1)
+    if n_types > TYPES_CAP:
+        raise ResourceError(f"{n_types} types of n = {n} over {m} outcomes exceed the types cap {TYPES_CAP}")
+    types = _types(n, m)
+    log_fact = _log_factorials(n + 1)
+    log_mult = log_fact[n] - log_fact[types].sum(axis=1)
+    l0 = sum(_xlogy(types[:, j], p[j]) for j in range(m))
+    l1 = sum(_xlogy(types[:, j], q[j]) for j in range(m))
+    accept = l0 >= l1
+    terms = log_mult + np.where(accept, l1, l0)
+    terms = terms[np.isfinite(terms)]
+    log_err = _logsumexp(terms) - math.log(2.0) if terms.size else -math.inf
+    return log_err, _multinomial_sum(types[accept], n)
 
 
 def sweep_x(p: Povm, n: int, points: int | None = None):

@@ -8,10 +8,13 @@ phi(s) evaluator that the buffered channel._phi_evaluator must match bit for
 bit.  eig_hermitian_2d decomposes one matrix by itself, as eig_hermitian did
 before a matrix became a stack of one, and mixed_line_search is the
 golden-section --mixed refinement that the corner check replaced.
+iid_ml_error decides the i.i.d. ML test type by type in exact rational
+arithmetic, so its ties are exact.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
@@ -179,3 +182,25 @@ def mixed_line_search(objective, p, rho_mat, sigma_mat):
         fixed = dist(mixed(rho_mat, t_r))
         t_s, _ = golden_section_min(lambda t: -objective(fixed, dist(mixed(sigma_mat, t))).value, 0.0, 1.0, 1e-8)
     return objective(fixed, dist(mixed(sigma_mat, t_s)))
+
+
+def iid_ml_error(p, q, n):
+    """(p_err, grouping_size) of the ML decision between P^n and Q^n in exact
+    arithmetic: each entry is the Fraction of its float, every type t of n
+    is visited, and its multinom(n; t) sequences go to H0 when P^t >= Q^t."""
+    p = [Fraction(float(x)) for x in p]
+    q = [Fraction(float(x)) for x in q]
+    p_err, size = Fraction(0), 0
+    for t in itertools.product(range(n + 1), repeat=len(p)):
+        if sum(t) != n:
+            continue
+        count, left = 1, n
+        for k in t:
+            count *= math.comb(left, k)
+            left -= k
+        pt = math.prod(x**k for x, k in zip(p, t))
+        qt = math.prod(x**k for x, k in zip(q, t))
+        if pt >= qt:
+            size += count
+        p_err += count * min(pt, qt)
+    return p_err / 2, size

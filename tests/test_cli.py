@@ -8,9 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from detpower.cli import main
+from detpower.channel import candidate_probs, chernoff_exponent
+from detpower.cli import _basis_candidates, _load_valid_povm, main
+from detpower.finite import TYPES_CAP, iid_ml_log_error
 from detpower.io import matrix_to_json, povm_to_json
 from detpower import Povm
+from conftest import random_povm
+import oracles
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 POVM_FILE = os.path.join(DATA, "povm_commuting.json")
@@ -155,10 +159,98 @@ class TestFinite:
         assert rep["diagnostics"]["grouping_size"] == 7
 
     def test_brute_matches_ml(self, capsys):
+        # ml sums types and brute the dense sequences: 0.352 and 0.35200000000000004
         _, ml = run_json(capsys, "finite", POVM_FILE, "--n", "3", "--mode", "ml")
         _, bf = run_json(capsys, "finite", POVM_FILE, "--n", "3", "--mode", "brute")
-        assert bf["results"]["p_err"]["value"] == ml["results"]["p_err"]["value"]
+        ml_err, bf_err = ml["results"]["p_err"]["value"], bf["results"]["p_err"]["value"]
+        assert abs(bf_err - ml_err) <= 1e-12 * max(bf_err, ml_err)
         assert bf["diagnostics"]["grouping_size"] == ml["diagnostics"]["grouping_size"] == 7
+
+    def test_ml_ties_go_to_h0(self, capsys):
+        # the 924 sequences with six clicks of twelve tie; dense kron products gave 2154
+        code, rep = run_json(capsys, "finite", SG_FILE, "--n", "12", "--mode", "ml")
+        assert code == 0
+        p_err, size = oracles.iid_ml_error([0.81, 0.19], [0.19, 0.81], 12)
+        assert rep["diagnostics"]["grouping_size"] == size == 2510
+        assert abs(rep["results"]["p_err"]["value"] - float(p_err)) <= 1e-12 * float(p_err)
+
+    def test_ml_rate(self, capsys):
+        code, rep = run_json(capsys, "finite", POVM_FILE, "--n", "3", "--mode", "ml")
+        assert code == 0
+        assert rep["results"]["rate"]["units"] == "nats"
+        assert abs(rep["results"]["rate"]["value"] + math.log(0.352) / 3) < 1e-14
+
+    def test_ml_rate_survives_underflow(self, capsys):
+        # p_err is about 1e-1900 at n = 9000; the rate is computed from the log
+        code, rep = run_json(capsys, "finite", SG_FILE, "--n", "9000", "--mode", "ml")
+        assert code == 0
+        assert rep["results"]["p_err"]["value"] == 0.0
+        assert 0.24 < rep["results"]["rate"]["value"] < 0.25
+
+    def test_ml_disjoint_supports_rate_inf(self, capsys, tmp_path):
+        perfect = Povm((np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)))
+        path = tmp_path / "perfect.json"
+        path.write_text(json.dumps(povm_to_json(perfect)))
+        code, out = run(capsys, "finite", str(path), "--n", "3", "--mode", "ml")
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        results = json.loads(out, parse_constant=reject)["results"]
+        assert results["p_err"]["value"] == 0.0
+        assert results["rate"]["value"] == "inf"
+
+    @pytest.mark.parametrize("path", [SG_FILE, "random_d3"])
+    def test_ml_chernoff_bound_and_rate(self, capsys, tmp_path, path):
+        if path == "random_d3":
+            # m = 2 keeps n = 1600 within the types cap
+            path = tmp_path / "random_d3.json"
+            path.write_text(json.dumps(povm_to_json(random_povm(np.random.default_rng(7), 3, 2))))
+            path = str(path)
+        povm = _load_valid_povm(path)
+        basis = _basis_candidates(povm)
+        p, q = candidate_probs(povm, (basis[0], basis[-1]))
+        xi = chernoff_exponent(p, q).value
+        # p_err <= exp(n phi(s)) / 2 = exp(-n xi) / 2 for every n, compared in logs
+        for n in list(range(1, 61)) + [100, 400, 1600]:
+            log_err, _ = iid_ml_log_error(p, q, n)
+            assert log_err <= -math.log(2.0) - n * xi + 1e-12
+        gaps = []
+        for n in (100, 400, 1600):
+            code, rep = run_json(capsys, "finite", path, "--n", str(n), "--mode", "ml")
+            assert code == 0
+            gaps.append(rep["results"]["rate"]["value"] - xi)
+        assert 0.0 < gaps[2] < gaps[1] < gaps[0]
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_ml_nonpositive_n_exit_3(self, capsys, n):
+        code, out = run(capsys, "finite", POVM_FILE, "--n", n, "--mode", "ml")
+        assert code == 3
+        assert out == ""
+
+    def test_ml_past_dense_cap(self, capsys):
+        # 2^21 sequences exceeded the dense cap; 22 types do not
+        code, rep = run_json(capsys, "finite", POVM_FILE, "--n", "21", "--mode", "ml")
+        assert code == 0
+        assert 0.0 < rep["results"]["p_err"]["value"] < 0.5
+
+    def test_ml_largest_n(self, capsys):
+        # TYPES_CAP types at m = 2; about 0.15 s on a 2-vCPU Xeon, budget 10 s
+        t0 = time.perf_counter()
+        code, rep = run_json(capsys, "finite", POVM_FILE, "--n", str(TYPES_CAP - 1), "--mode", "ml")
+        assert code == 0
+        assert time.perf_counter() - t0 < 10.0
+        assert 0 < rep["diagnostics"]["grouping_size"] < 2 ** (TYPES_CAP - 1)
+        assert 0.0 < rep["results"]["rate"]["value"] < 1.0
+
+    def test_ml_above_types_cap_exit_4(self, capsys):
+        # refused before any type is built
+        t0 = time.perf_counter()
+        code, out = run(capsys, "finite", POVM_FILE, "--n", str(TYPES_CAP), "--mode", "ml")
+        assert code == 4
+        assert out == ""
+        assert time.perf_counter() - t0 < 2.0
 
     def test_brute_cap_exit_4(self, capsys):
         code, _ = run(capsys, "finite", POVM_FILE, "--n", "8", "--mode", "brute")

@@ -13,15 +13,26 @@ from detpower import (
     ProductInput,
     ResourceError,
     SequenceDistribution,
+    StructuralError,
     best_product_pair,
     brute_force_grouping,
+    eig_hermitian,
     empirical_rate,
+    iid_ml_log_error,
     ml_error_probability,
     sequence_distribution,
     sweep_x,
 )
-from detpower.channel import induced_probs
-from detpower.finite import _block_log_err, _log_factorials, _logsumexp, _xlogy
+from detpower.channel import candidate_probs, induced_probs
+from detpower.finite import (
+    TYPES_CAP,
+    _block_log_err,
+    _log_factorials,
+    _logsumexp,
+    _multinomial_sum,
+    _types,
+    _xlogy,
+)
 from conftest import candidate_pool, diag_detector, random_povm, random_pure, rate_pairs
 import oracles
 
@@ -35,6 +46,48 @@ def detector_and_pool(draw):
     else:
         povm = random_povm(rng, 2, draw(st.integers(2, 3)))
     return povm, candidate_pool(rng)
+
+
+@st.composite
+def iid_case(draw):
+    """A random detector with d = 2-3 and m = 2-4 outcomes, an n with
+    m^n <= 4096, and a pure pair: the extreme eigenvectors of the first
+    element (the CLI's ML pair) or two random states."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, m = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    n = draw(st.integers(1, {2: 12, 3: 7, 4: 6}[m]))
+    povm = random_povm(rng, d, m)
+    if draw(st.booleans()):
+        _, evecs = eig_hermitian(povm.elements[0])
+        vs = evecs[:, 0], evecs[:, -1]
+    else:
+        vs = random_pure(rng, d), random_pure(rng, d)
+    return povm, [DensityMatrix(np.outer(v, v.conj())) for v in vs], n
+
+
+@st.composite
+def sparse_distribution(draw, m):
+    """A distribution over m outcomes whose entries are often exactly 0."""
+    w = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=m, max_size=m))
+    w = np.array(w)
+    if w.sum() == 0.0:
+        w[draw(st.integers(0, m - 1))] = 1.0
+    return w / w.sum()
+
+
+def close(a, b, rel=1e-12):
+    return a == b or abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+def dense_ml_error(p, q, n):
+    """ml_error_probability of P^n and Q^n from their kron products."""
+    dists = []
+    for row in (p, q):
+        probs = np.array([1.0])
+        for _ in range(n):
+            probs = np.kron(probs, row)
+        dists.append(SequenceDistribution(len(row), n, probs))
+    return ml_error_probability(*dists)[0]
 
 
 def iid_dists(povm, n, basis_states):
@@ -158,6 +211,87 @@ class TestBruteForce:
         d0, d1 = iid_dists(diag_povm, 5, basis_states)
         with pytest.raises(ResourceError):
             brute_force_grouping(d0, d1)
+
+
+class TestIidMl:
+    @pytest.mark.parametrize(
+        "p, q, n",
+        [
+            ([0.4, 0.6], [0.2, 0.8], 1),
+            ([0.4, 0.6], [0.2, 0.8], 3),
+            ([0.4, 0.6], [0.2, 0.8], 9),
+            ([0.81, 0.19], [0.19, 0.81], 12),  # the noisy Stern-Gerlach pair: 924 tied sequences
+            ([0.2, 0.3, 0.5], [0.3, 0.2, 0.5], 5),  # swapped outcomes tie on every (a, a, c)
+            ([0.5, 0.5, 0.0], [0.0, 0.3, 0.7], 4),
+            ([1.0, 0.0], [0.0, 1.0], 3),  # disjoint supports
+            ([0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4], 4),  # all types tie
+        ],
+    )
+    def test_matches_exact_oracle(self, p, q, n):
+        log_err, size = iid_ml_log_error(p, q, n)
+        want_err, want_size = oracles.iid_ml_error(p, q, n)
+        assert size == want_size
+        assert close(math.exp(log_err), float(want_err))
+
+    def test_ties_go_to_h0(self):
+        # sum_{k >= 6} C(12, k); dense ML breaks 356 of the 924 ties the other way
+        assert iid_ml_log_error([0.81, 0.19], [0.19, 0.81], 12)[1] == 2510
+        log_err, size = iid_ml_log_error([0.3, 0.7], [0.3, 0.7], 10)
+        assert size == 2**10
+        assert abs(log_err - math.log(0.5)) < 1e-15
+
+    @given(case=iid_case())
+    def test_matches_dense_ml(self, case):
+        povm, states, n = case
+        d0, d1 = (sequence_distribution(povm, ProductInput.iid(s, n)) for s in states)
+        want, _ = ml_error_probability(d0, d1)
+        log_err, size = iid_ml_log_error(*candidate_probs(povm, states), n)
+        assert close(math.exp(log_err), want)
+        assert 0 <= size <= povm.n_outcomes**n
+
+    @given(case=iid_case())
+    def test_monotone_in_n(self, case):
+        povm, states, n = case
+        p, q = candidate_probs(povm, states)
+        errs = [math.exp(iid_ml_log_error(p, q, k)[0]) for k in range(1, n + 2)]
+        for a, b in zip(errs, errs[1:]):
+            assert b <= a * (1 + 1e-12)
+
+    @given(data=st.data())
+    def test_zero_outcomes_give_no_nan(self, data):
+        m = data.draw(st.integers(2, 4))
+        n = data.draw(st.integers(1, {2: 12, 3: 7, 4: 6}[m]))
+        p, q = data.draw(sparse_distribution(m)), data.draw(sparse_distribution(m))
+        log_err, size = iid_ml_log_error(p, q, n)
+        assert not math.isnan(log_err)
+        assert isinstance(size, int) and 0 <= size <= m**n
+        assert close(math.exp(log_err), dense_ml_error(p, q, n))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (5, 2), (4, 3), (3, 5), (6, 4)])
+    def test_types_are_each_count_once(self, n, m):
+        types = _types(n, m)
+        assert types.shape == (math.comb(n + m - 1, m - 1), m)
+        assert (types >= 0).all() and (types.sum(axis=1) == n).all()
+        assert len({tuple(t) for t in types.tolist()}) == len(types)
+        assert _multinomial_sum(types, n) == m**n
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_n_refused(self, n):
+        with pytest.raises(DomainError, match="n must be positive"):
+            iid_ml_log_error([0.4, 0.6], [0.2, 0.8], n)
+
+    def test_cap_refused_up_front(self):
+        # C(n + 1, 1) = n + 1 types at m = 2
+        iid_ml_log_error([0.4, 0.6], [0.2, 0.8], TYPES_CAP - 1)
+        for n in (TYPES_CAP, 10**15):
+            with pytest.raises(ResourceError, match="types cap"):
+                iid_ml_log_error([0.4, 0.6], [0.2, 0.8], n)
+        with pytest.raises(ResourceError, match="types cap"):
+            iid_ml_log_error([0.25] * 4, [0.25] * 4, 38)  # C(41, 3) = 10660
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(StructuralError):
+            iid_ml_log_error([0.4, 0.6], [0.2, 0.3, 0.5], 2)
 
 
 class TestBestProductPair:
