@@ -110,7 +110,7 @@ def conditional_state(joint: JointState, p: Povm, history):
 def _history_weights(p: Povm, strat: AdaptiveStrategy):
     """Forward recursion: unnormalized history probabilities under H0 and H1."""
     m = p.n_outcomes
-    singles = candidate_probs(p, strat.candidates)
+    singles = candidate_probs(p, strat.candidates).probs
     layer = {(): (1.0, 1.0)}
     for _ in range(strat.depth):
         nxt = {}
@@ -144,26 +144,27 @@ def evaluate_strategy(p: Povm, strat: AdaptiveStrategy) -> float:
 def optimal_adaptive(p: Povm, candidates, n: int):
     """Exact minimum error over all depth-n strategy trees with ML decision.
 
-    Exhaustive over per-history candidate-pair choices; refuses instances
-    beyond m = 2, n <= 4, |candidates| <= 4 rather than approximating.
+    Exhaustive over per-history candidate-pair choices.  n < 1 and an empty
+    candidate set are refused with DomainError, then instances beyond m = 2,
+    n <= 4, |candidates| <= 4 with ResourceError rather than approximated.
     The weights of all (|C|^2 m)^n leaves are built level by level and
     reduced bottom-up; at the cap each leaf array holds 2^20 floats (8 MB)
     and at most three are alive at once.  Ties go to the first candidate
     pair in (i, j) order, and zero-weight branches choose (0, 0).
     """
     cands = tuple(candidates)
+    if n < 1:
+        raise DomainError("depth must be positive")
+    if not cands:
+        raise DomainError("need at least one candidate state")
     if p.n_outcomes != 2 or n > MAX_TREE_DEPTH or len(cands) > MAX_CANDIDATES:
         raise ResourceError(
             "exhaustive strategy search is limited to 2-outcome POVMs, depth <= 4 "
             "and at most 4 candidate states"
         )
-    if n < 1:
-        raise DomainError("depth must be positive")
-    if not cands:
-        raise DomainError("need at least one candidate state")
     m = p.n_outcomes
     pairs = list(itertools.product(range(len(cands)), repeat=2))
-    singles = candidate_probs(p, cands)
+    singles = candidate_probs(p, cands).probs
     # (pair, outcome) factors of the H0 and H1 weights at every branch
     f0 = singles[[i for i, _ in pairs]]
     f1 = singles[[j for _, j in pairs]]

@@ -2,7 +2,10 @@
 
 The scalar functionals (phi, Chernoff, relative entropy, Hoeffding) act on a
 pair of outcome distributions; the quantum side enters only through
-induced_distribution.
+induced_distribution and candidate_probs.  A ClassicalDistribution is the one
+checked container, for one distribution or an (..., m) stack of them: it is
+checked once, when it is built, and every functional trusts it and checks
+any other input.  Its rows, taken by indexing, are not checked again.
 """
 
 from __future__ import annotations
@@ -23,14 +26,46 @@ _INVPHI = (math.sqrt(5) - 1) / 2  # 1/golden ratio
 
 @dataclass(frozen=True)
 class ClassicalDistribution:
+    """One distribution over m outcomes, or an (..., m) stack of them.
+
+    Each row must be finite, have no entry below -NEG_CLAMP and sum to 1
+    within SUM_TOL; probs is a read-only copy with the entries below 0
+    clipped to 0.  A failing stack raises the DomainError of its first
+    failing row in C order.  Indexing a stack over its leading axes gives
+    its rows as distributions without checking them again.
+    """
+
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _checked_probs(self.probs))
-        self.probs.setflags(write=False)
+        raw = np.ascontiguousarray(self.probs, dtype=float)
+        low = np.minimum.reduce(raw, axis=-1, initial=0.0)
+        p = np.maximum(raw, 0.0)  # a new array, so the caller's stays untouched
+        sums = np.add.reduce(p, axis=-1)
+        # a non-finite entry makes its row's min -inf or its sum NaN or inf
+        ok = (low >= -NEG_CLAMP) & (abs(sums - 1.0) <= SUM_TOL)
+        if not ok.all():
+            k = np.unravel_index(np.argmin(ok), ok.shape)  # the first failing row
+            if not np.all(np.isfinite(raw[k])):
+                raise DomainError("distribution has non-finite entries")
+            if low[k] < -NEG_CLAMP:
+                raise DomainError(f"negative probability {low[k]:.3e}")
+            raise DomainError(f"probabilities sum to {sums[k]}, not 1")
+        p.setflags(write=False)
+        object.__setattr__(self, "probs", p)
 
     def __len__(self):
         return len(self.probs)
+
+    def __getitem__(self, k):
+        *stack, m = self.probs.shape
+        if not stack:
+            raise TypeError("a single distribution has no rows")
+        rows = self.probs.reshape(-1, m)[np.arange(math.prod(stack)).reshape(stack)[k]]
+        rows.setflags(write=False)
+        sub = object.__new__(ClassicalDistribution)  # checked as part of this stack
+        object.__setattr__(sub, "probs", rows)
+        return sub
 
 
 @dataclass(frozen=True)
@@ -45,49 +80,16 @@ class ExponentValue:
         return math.isinf(self.value)
 
 
-def _checked_probs(probs) -> np.ndarray:
-    """A flat float copy of `probs` checked as a distribution.
-
-    Entries above -NEG_CLAMP are clipped to 0; the sum must be 1 within SUM_TOL.
-    """
-    p = np.asarray(probs, dtype=float).ravel()
-    if not np.all(np.isfinite(p)):
-        raise DomainError("distribution has non-finite entries")
-    if p.min(initial=0.0) < -NEG_CLAMP:
-        raise DomainError(f"negative probability {p.min():.3e}")
-    p = np.maximum(p, 0.0)  # a new array, so the caller's stays untouched
-    if abs(p.sum() - 1.0) > SUM_TOL:
-        raise DomainError(f"probabilities sum to {p.sum()}, not 1")
-    return p
-
-
-def _checked_rows(probs) -> np.ndarray:
-    """_checked_probs on every row of an (L, m) stack: the clamped rows.
-
-    A failing row raises the DomainError _checked_probs raises on the first
-    of them.  The checks are _checked_probs's on the same floats, so they
-    fail on the same rows.
-    """
-    raw = np.asarray(probs, dtype=float)
-    bad = ~np.all(np.isfinite(raw), axis=1) | (raw.min(axis=1, initial=0.0) < -NEG_CLAMP)
-    p = np.maximum(raw, 0.0)
-    bad |= np.abs(p.sum(axis=1) - 1.0) > SUM_TOL
-    if bad.any():
-        _checked_probs(raw[np.argmax(bad)])
-    return p
-
-
 def _probs(dist) -> np.ndarray:
-    if isinstance(dist, ClassicalDistribution):
-        return dist.probs
-    return _checked_probs(dist)
+    """The probs of a ClassicalDistribution, or of one built from the flattened input."""
+    return dist.probs if isinstance(dist, ClassicalDistribution) else ClassicalDistribution(np.ravel(dist)).probs
 
 
 def _pair(p_dist, q_dist):
-    """Both distributions as checked arrays of one length."""
+    """Both distributions as checked 1-D arrays of one length."""
     p, q = _probs(p_dist), _probs(q_dist)
-    if len(p) != len(q):
-        raise StructuralError("distributions have different lengths")
+    if p.ndim != 1 or p.shape != q.shape:
+        raise StructuralError(f"need two distributions of one length, got shapes {p.shape} and {q.shape}")
     return p, q
 
 
@@ -131,8 +133,9 @@ def induced_distribution(p: Povm, rho: DensityMatrix) -> ClassicalDistribution:
     return ClassicalDistribution(induced_probs(p, rho.mat))
 
 
-def candidate_probs(p: Povm, states) -> np.ndarray:
-    """induced_probs(p, c.mat) for each DensityMatrix c of `states`, as rows.
+def candidate_probs(p: Povm, states) -> ClassicalDistribution:
+    """The induced distributions of the DensityMatrix states, as one checked
+    (len(states), m) stack whose row k holds induced_probs(p, states[k].mat).
 
     Refuses a state whose dimension is not the POVM's with StructuralError.
     """
@@ -140,7 +143,7 @@ def candidate_probs(p: Povm, states) -> np.ndarray:
     for k, c in enumerate(states):
         if c.dim != p.dim:
             raise StructuralError(f"candidate state {k} has dimension {c.dim}, the POVM {p.dim}")
-    return np.array([induced_probs(p, c.mat) for c in states])
+    return ClassicalDistribution(induced_probs(p, np.array([c.mat for c in states]).reshape(-1, p.dim, p.dim)))
 
 
 def phi(s: float, p_dist, q_dist) -> float:
@@ -221,18 +224,19 @@ def relative_entropy(p_dist, q_dist) -> float:
 
 
 # Row forms: one call scores every row pair (P[k], Q[k]) of two (L, m) stacks
-# of checked distributions and gives the floats of the per-pair function.
-# Rows without a zero entry are computed together: the per-pair mask then
-# keeps every entry, and np.log, np.exp and np.add.reduce(axis=1) on rows
-# round like their 1-D calls.  A row with a zero entry goes through the
-# per-pair function, which drops zero terms before summing.
+# of distributions and gives the floats of the per-pair function.  Rows
+# without a zero entry are computed together: the per-pair mask then keeps
+# every entry, and np.log, np.exp and np.add.reduce(axis=1) on rows round
+# like their 1-D calls.  A row with a zero entry goes to the per-pair
+# function as a row of its stack, which drops zero terms before summing.
 
 
 def _full_rows(p_rows, q_rows):
-    p, q = np.asarray(p_rows, dtype=float), np.asarray(q_rows, dtype=float)
-    if p.shape != q.shape or p.ndim != 2:
-        raise StructuralError(f"row stacks of shapes {p.shape} and {q.shape}")
-    return p, q, np.all(p > 0, axis=1) & np.all(q > 0, axis=1)
+    """Both stacks as ClassicalDistributions, and the rows where neither has a zero."""
+    P, Q = (x if isinstance(x, ClassicalDistribution) else ClassicalDistribution(x) for x in (p_rows, q_rows))
+    if P.probs.shape != Q.probs.shape or P.probs.ndim != 2:
+        raise StructuralError(f"row stacks of shapes {P.probs.shape} and {Q.probs.shape}")
+    return P, Q, np.all(P.probs > 0, axis=1) & np.all(Q.probs > 0, axis=1)
 
 
 def _phi_rows(s: np.ndarray, lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
@@ -287,11 +291,11 @@ def chernoff_rows(p_rows, q_rows):
     lockstep, then take the same min over s = 0 and 1, the same clamp and
     the same clip.
     """
-    p, q, full = _full_rows(p_rows, q_rows)
-    values, s_star = np.empty(len(p)), np.empty(len(p))
-    values[~full], s_star[~full] = _pair_rows(chernoff_exponent)(p[~full], q[~full])
+    P, Q, full = _full_rows(p_rows, q_rows)
+    values, s_star = np.empty(len(P)), np.empty(len(P))
+    values[~full], s_star[~full] = _pair_rows(chernoff_exponent)(P[~full], Q[~full])
     if full.any():
-        lp, lq = np.log(p[full]), np.log(q[full])
+        lp, lq = np.log(P.probs[full]), np.log(Q.probs[full])
         s, f = _golden_rows(lp, lq)
         f = np.minimum(f, _phi_rows(np.zeros_like(s), lp, lq))
         f = np.minimum(f, _phi_rows(np.ones_like(s), lp, lq))
@@ -303,14 +307,14 @@ def chernoff_rows(p_rows, q_rows):
 def _pair_rows(pair):
     """The row form of a per-pair objective pair(P, Q) -> ExponentValue.
 
-    rows(P, Q) calls pair on each row pair, as ClassicalDistributions, and
+    rows(P, Q) calls pair(P[k], Q[k]) on each row pair of two stacks and
     returns the float arrays (values, s), with s NaN where optimizer_s is None.
     """
 
-    def rows(p_rows, q_rows):
-        scores = np.empty((len(p_rows), 2))
-        for k, (p, q) in enumerate(zip(p_rows, q_rows)):
-            ev = pair(ClassicalDistribution(p), ClassicalDistribution(q))
+    def rows(P, Q):
+        scores = np.empty((len(P), 2))
+        for k in range(len(P)):
+            ev = pair(P[k], Q[k])
             scores[k] = ev.value, math.nan if ev.optimizer_s is None else ev.optimizer_s
         return scores[:, 0], scores[:, 1]
 
@@ -319,11 +323,11 @@ def _pair_rows(pair):
 
 def relative_entropy_rows(p_rows, q_rows) -> np.ndarray:
     """relative_entropy(P[k], Q[k]) for every row k, with the same floats."""
-    p, q, full = _full_rows(p_rows, q_rows)
-    out = np.empty(len(p))
+    P, Q, full = _full_rows(p_rows, q_rows)
+    out = np.empty(len(P))
     for k in np.flatnonzero(~full):
-        out[k] = relative_entropy(p[k], q[k])
-    pf, qf = p[full], q[full]
+        out[k] = relative_entropy(P[k], Q[k])
+    pf, qf = P.probs[full], Q.probs[full]
     d = np.add.reduce(pf * (np.log(pf) - np.log(qf)), axis=1)
     out[full] = np.where(0.0 > d, 0.0, d)  # max(d, 0.0), keeping a -0.0 as max does
     return out
@@ -367,7 +371,7 @@ def hoeffding_exponent(p_dist, q_dist, r: float) -> ExponentValue:
         return ExponentValue(math.inf, 1.0)
     if r == 0.0:
         # the supremum is the s -> 1 limit, phi'(1) = D(P||Q)
-        return ExponentValue(relative_entropy(p, q), 1.0)
+        return ExponentValue(relative_entropy(p_dist, q_dist), 1.0)
 
     lp, lq = np.log(p[mask]), np.log(q[mask])
     llr = lp - lq

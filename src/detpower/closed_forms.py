@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ExponentValue, chernoff_exponent
+from .channel import ClassicalDistribution, ExponentValue, chernoff_rows
 from .core import PAULI_X, PAULI_Y, PAULI_Z, Povm
 from .errors import DomainError, StructuralError
 from .optimize import SearchOptions, zeta_chernoff
@@ -97,24 +97,22 @@ def covariant_c_s(s: float) -> float:
 def covariant_zeta_numeric(disc: CovariantDiscretization) -> ExponentValue:
     """Chernoff exponent of the discretized covariant POVM, maximized over
     antipodal pure Bloch pairs along COVARIANT_DIRECTIONS deterministic
-    directions."""
-    if disc.m == 2:
-        # two orthogonal projectors: perfect discrimination
-        return ExponentValue(math.inf, None)
+    directions.
+
+    All directions are scored in one chernoff_rows call.  The result is the
+    first infinite value, else the first strict maximum above 0, else 0.
+    """
     dirs = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
     extra = fibonacci_covariant_discretization(2 * (COVARIANT_DIRECTIONS - 3)).nodes[0::2]
     dirs.extend(extra[: COVARIANT_DIRECTIONS - 3])
-    best = ExponentValue(0.0, None)
-    for b in dirs:
-        proj = disc.nodes @ b
-        p0 = np.clip((1.0 + proj) / disc.m, 0.0, None)
-        p1 = np.clip((1.0 - proj) / disc.m, 0.0, None)
-        ev = chernoff_exponent(p0, p1)
-        if ev.value > best.value:
-            best = ev
-        if ev.infinite:
-            break
-    return best
+    proj = np.array([disc.nodes @ b for b in dirs])
+    p0 = ClassicalDistribution(np.clip((1.0 + proj) / disc.m, 0.0, None))
+    p1 = ClassicalDistribution(np.clip((1.0 - proj) / disc.m, 0.0, None))
+    values, s = chernoff_rows(p0, p1)
+    t = int(np.argmax(values))  # the first maximum, so the first inf if there is one
+    if not values[t] > 0.0:
+        return ExponentValue(0.0, None)
+    return ExponentValue(float(values[t]), None if math.isnan(s[t]) else float(s[t]))
 
 
 def noisy_sg_povm(r: float) -> Povm:

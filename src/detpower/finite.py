@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _checked_probs, _pair, candidate_probs
+from .channel import ClassicalDistribution, _pair, candidate_probs
 from .core import DensityMatrix, GroupingMask, Povm, eig_hermitian
 from .errors import DomainError, ResourceError, StructuralError
 
 DENSE_CAP = 2**20
-BRUTE_CAP = 20
 # blocks x (n + 1) entries one sweep may compute: 100 blocks at n = 10^5,
 # about 3 s at 30 ms per block
 SWEEP_WORK_CAP = 10**7
@@ -78,8 +77,7 @@ class SequenceDistribution:
     def __post_init__(self):
         if np.size(self.probs) != self.m**self.n:
             raise StructuralError("length must be m^n")
-        object.__setattr__(self, "probs", _checked_probs(self.probs))
-        self.probs.setflags(write=False)
+        object.__setattr__(self, "probs", ClassicalDistribution(np.ravel(self.probs)).probs)
 
     def sequence(self, index: int) -> tuple:
         return _digits(index, self.m, self.n)
@@ -100,7 +98,7 @@ def sequence_distribution(p: Povm, inp: ProductInput) -> SequenceDistribution:
     if m**n > DENSE_CAP:
         raise ResourceError(f"{m}^{n} sequences exceed the dense cap {DENSE_CAP}")
     probs = np.array([1.0])
-    for row in candidate_probs(p, inp.factors):
+    for row in candidate_probs(p, inp.factors).probs:
         probs = np.kron(probs, row)
     return SequenceDistribution(m, n, probs)
 
@@ -125,12 +123,16 @@ def ml_error_probability(p0: SequenceDistribution, p1: SequenceDistribution):
 
 
 def brute_force_grouping(p0: SequenceDistribution, p1: SequenceDistribution):
-    """Exact minimum over all 2^(m^n) outcome-sequence partitions (oracle)."""
+    """Exact minimum over all 2^(m^n) outcome-sequence partitions (oracle).
+
+    Its table scores every partition, so more than DENSE_CAP of them (more
+    than 20 sequences) are refused with ResourceError.
+    """
     if (p0.m, p0.n) != (p1.m, p1.n):
         raise StructuralError("sequence distributions are over different index sets")
     nseq = len(p0.probs)
-    if nseq > BRUTE_CAP:
-        raise ResourceError(f"2^{nseq} partitions exceed the brute-force cap 2^{BRUTE_CAP}")
+    if 2**nseq > DENSE_CAP:
+        raise ResourceError(f"2^{nseq} partitions exceed the dense cap {DENSE_CAP}")
     diff = p0.probs - p1.probs
     # score of subset a is sum_a (p0 - p1); p_err = (1 - score)/2, so rank by score
     lo_bits = nseq // 2
@@ -186,7 +188,7 @@ def best_product_pair(p: Povm, n: int, candidates):
     count = 2**n if nc == 2 else nc ** (2 * n)
     if count * (p.n_outcomes**n) > DENSE_CAP:
         raise ResourceError(f"candidate-pattern enumeration exceeds the dense cap {DENSE_CAP}")
-    table = _pattern_table(candidate_probs(p, cands), n)
+    table = _pattern_table(candidate_probs(p, cands).probs, n)
     if nc == 2:
         # the complement of pattern a is pattern 2^n - 1 - a: the reversed rows
         errs = 0.5 * np.sum(np.minimum(table, table[::-1]), axis=1)

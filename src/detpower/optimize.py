@@ -30,7 +30,6 @@ import numpy as np
 from .channel import (
     ClassicalDistribution,
     ExponentValue,
-    _checked_rows,
     _pair_rows,
     chernoff_exponent,
     chernoff_rows,
@@ -201,21 +200,25 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
 
     The detector is fixed, so the objective sees the states only through the
     classical pair it induces, P_k = tr(E_k rho) and Q_k = tr(E_k sigma), each
-    a ClassicalDistribution.  Every state is converted and checked once: a
-    candidate basis costs d distributions for its d(d-1) ordered pairs, and
-    the restart refinement converts only the state it moves, since each line
-    search holds the other state fixed.
+    a ClassicalDistribution.  Every state is converted and checked once, and
+    nothing downstream checks it again, since every functional trusts a
+    ClassicalDistribution: a candidate basis costs d distributions for its
+    d(d-1) ordered pairs, and each restart state and --mixed corner is one
+    distribution; the restart refinement converts only the state it moves,
+    since each line search holds the other state fixed.
 
     The basis scan takes the candidate bases a chunk at a time, as
     _candidate_bases yields them from one stacked eig_hermitian call.  The
-    chunk's projectors are converted and checked in one stacked induced_probs
-    call; a state that is not a distribution raises its own DomainError there,
-    before the chunk is scored.  All the chunk's ordered pairs are then scored
-    in one call, rows(P_stack, Q_stack) -> (values, s): two float arrays whose
-    row k holds objective(P_k, Q_k)'s value and optimizer_s, with NaN for a
-    None optimizer_s.  rows is the objective's `rows` attribute (zeta_chernoff
-    and zeta_stein carry the channel row forms), or else channel._pair_rows,
-    which calls the objective once per pair.  The incumbent is the first
+    chunk's projectors are converted in one stacked induced_probs call and
+    checked as one ClassicalDistribution stack; a state that is not a
+    distribution raises its own DomainError there, before the chunk is
+    scored.  All the chunk's ordered pairs are then scored in one call on two
+    stacks indexed from that one, rows(P_stack, Q_stack) -> (values, s): two
+    float arrays whose row k holds objective(P_k, Q_k)'s value and
+    optimizer_s, with NaN for a None optimizer_s.  rows is the objective's
+    `rows` attribute (zeta_chernoff and zeta_stein carry the channel row
+    forms), or else channel._pair_rows, which calls the objective once per
+    pair on the stacks' rows.  The incumbent is the first
     largest value of a chunk that beats the incumbent so far; NaN never
     counts.  So, as in a scan of one pair at a time in (basis,
     itertools.permutations) order, it is the first strict maximum, and the
@@ -254,7 +257,7 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     for evecs in _candidate_bases(p):
         vecs = evecs.swapaxes(-1, -2)
         proj = vecs[..., :, None] * vecs.conj()[..., None, :]  # proj[b, i] = np.outer(v_i, v_i*)
-        states = _checked_rows(induced_probs(p, proj.reshape(-1, d, d)))
+        states = ClassicalDistribution(induced_probs(p, proj.reshape(-1, d, d)))
         at = np.arange(len(proj))[:, None] * d
         values, s = rows(states[(at + pairs[:, 0]).ravel()], states[(at + pairs[:, 1]).ravel()])
         if not len(values):  # d = 1: a basis holds no ordered pair

@@ -9,7 +9,11 @@ bit.  eig_hermitian_2d decomposes one matrix by itself, as eig_hermitian did
 before a matrix became a stack of one, and mixed_line_search is the
 golden-section --mixed refinement that the corner check replaced.
 iid_ml_error decides the i.i.d. ML test type by type in exact rational
-arithmetic, so its ties are exact.
+arithmetic, so its ties are exact.  checked_probs checks one flattened
+distribution by itself, as the channel did before a ClassicalDistribution
+checked every row of a stack, and covariant_zeta_loop scores one Bloch
+direction at a time, as covariant_zeta_numeric did before it scored them
+all in one row-wise call.
 """
 
 import itertools
@@ -19,7 +23,16 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
-from detpower.channel import ClassicalDistribution, ExponentValue, golden_section_min, induced_probs
+from detpower.channel import (
+    NEG_CLAMP,
+    SUM_TOL,
+    ClassicalDistribution,
+    ExponentValue,
+    chernoff_exponent,
+    golden_section_min,
+    induced_probs,
+)
+from detpower.closed_forms import COVARIANT_DIRECTIONS, fibonacci_covariant_discretization
 from detpower.core import TOL_HERM, eig_hermitian
 from detpower.errors import DomainError, StructuralError
 
@@ -204,3 +217,40 @@ def iid_ml_error(p, q, n):
             size += count
         p_err += count * min(pt, qt)
     return p_err / 2, size
+
+
+def checked_probs(probs):
+    """A flat float copy of `probs` checked as a distribution.
+
+    Entries above -NEG_CLAMP are clipped to 0; the sum must be 1 within SUM_TOL.
+    """
+    p = np.asarray(probs, dtype=float).ravel()
+    if not np.all(np.isfinite(p)):
+        raise DomainError("distribution has non-finite entries")
+    if p.min(initial=0.0) < -NEG_CLAMP:
+        raise DomainError(f"negative probability {p.min():.3e}")
+    p = np.maximum(p, 0.0)
+    if abs(p.sum() - 1.0) > SUM_TOL:
+        raise DomainError(f"probabilities sum to {p.sum()}, not 1")
+    return p
+
+
+def covariant_zeta_loop(disc):
+    """The Chernoff exponent along each direction in turn, keeping the first
+    strict maximum above 0 and stopping at the first infinite value."""
+    if disc.m == 2:
+        return ExponentValue(math.inf, None)
+    dirs = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
+    extra = fibonacci_covariant_discretization(2 * (COVARIANT_DIRECTIONS - 3)).nodes[0::2]
+    dirs.extend(extra[: COVARIANT_DIRECTIONS - 3])
+    best = ExponentValue(0.0, None)
+    for b in dirs:
+        proj = disc.nodes @ b
+        p0 = np.clip((1.0 + proj) / disc.m, 0.0, None)
+        p1 = np.clip((1.0 - proj) / disc.m, 0.0, None)
+        ev = chernoff_exponent(p0, p1)
+        if ev.value > best.value:
+            best = ev
+        if ev.infinite:
+            break
+    return best

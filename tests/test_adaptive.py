@@ -9,6 +9,7 @@ from detpower import (
     JointState,
     Povm,
     ProductInput,
+    DomainError,
     ResourceError,
     StructuralError,
     best_product_pair,
@@ -199,6 +200,14 @@ class TestOptimal:
         with pytest.raises(ResourceError):
             optimal_adaptive(diag_povm, cands, 3)
 
+    @pytest.mark.parametrize("n, count", [(0, 2), (-1, 2), (3, 0), (5, 0), (0, 9)])
+    def test_domain_refused_before_caps(self, basis_states, n, count):
+        # a three-outcome detector and, for count 9, too many candidates are
+        # beyond the caps, but a depth below 1 or no candidate is no instance
+        three = Povm(tuple(np.diag(e).astype(complex) for e in ([0.5, 0.2], [0.3, 0.3], [0.2, 0.5])))
+        with pytest.raises(DomainError):
+            optimal_adaptive(three, (list(basis_states) * 5)[:count], n)
+
     def test_matches_iid_ml_when_feedback_useless(self, basis_states):
         # symmetric detector: feedback cannot help, optimum equals i.i.d. ML
         p = Povm((np.diag([0.8, 0.2]).astype(complex), np.diag([0.2, 0.8]).astype(complex)))
@@ -231,6 +240,6 @@ class TestCandidateDimension:
     def test_rows_are_the_induced_distributions(self):
         rng = np.random.default_rng(3)
         p, pool = random_povm(rng, 2, 3), candidate_pool(rng)
-        rows = candidate_probs(p, pool)
+        rows = candidate_probs(p, pool).probs
         assert rows.shape == (len(pool), 3)
         assert all(row.tobytes() == induced_probs(p, c.mat).tobytes() for row, c in zip(rows, pool))

@@ -20,9 +20,9 @@ from detpower import (
 )
 from detpower.channel import (
     _INVPHI,
-    _checked_probs,
-    _checked_rows,
+    NEG_CLAMP,
     _golden_rows,
+    _pair_rows,
     _phi_evaluator,
     chernoff_rows,
     relative_entropy_rows,
@@ -196,40 +196,91 @@ def _spoil(row, bad):
 
 
 class TestCheckedRows:
-    """_checked_rows is _checked_probs on every row; the first failing row raises its error."""
+    """A stack is checked row by row as oracles.checked_probs checks one
+    distribution; the first failing row raises its error."""
 
-    @given(stacks=row_stacks(), spoiled=st.lists(st.tuples(st.integers(0, 29), bad_rows), max_size=3))
-    def test_same_checks_messages_and_clamp(self, stacks, spoiled):
-        probs = stacks[0] - 1e-13 * (stacks[0] == 0.0)  # zeros become tiny negatives, clamped to 0
+    @given(
+        stacks=row_stacks(),
+        spoiled=st.lists(st.tuples(st.integers(0, 29), bad_rows), max_size=3),
+        zeros=st.sampled_from([0.0, -1e-13, -NEG_CLAMP]),  # exact zeros, or tiny negatives clamped to 0
+        halves=st.booleans(),
+    )
+    def test_same_checks_messages_and_clamp(self, stacks, spoiled, zeros, halves):
+        probs = np.where(stacks[0] == 0.0, zeros, stacks[0])
         for where, bad in spoiled:
             probs[where % len(probs)] = _spoil(probs[where % len(probs)], bad)
+        if halves and len(probs) % 2 == 0:  # an (L/2, 2, m) stack, rows still in C order
+            probs = probs.reshape(-1, 2, probs.shape[-1])
+        rows = probs.reshape(-1, probs.shape[-1])
         want = []
-        for row in probs:
+        for row in rows:
             try:
-                want.append(_checked_probs(row))
+                want.append(oracles.checked_probs(row))
             except DomainError as exc:
                 with pytest.raises(DomainError) as err:
-                    _checked_rows(probs)
+                    ClassicalDistribution(probs)
                 assert str(err.value) == str(exc)
                 return
-        rows = _checked_rows(probs)
-        assert rows.shape == probs.shape
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, want))
+        dist = ClassicalDistribution(probs)
+        assert dist.probs.shape == probs.shape
+        got = [dist[np.unravel_index(k, probs.shape[:-1])].probs for k in range(len(rows))]
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    @given(stacks=row_stacks())
+    def test_one_row_is_the_one_distribution(self, stacks):
+        for row in stacks[0]:
+            assert ClassicalDistribution(row).probs.tobytes() == oracles.checked_probs(row).tobytes()
+
+    def test_rows_are_not_checked_again(self, monkeypatch):
+        dist = ClassicalDistribution(np.array([[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]]))
+        calls = []
+        check = ClassicalDistribution.__post_init__
+        monkeypatch.setattr(ClassicalDistribution, "__post_init__", lambda self: calls.append(check(self)))
+        rows = [dist[1], dist[np.int64(2)], dist[[2, 0]], dist[np.array([True, False, True])], dist[1:]]
+        assert calls == []
+        assert [r.probs.tolist() for r in rows] == [
+            [1.0, 0.0],
+            [0.25, 0.75],
+            [[0.25, 0.75], [0.5, 0.5]],
+            [[0.5, 0.5], [0.25, 0.75]],
+            [[1.0, 0.0], [0.25, 0.75]],
+        ]
+        assert all(isinstance(r, ClassicalDistribution) and not r.probs.flags.writeable for r in rows)
+        assert [r.probs.tolist() for r in dist] == dist.probs.tolist()  # iteration walks the rows
+
+    def test_indexing_stays_on_the_stack_axes(self):
+        dist = ClassicalDistribution(np.full((2, 2), 0.5))
+        with pytest.raises(IndexError):
+            dist[0, 1]  # the outcome axis is not a row
+        with pytest.raises(TypeError):
+            dist[0][0]  # a single distribution has no rows
+        with pytest.raises(TypeError):
+            list(ClassicalDistribution([0.5, 0.5]))
+
+    @pytest.mark.parametrize(
+        "pair",
+        [chernoff_exponent, relative_entropy, lambda p, q: hoeffding_exponent(p, q, 0.05), lambda p, q: phi(0.5, p, q)],
+        ids=["chernoff_exponent", "relative_entropy", "hoeffding_exponent", "phi"],
+    )
+    def test_pair_functions_refuse_a_stack(self, pair):
+        stack = ClassicalDistribution(np.full((2, 3), 1 / 3))
+        with pytest.raises(StructuralError):
+            pair(stack, stack)
+
+
+BAD_ROWS = [
+    [np.nan, 0.5, 0.5],
+    [np.inf, 0.5, 0.5],
+    [-np.inf, 0.5, 0.5],
+    [-2e-12, 0.5, 0.5 + 2e-12],
+    [0.2, 0.3, 0.5 + 2e-9],
+    [0.2, 0.3, 0.5 - 2e-9],
+]
 
 
 class TestValidation:
     @pytest.mark.parametrize("checker", RAW_CHECKERS)
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            [np.nan, 0.5, 0.5],
-            [np.inf, 0.5, 0.5],
-            [-np.inf, 0.5, 0.5],
-            [-2e-12, 0.5, 0.5 + 2e-12],
-            [0.2, 0.3, 0.5 + 2e-9],
-            [0.2, 0.3, 0.5 - 2e-9],
-        ],
-    )
+    @pytest.mark.parametrize("bad", BAD_ROWS)
     def test_rejects_raw_array(self, checker, bad):
         with pytest.raises(DomainError):
             RAW_CHECKERS[checker](np.array(bad))
@@ -246,13 +297,12 @@ class TestValidation:
     def test_probs_read_only_copy(self):
         raw = np.array([[0.25, 0.75]])
         d = ClassicalDistribution(raw)
-        assert d.probs.shape == (2,)
         assert not d.probs.flags.writeable
         with pytest.raises(ValueError):
             d.probs[0] = 0.5
         assert raw.flags.writeable
         raw[0, 0] = 0.5
-        assert d.probs[0] == 0.25
+        assert d.probs[0, 0] == 0.25
 
 
 class TestPhi:
@@ -381,6 +431,31 @@ class TestRowForms:
         assert (_hex(values[1]), _hex(s[1])) == (_hex(want.value), _hex(want.optimizer_s))
         assert values[1] == 0.0
         assert relative_entropy_rows([[0.5, 0.5]], [[1.0, 0.0]]).tolist() == [math.inf]
+
+    @pytest.mark.parametrize(
+        "rows", [chernoff_rows, relative_entropy_rows, _pair_rows(chernoff_exponent)], ids=["chernoff", "stein", "pair"]
+    )
+    def test_checked_stacks_are_not_checked_again(self, monkeypatch, rows):
+        # rows with zero entries go through the per-pair functions
+        P = ClassicalDistribution([[0.5, 0.5], [1.0, 0.0], [0.2, 0.8]])
+        Q = ClassicalDistribution([[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]])
+        checks = []
+        check = ClassicalDistribution.__post_init__
+        monkeypatch.setattr(ClassicalDistribution, "__post_init__", lambda self: checks.append(check(self)))
+        rows(P, Q)
+        assert checks == []
+
+    @pytest.mark.parametrize("rows", [chernoff_rows, relative_entropy_rows])
+    @pytest.mark.parametrize("bad", BAD_ROWS + [[0.7, 0.7, 0.0]])
+    def test_raw_rows_checked_as_the_pair_functions_check(self, rows, bad):
+        pair = chernoff_exponent if rows is chernoff_rows else relative_entropy
+        good = [0.2, 0.3, 0.5]
+        for p, q in (([good, bad], [good, good]), ([good, good], [good, bad])):
+            with pytest.raises(DomainError) as want:
+                pair(p[1], q[1])
+            with pytest.raises(DomainError) as err:
+                rows(np.array(p), np.array(q))
+            assert str(err.value) == str(want.value)
 
     @pytest.mark.parametrize("rows", [chernoff_rows, relative_entropy_rows])
     def test_stacks_of_different_shapes_refused(self, rows):

@@ -357,6 +357,28 @@ class TestAdaptive:
         code, _ = run(capsys, "adaptive", POVM_FILE, "--n", "6")
         assert code == 4
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_depth_below_one_exit_3(self, capsys, tmp_path, n):
+        # a three-outcome detector is beyond the search cap, but depth 0 is no instance
+        three = [np.diag(e) for e in ([0.5, 0.2], [0.3, 0.3], [0.2, 0.5])]
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(povm_to_json(Povm(tuple(e.astype(complex) for e in three)))))
+        code = main(["adaptive", str(path), "--n", n])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "depth must be positive" in captured.err
+
+    def test_single_state_candidates_file_exit_2(self, capsys, tmp_path):
+        # {"dim": d, "state": matrix} is not a candidates file
+        path = tmp_path / "candidates.json"
+        path.write_text(json.dumps({"dim": 2, "state": matrix_to_json(np.eye(2) / 2)}))
+        code = main(["adaptive", POVM_FILE, "--candidates", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert 'candidates file must be an object with "dim" and a list of "states"' in captured.err
+
     def test_candidates_not_a_list_exit_2(self, capsys, tmp_path):
         path = tmp_path / "candidates.json"
         path.write_text('{"dim": 2, "states": 5}')

@@ -27,6 +27,8 @@ from detpower import (
     zeta_chernoff,
 )
 
+import oracles
+
 LN_4_OVER_PI = math.log(4.0 / math.pi)
 
 
@@ -76,6 +78,15 @@ class TestCovariant:
         disc = fibonacci_covariant_discretization(10_000)
         val = covariant_zeta_numeric(disc)
         assert abs(val.value - LN_4_OVER_PI) < 1e-3
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 12, 40])
+    def test_rows_match_the_direction_loop(self, m):
+        disc = fibonacci_covariant_discretization(m)
+        got, want = covariant_zeta_numeric(disc), oracles.covariant_zeta_loop(disc)
+        assert got.value.hex() == want.value.hex()
+        assert (got.optimizer_s is None) == (want.optimizer_s is None)
+        if got.optimizer_s is not None:
+            assert got.optimizer_s.hex() == want.optimizer_s.hex()
 
     def test_two_nodes_perfect(self):
         disc = fibonacci_covariant_discretization(2)

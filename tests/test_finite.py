@@ -25,6 +25,7 @@ from detpower import (
 )
 from detpower.channel import candidate_probs, induced_probs
 from detpower.finite import (
+    DENSE_CAP,
     TYPES_CAP,
     _block_log_err,
     _log_factorials,
@@ -211,6 +212,18 @@ class TestBruteForce:
         d0, d1 = iid_dists(diag_povm, 5, basis_states)
         with pytest.raises(ResourceError):
             brute_force_grouping(d0, d1)
+
+    def test_cap_is_the_dense_cap(self):
+        # 2^20 partitions of 20 sequences fill DENSE_CAP; 21 sequences exceed it
+        for m in (20, 21):
+            p0 = SequenceDistribution(m, 1, np.full(m, 1 / m))
+            p1 = SequenceDistribution(m, 1, np.eye(m)[0])
+            if m == 20:
+                assert 2**m == DENSE_CAP
+                assert brute_force_grouping(p0, p1)[0] == ml_error_probability(p0, p1)[0]
+            else:
+                with pytest.raises(ResourceError, match="exceed the dense cap"):
+                    brute_force_grouping(p0, p1)
 
 
 class TestIidMl:

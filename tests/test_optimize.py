@@ -244,6 +244,20 @@ class TestSearchOverDistributions:
         assert n_bases == 7  # the 2^(m-1) - 1 proper groupings of 4 outcomes
         assert sum(calls) == p.dim * n_bases
 
+    @pytest.mark.parametrize("kind", ["chernoff", "stein", "hoeffding"])
+    def test_one_check_per_scan_chunk(self, monkeypatch, kind):
+        # d = 4, m = 8: 127 bases of 12 ordered pairs, scored 32 bases a chunk
+        p = random_povm(np.random.default_rng(11), 4, 8)
+        checks = []
+        check = ClassicalDistribution.__post_init__
+        monkeypatch.setattr(ClassicalDistribution, "__post_init__", lambda self: checks.append(check(self)))
+        opts = SearchOptions(restarts=0)
+        if kind == "hoeffding":
+            zeta_hoeffding(p, 0.05, opts)
+        else:
+            {"chernoff": zeta_chernoff, "stein": zeta_stein}[kind](p, opts)
+        assert len(checks) == sum(1 for _ in optimize._candidate_bases(p)) == 4
+
     def test_refinement_converts_only_the_moved_state(self, monkeypatch):
         p = random_povm(np.random.default_rng(7), 3, 4)
         conversions, objective_calls, line_searches = [], [], []
