@@ -24,7 +24,7 @@ SUM_TOL = 1e-9
 _INVPHI = (math.sqrt(5) - 1) / 2  # 1/golden ratio
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalDistribution:
     """One distribution over m outcomes, or an (..., m) stack of them.
 

@@ -29,7 +29,7 @@ class MixingBounds:
             raise DomainError("mixing lower bound exceeds upper bound")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovariantDiscretization:
     """Antipodally closed set of unit Bloch vectors; nodes come in (v, -v)
     pairs stored adjacently so their sum cancels exactly."""

@@ -41,7 +41,7 @@ def herm_deviation(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix."""
 
@@ -99,7 +99,7 @@ def bloch_to_density(b: BlochVector) -> DensityMatrix:
     return DensityMatrix((m + m.conj().T) / 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Ordered list of outcome operators on a common d-dimensional space.
 

@@ -66,7 +66,7 @@ class ProductInput:
         return cls((rho,) * n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequenceDistribution:
     """Probabilities over outcome sequences k^n, flattened with k_1 most significant."""
 

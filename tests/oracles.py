@@ -13,7 +13,9 @@ arithmetic, so its ties are exact.  checked_probs checks one flattened
 distribution by itself, as the channel did before a ClassicalDistribution
 checked every row of a stack, and covariant_zeta_loop scores one Bloch
 direction at a time, as covariant_zeta_numeric did before it scored them
-all in one row-wise call.
+all in one row-wise call.  conditional_state applies the d^n x d^n operator
+E_h1 x ... x E_hs x I to the joint state and then takes the partial trace,
+as the library did before one einsum did both.
 """
 
 import itertools
@@ -33,7 +35,7 @@ from detpower.channel import (
     induced_probs,
 )
 from detpower.closed_forms import COVARIANT_DIRECTIONS, fibonacci_covariant_discretization
-from detpower.core import TOL_HERM, eig_hermitian
+from detpower.core import TOL_HERM, DensityMatrix, eig_hermitian
 from detpower.errors import DomainError, StructuralError
 
 
@@ -254,3 +256,25 @@ def covariant_zeta_loop(disc):
         if ev.infinite:
             break
     return best
+
+
+def conditional_state(joint, p, history):
+    """(state, weight) of slot s = len(history) given the outcomes so far,
+    from the full operator kron(E_h..., I) times the joint state."""
+    history = tuple(int(k) for k in history)
+    d, n = joint.local_dim, joint.n
+    s = len(history)
+    op = np.array([1.0 + 0.0j])
+    for k in history:
+        op = np.kron(op, p.elements[k])
+    op = np.kron(op, np.eye(d ** (n - s), dtype=complex))
+    t = (op @ joint.mat).reshape((d,) * n + (d,) * n)
+    row_labels = [i if i != s else 2 * n for i in range(n)]
+    col_labels = [i if i != s else 2 * n + 1 for i in range(n)]
+    cond = np.einsum(t, row_labels + col_labels, [2 * n, 2 * n + 1])
+    weight = float(np.trace(cond).real)
+    if weight <= 1e-15:
+        return None, 0.0
+    cond = cond / weight
+    cond = (cond + cond.conj().T) / 2
+    return DensityMatrix(cond), weight

@@ -19,28 +19,51 @@ from detpower import (
     optimal_adaptive,
     sequence_distribution,
 )
+from detpower import adaptive
 from detpower.channel import candidate_probs, induced_probs
-from conftest import candidate_pool, diag_detector, random_povm, rate_pairs
+from detpower.finite import DENSE_CAP
+from conftest import candidate_pool, diag_detector, random_density, random_distribution, random_povm, rate_pairs
 import oracles
 
-# deepest tree per candidate count that keeps the recursive oracle under 6k leaves
-MAX_ORACLE_DEPTH = {1: 4, 2: 4, 3: 3, 4: 2}
+# most leaves, (|C|^2 m)^n, that the recursive oracle visits in one example
+MAX_ORACLE_LEAVES = 6000
+
+PROJECTIVE = Povm((np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)))
+
+
+def max_depth(nc, m):
+    """Deepest tree that the oracle enumerates and the search admits."""
+    n = 1
+    while (nc * nc * m) ** (n + 1) <= MAX_ORACLE_LEAVES and (max(nc, 2) ** 2 * m) ** (n + 1) <= DENSE_CAP:
+        n += 1
+    return n
+
+
+def diag_elements(a, b):
+    """Qubit detector whose outcome k is diag(a[k], b[k])."""
+    return Povm(tuple(np.diag([x, y]).astype(complex) for x, y in zip(a, b)))
 
 
 @st.composite
-def two_outcome_cases(draw):
-    """A two-outcome qubit detector (projective ones give zero-weight
+def adaptive_cases(draw):
+    """A qubit detector with 2-4 outcomes (projective ones give zero-weight
     branches) and 1-4 candidates drawn with repeats from the computational
     basis and two random pure states."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 4))
     kind = draw(st.sampled_from(["projective", "diag", "random"]))
     if kind == "random":
-        povm = random_povm(rng, 2, 2)
-    else:
+        povm = random_povm(rng, 2, m)
+    elif m == 2:
         povm = diag_detector(*((1.0, 0.0) if kind == "projective" else draw(rate_pairs())))
+    elif kind == "projective":
+        # |0><0| always clicks 0, |1><1| never does
+        povm = diag_elements(np.eye(m)[0], np.r_[0.0, random_distribution(rng, m - 1)])
+    else:
+        povm = diag_elements(random_distribution(rng, m), random_distribution(rng, m))
     pool = candidate_pool(rng)
     cands = [pool[k] for k in draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))]
-    n = draw(st.integers(1, MAX_ORACLE_DEPTH[len(cands)]))
+    n = draw(st.integers(1, max_depth(len(cands), m)))
     return povm, cands, n
 
 
@@ -102,6 +125,23 @@ class TestConditionalState:
         with pytest.raises(StructuralError):
             conditional_state(joint, diag_povm, (0, 0))
 
+    def test_outcome_out_of_range_rejected(self, diag_povm, basis_states):
+        rho0, _ = basis_states
+        joint = JointState(np.kron(rho0.mat, rho0.mat), local_dim=2, n=2)
+        with pytest.raises(StructuralError, match="outcome 2 out of range"):
+            conditional_state(joint, diag_povm, (2,))
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 3), n=st.integers(1, 4), m=st.integers(2, 3), data=st.data())
+    def test_matches_full_operator(self, seed, d, n, m, data):
+        rng = np.random.default_rng(seed)
+        joint = JointState(random_density(rng, d**n).mat, local_dim=d, n=n)
+        p = random_povm(rng, d, m)
+        history = data.draw(st.lists(st.integers(0, m - 1), max_size=n - 1))
+        state, weight = conditional_state(joint, p, history)
+        want_state, want_weight = oracles.conditional_state(joint, p, history)
+        assert abs(weight - want_weight) <= 1e-14
+        assert np.max(np.abs(state.mat - want_state.mat)) <= 1e-14
+
 
 class TestEvaluate:
     def test_feedback_beats_fixed_inputs(self, diag_povm, basis_states):
@@ -153,24 +193,34 @@ class TestEvaluate:
         with pytest.raises(StructuralError, match=r"\(2, 2, 2\)"):
             evaluate_strategy(diag_povm, bad)
 
+    def test_grouping_on_dead_branch(self, basis_states):
+        # |0><0| never clicks 1 on the projective detector, so branch (1,) is
+        # dead: an in-range entry there adds nothing, an out-of-range one raises
+        choices = {(): (0, 0), (0,): (0, 0)}
+        ok = AdaptiveStrategy(depth=2, candidates=tuple(basis_states), choices=choices, grouping={(1, 1)})
+        assert evaluate_strategy(PROJECTIVE, ok) == 0.5
+        bad = AdaptiveStrategy(depth=2, candidates=tuple(basis_states), choices=choices, grouping={(1, 2)})
+        with pytest.raises(StructuralError, match=r"grouping history \(1, 2\) is not an outcome sequence"):
+            evaluate_strategy(PROJECTIVE, bad)
+
 
 class TestOptimal:
-    @given(case=two_outcome_cases())
+    @given(case=adaptive_cases())
     def test_matches_recursive_search(self, case):
         povm, cands, n = case
         p_err, strat = optimal_adaptive(povm, cands, n)
         want_err, want_choices = oracles.optimal_adaptive(povm, cands, n)
         assert p_err == want_err
         assert list(strat.choices.items()) == list(want_choices.items())
+        assert abs(evaluate_strategy(povm, strat) - p_err) <= 1e-15
 
     def test_zero_weight_branches_choose_first_pair(self, basis_states):
-        proj = Povm((np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)))
-        p_err, strat = optimal_adaptive(proj, basis_states, 2)
+        p_err, strat = optimal_adaptive(PROJECTIVE, basis_states, 2)
         assert p_err == 0.0
         # the root pair (0, 0) ties at zero error with (0, 1) and comes first;
         # it never yields outcome 1, so that branch has zero weight
         assert strat.choices == {(): (0, 0), (0,): (0, 1), (1,): (0, 0)}
-        assert strat.choices == oracles.optimal_adaptive(proj, basis_states, 2)[1]
+        assert strat.choices == oracles.optimal_adaptive(PROJECTIVE, basis_states, 2)[1]
 
     def test_depth_three(self, diag_povm, basis_states):
         p_err, strat = optimal_adaptive(diag_povm, basis_states, 3)
@@ -191,19 +241,49 @@ class TestOptimal:
         p_err, _ = optimal_adaptive(diag_povm, [basis_states[0]], 3)
         assert p_err == 0.5
 
+    @pytest.mark.parametrize("n, want", [(4, 0.3152), (5, 0.29472)])
+    def test_deeper_trees_match_recursive_search(self, diag_povm, basis_states, n, want):
+        p_err, strat = optimal_adaptive(diag_povm, basis_states, n)
+        want_err, want_choices = oracles.optimal_adaptive(diag_povm, basis_states, n)
+        assert p_err == want_err
+        assert strat.choices == want_choices
+        assert abs(p_err - want) < 1e-12
+
     def test_depth_cap(self, diag_povm, basis_states):
-        with pytest.raises(ResourceError):
-            optimal_adaptive(diag_povm, basis_states, 5)
+        # two candidates on two outcomes: 8^6 = 2^18 leaves run, 8^7 = 2^21 do not
+        p_err, _ = optimal_adaptive(diag_povm, basis_states, 6)
+        assert abs(p_err - 0.27872) < 1e-12
+        for n in (7, 10**9):
+            with pytest.raises(ResourceError, match=f"8\\^{n} leaves"):
+                optimal_adaptive(diag_povm, basis_states, n)
 
     def test_candidate_cap(self, diag_povm, basis_states):
-        cands = list(basis_states) * 3
+        # 4 candidates at n = 4 need exactly 2^20 leaves, 5 candidates 50^4
+        p_err, _ = optimal_adaptive(diag_povm, list(basis_states) * 2, 4)
+        assert abs(p_err - 0.3152) < 1e-12
         with pytest.raises(ResourceError):
-            optimal_adaptive(diag_povm, cands, 3)
+            optimal_adaptive(diag_povm, (list(basis_states) * 3)[:5], 4)
 
-    @pytest.mark.parametrize("n, count", [(0, 2), (-1, 2), (3, 0), (5, 0), (0, 9)])
+    @pytest.mark.parametrize("count, m, n", [(1, 3, 2), (2, 2, 3), (3, 4, 2), (4, 2, 1), (2, 3, 3)])
+    def test_budget_edge(self, monkeypatch, basis_states, count, m, n):
+        # refused exactly when (max(|C|, 2)^2 m)^n leaves exceed the dense cap
+        p = diag_elements(random_distribution(np.random.default_rng(m), m), np.full(m, 1.0 / m))
+        cands = (list(basis_states) * 2)[:count]
+        leaves = (max(count, 2) ** 2 * m) ** n
+        monkeypatch.setattr(adaptive, "DENSE_CAP", leaves)
+        optimal_adaptive(p, cands, n)
+        monkeypatch.setattr(adaptive, "DENSE_CAP", leaves - 1)
+        with pytest.raises(ResourceError):
+            optimal_adaptive(p, cands, n)
+
+    def test_one_outcome_detector_refused(self, basis_states):
+        with pytest.raises(DomainError, match="POVM must have at least 2 outcomes"):
+            optimal_adaptive(Povm((np.eye(2, dtype=complex),)), basis_states, 2)
+
+    @pytest.mark.parametrize("n, count", [(0, 2), (-1, 2), (3, 0), (5, 0), (0, 9), (10**9, 0)])
     def test_domain_refused_before_caps(self, basis_states, n, count):
-        # a three-outcome detector and, for count 9, too many candidates are
-        # beyond the caps, but a depth below 1 or no candidate is no instance
+        # 9 candidates or depth 10^9 are beyond the leaf budget, but a depth
+        # below 1 or no candidate is no instance
         three = Povm(tuple(np.diag(e).astype(complex) for e in ([0.5, 0.2], [0.3, 0.3], [0.2, 0.5])))
         with pytest.raises(DomainError):
             optimal_adaptive(three, (list(basis_states) * 5)[:count], n)

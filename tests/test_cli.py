@@ -354,12 +354,42 @@ class TestAdaptive:
         assert abs(rep["results"]["p_err"]["value"] - 0.4) < 1e-12
 
     def test_depth_cap_exit_4(self, capsys):
-        code, _ = run(capsys, "adaptive", POVM_FILE, "--n", "6")
+        # the basis pair on two outcomes: 8^6 leaves fit the dense cap 2^20, 8^7 do not
+        code, rep = run_json(capsys, "adaptive", POVM_FILE, "--n", "6")
+        assert code == 0
+        assert abs(rep["results"]["p_err"]["value"] - 0.27872) < 1e-12
+        code, out = run(capsys, "adaptive", POVM_FILE, "--n", "7")
         assert code == 4
+        assert out == ""
+
+    def test_huge_depth_exit_4_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out = run(capsys, "adaptive", POVM_FILE, "--n", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert out == ""
+
+    def test_deep_strategy_file(self, capsys, tmp_path):
+        # a projective detector and a depth-30 tree whose only live path
+        # clicks 0 under both hypotheses: ML errs half the time
+        proj = tmp_path / "proj.json"
+        proj.write_text(json.dumps(povm_to_json(Povm((np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))))))
+        strat = tmp_path / "deep.json"
+        strat.write_text(json.dumps({
+            "depth": 30,
+            "dim": 2,
+            "candidates": [matrix_to_json(np.diag([1.0, 0.0]))],
+            "choices": {"1" * k: [0, 0] for k in range(30)},
+        }))
+        start = time.perf_counter()
+        code, rep = run_json(capsys, "adaptive", str(proj), "--strategy", str(strat))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert rep["results"]["p_err"]["value"] == 0.5
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_depth_below_one_exit_3(self, capsys, tmp_path, n):
-        # a three-outcome detector is beyond the search cap, but depth 0 is no instance
+        # depth 0 is no instance, whatever the detector
         three = [np.diag(e) for e in ([0.5, 0.2], [0.3, 0.3], [0.2, 0.5])]
         path = tmp_path / "three.json"
         path.write_text(json.dumps(povm_to_json(Povm(tuple(e.astype(complex) for e in three)))))

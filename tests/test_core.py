@@ -6,15 +6,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from detpower import (
+    AdaptiveStrategy,
     BlochVector,
+    ClassicalDistribution,
     DensityMatrix,
     DomainError,
     GroupingMask,
+    JointState,
     Povm,
+    ProductInput,
     ResourceError,
+    SequenceDistribution,
+    StatePair,
     StructuralError,
     bloch_to_density,
     eig_hermitian,
+    fibonacci_covariant_discretization,
     sequence_operator,
     validate_povm,
 )
@@ -410,3 +417,37 @@ class TestGroupingMask:
         assert set(np.flatnonzero(mask.accept).tolist()) == indices
         with pytest.raises(ValueError):
             mask.accept[0] = True
+
+
+def _qubit():
+    return DensityMatrix(np.eye(2, dtype=complex) / 2)
+
+
+class TestIdentityEquality:
+    """Types that hold arrays compare and hash by identity: == between two
+    equal instances neither raises nor compares the arrays."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ClassicalDistribution([0.5, 0.5]),
+            _qubit,
+            lambda: Povm((np.eye(2, dtype=complex) / 2, np.eye(2, dtype=complex) / 2)),
+            lambda: SequenceDistribution(2, 1, [0.5, 0.5]),
+            lambda: JointState(np.eye(4, dtype=complex) / 4, local_dim=2, n=2),
+            lambda: fibonacci_covariant_discretization(4),
+            lambda: AdaptiveStrategy(depth=1, candidates=(_qubit(),), choices={(): (0, 0)}),
+            lambda: StatePair(_qubit(), _qubit()),
+            lambda: ProductInput((_qubit(),)),
+        ],
+        ids=[
+            "ClassicalDistribution", "DensityMatrix", "Povm", "SequenceDistribution", "JointState",
+            "CovariantDiscretization", "AdaptiveStrategy", "StatePair", "ProductInput",
+        ],
+    )
+    def test_equal_twins_are_distinct(self, make):
+        a, twin = make(), make()
+        assert a == a
+        assert a != twin
+        assert hash(a) == hash(a)
+        assert a in {a} and len({a, twin}) == 2
