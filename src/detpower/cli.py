@@ -21,6 +21,7 @@ from .core import DensityMatrix, Povm, eig_hermitian, validate_povm
 from .errors import DomainError, ParseError, ResourceError, StructuralError
 from .finite import (
     ProductInput,
+    _check_sequences,
     best_product_pair,
     brute_force_grouping,
     iid_ml_log_error,
@@ -147,20 +148,22 @@ def cmd_finite(args) -> int:
     diagnostics: dict = {}
     results: dict = {}
     basis = _basis_candidates(povm)
+    # the extreme eigenvectors, the pair sweep_x aggregates
+    pair = (basis[0], basis[-1])
     if args.mode == "ml":
-        p_row, q_row = candidate_probs(povm, (basis[0], basis[-1]))
+        p_row, q_row = candidate_probs(povm, pair)
         log_err, diagnostics["grouping_size"] = iid_ml_log_error(p_row, q_row, n)
         results["p_err"] = {"value": math.exp(log_err), "units": "probability"}
         # from the log, as in the sweep, so it survives p_err underflowing
         results["rate"] = _scalar(-log_err / n, "nats", False)
     elif args.mode == "brute":
-        dist0 = sequence_distribution(povm, ProductInput.iid(basis[0], n))
-        dist1 = sequence_distribution(povm, ProductInput.iid(basis[-1], n))
+        _check_sequences(povm.n_outcomes, n)  # before an input of n slots is built
+        dist0, dist1 = (sequence_distribution(povm, ProductInput.iid(rho, n)) for rho in pair)
         p_err, mask = brute_force_grouping(dist0, dist1)
         results["p_err"] = {"value": p_err, "units": "probability"}
         diagnostics["grouping_size"] = int(mask.accept.sum())
     elif args.mode == "pattern":
-        p_err, (pat0, pat1) = best_product_pair(povm, n, basis[:2])
+        p_err, (pat0, pat1) = best_product_pair(povm, n, pair)
         results["p_err"] = {"value": p_err, "units": "probability"}
         results["pattern"] = {
             "value": ["".join(map(str, pat0)), "".join(map(str, pat1))],

@@ -1,10 +1,9 @@
 """Exact error probabilities for n repeated uses of the detector.
 
-Three representations are used: dense outcome-sequence distributions for small
-m^n (brute force, product patterns, non-i.i.d. inputs), types of outcome
-counts (log domain) for the ML error of an i.i.d. pair, and binomially
-aggregated counts (log domain) for two-element qubit POVMs at large n, where
-the pattern-fraction sweeps and rate checks live.
+Dense outcome-sequence distributions serve small m^n (brute force, arbitrary
+product inputs).  Types of outcome counts, in the log domain, serve i.i.d.
+pairs and product patterns; patterns of two states on two outcomes are the
+O(n) binomial blocks of the pattern-fraction sweep.
 """
 
 from __future__ import annotations
@@ -24,11 +23,10 @@ DENSE_CAP = 2**20
 SWEEP_WORK_CAP = 10**7
 # largest n that sweep_x and empirical_rate aggregate
 AGGREGATION_CAP = 10**5
-# most types C(n + m - 1, m - 1) that iid_ml_log_error enumerates.  Its exact
-# counts are longest at m = 2, n = TYPES_CAP - 1: about 0.13 s and 19 MB above
-# the import (53 MB peak) on a 2-vCPU Xeon.  There m^n, the bound on
-# grouping_size, has 3010 digits, under Python's 4300-digit limit on printing
-# an int; m > 2 reaches a smaller n.
+# most types that iid_ml_log_error enumerates, and best_product_pair over all
+# its compositions.  Exact i.i.d. counts are longest at m = 2, n = TYPES_CAP - 1:
+# about 0.13 s and 19 MB above the import (53 MB peak) on a 2-vCPU Xeon, where
+# m^n has 3010 digits, under Python's 4300-digit limit on printing an int.
 TYPES_CAP = 10**4
 
 # Cephes lgam (scipy.special.gammaln) at x = k + 1 takes the log of the exact
@@ -80,23 +78,23 @@ class SequenceDistribution:
         object.__setattr__(self, "probs", ClassicalDistribution(np.ravel(self.probs)).probs)
 
     def sequence(self, index: int) -> tuple:
-        return _digits(index, self.m, self.n)
+        digits = []
+        for _ in range(self.n):
+            index, k = divmod(index, self.m)
+            digits.append(k)
+        return tuple(reversed(digits))
 
 
-def _digits(index: int, base: int, n: int) -> tuple:
-    """The n base-`base` digits of index, most significant first."""
-    digits = []
-    for _ in range(n):
-        index, k = divmod(index, base)
-        digits.append(k)
-    return tuple(reversed(digits))
+def _check_sequences(m: int, n: int) -> None:
+    """Refuse m^n > DENSE_CAP sequences; any m >= 2 exceeds it from n = 21 on."""
+    if m ** min(n, 21) > DENSE_CAP:
+        raise ResourceError(f"{m}^{n} sequences exceed the dense cap {DENSE_CAP}")
 
 
 def sequence_distribution(p: Povm, inp: ProductInput) -> SequenceDistribution:
     """Product distribution over outcome sequences for independent slot inputs."""
     m, n = p.n_outcomes, inp.n
-    if m**n > DENSE_CAP:
-        raise ResourceError(f"{m}^{n} sequences exceed the dense cap {DENSE_CAP}")
+    _check_sequences(m, n)
     probs = np.array([1.0])
     for row in candidate_probs(p, inp.factors).probs:
         probs = np.kron(probs, row)
@@ -157,61 +155,6 @@ def brute_force_grouping(p0: SequenceDistribution, p1: SequenceDistribution):
         if best is None or p_err < best[0]:
             best = (p_err, accept)
     return best[0], GroupingMask(best[1])
-
-
-def _pattern_table(singles: np.ndarray, n: int) -> np.ndarray:
-    """Distributions of every candidate pattern: row a is the kron product of
-    the candidates named by the base-nc digits of a (first slot most
-    significant), multiplied in np.kron's order."""
-    table = np.ones((1, 1))
-    for _ in range(n):
-        table = (table[:, None, :, None] * singles[None, :, None, :]).reshape(len(table) * len(singles), -1)
-    return table
-
-
-def best_product_pair(p: Povm, n: int, candidates):
-    """Exhaustive ML error over slot-wise assignments of candidate states.
-
-    For a two-candidate set the sigma pattern is the index-swapped complement of
-    the rho pattern (the basis-pair case); otherwise both patterns are
-    enumerated independently.  All nc^n pattern distributions are held in one
-    (nc^n, m^n) table; with nc = 2 one more array of that size holds the
-    pairwise minima, and with nc > 2 the pairs are formed one rho pattern at a
-    time, so no array exceeds DENSE_CAP entries (8 MB).
-    """
-    if n < 1:
-        raise DomainError("n must be positive")
-    cands = list(candidates)
-    if len(cands) < 2:
-        raise DomainError("need at least two candidate states")
-    nc = len(cands)
-    count = 2**n if nc == 2 else nc ** (2 * n)
-    if count * (p.n_outcomes**n) > DENSE_CAP:
-        raise ResourceError(f"candidate-pattern enumeration exceeds the dense cap {DENSE_CAP}")
-    table = _pattern_table(candidate_probs(p, cands).probs, n)
-    if nc == 2:
-        # the complement of pattern a is pattern 2^n - 1 - a: the reversed rows
-        errs = 0.5 * np.sum(np.minimum(table, table[::-1]), axis=1)
-    else:
-        errs = np.concatenate([0.5 * np.sum(np.minimum(row, table), axis=1) for row in table])
-    errs = errs.tolist()
-    best = 0
-    for idx, p_err in enumerate(errs):
-        if p_err < errs[best] - 1e-15:
-            best = idx
-    if nc == 2:
-        pat0 = _digits(best, 2, n)
-        return errs[best], (pat0, tuple(1 - i for i in pat0))
-    a, b = divmod(best, len(table))
-    return errs[best], (_digits(a, nc, n), _digits(b, nc, n))
-
-
-def _diag_qubit_rates(p: Povm):
-    """Eigenvalues (p, q) of the first element of a two-element qubit POVM, p >= q."""
-    if p.dim != 2 or p.n_outcomes != 2:
-        raise DomainError("binomial aggregation needs a two-element qubit POVM")
-    evals, _ = eig_hermitian(p.elements[0])
-    return float(evals[0]), float(evals[1])
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -296,19 +239,22 @@ def _block_log_err(pp: float, qq: float, n: int, m: int) -> float:
     return _logsumexp(terms) - math.log(2.0)
 
 
-def _types(n: int, m: int) -> np.ndarray:
-    """Every type (k_1, ..., k_m) of n uses over m outcomes, one per row, k_1
-    slowest.  Each of the m - 1 steps splits a row with r uses left into the
-    r + 1 rows that give the next outcome 0..r of them."""
-    counts = np.zeros((1, 0), dtype=np.int64)
-    rest = np.array([n])
-    for _ in range(m - 1):
-        size = rest + 1
-        parent = np.repeat(np.arange(len(rest)), size)
-        k = np.arange(len(parent)) - np.repeat(np.cumsum(size) - size, size)
-        counts = np.column_stack((counts[parent], k))
-        rest = rest[parent] - k
-    return np.column_stack((counts, rest))
+def _types(counts, m: int) -> np.ndarray:
+    """Every joint type of classes with c_k uses each, one per row: the types
+    (k_1, ..., k_m) of the classes side by side, the first class and k_1
+    slowest.  Each of a class's m - 1 steps splits a row with r uses left
+    into the r + 1 rows that give the next outcome 0..r of them."""
+    types = np.zeros((1, 0), dtype=np.int64)
+    for c in counts:
+        rest = np.full(len(types), c)
+        for _ in range(m - 1):
+            size = rest + 1
+            parent = np.repeat(np.arange(len(rest)), size)
+            k = np.arange(len(parent)) - np.repeat(np.cumsum(size) - size, size)
+            types = np.column_stack((types[parent], k))
+            rest = rest[parent] - k
+        types = np.column_stack((types, rest))
+    return types
 
 
 def _binomial_rows(rows: np.ndarray, width: int) -> np.ndarray:
@@ -335,6 +281,30 @@ def _multinomial_sum(types: np.ndarray, n: int) -> int:
     return int(count.sum())
 
 
+def _check_types(n: int, cells: int) -> None:
+    """Refuse more than TYPES_CAP types of n over `cells` outcomes, unbuilt."""
+    if math.comb(n + cells - 1, cells - 1) > TYPES_CAP:
+        raise ResourceError(f"C({n + cells - 1}, {cells - 1}) types exceed the types cap {TYPES_CAP}")
+
+
+def _types_log_error(p_rows: np.ndarray, q_rows: np.ndarray, counts):
+    """(log p_err, joint types, accept) of the ML decision between
+    prod_k P_k^c_k and prod_k Q_k^c_k: iid_ml_log_error's sum over types, with
+    prod_k multinom(c_k; t_k) sequences per joint type and log-likelihoods
+    summed in class, then outcome order.  An empty class adds exact zeros."""
+    m = p_rows.shape[1]
+    types = _types(counts, m)
+    log_fact = _log_factorials(sum(counts) + 1)
+    log_mult = sum(log_fact[c] - log_fact[types[:, k * m : (k + 1) * m]].sum(axis=1) for k, c in enumerate(counts))
+    l0 = sum(_xlogy(types[:, col], r) for col, r in enumerate(p_rows.ravel()))
+    l1 = sum(_xlogy(types[:, col], r) for col, r in enumerate(q_rows.ravel()))
+    accept = l0 >= l1
+    terms = log_mult + np.where(accept, l1, l0)
+    terms = terms[np.isfinite(terms)]
+    log_err = _logsumexp(terms) - math.log(2.0) if terms.size else -math.inf
+    return log_err, types, accept
+
+
 def iid_ml_log_error(p_dist, q_dist, n: int):
     """(log p_err, grouping_size) of the ML decision between P^n and Q^n.
 
@@ -351,25 +321,68 @@ def iid_ml_log_error(p_dist, q_dist, n: int):
     if n < 1:
         raise DomainError("n must be positive")
     p, q = _pair(p_dist, q_dist)
-    m = len(p)
-    n_types = math.comb(n + m - 1, m - 1)
-    if n_types > TYPES_CAP:
-        raise ResourceError(f"{n_types} types of n = {n} over {m} outcomes exceed the types cap {TYPES_CAP}")
-    types = _types(n, m)
-    log_fact = _log_factorials(n + 1)
-    log_mult = log_fact[n] - log_fact[types].sum(axis=1)
-    l0 = sum(_xlogy(types[:, j], p[j]) for j in range(m))
-    l1 = sum(_xlogy(types[:, j], q[j]) for j in range(m))
-    accept = l0 >= l1
-    terms = log_mult + np.where(accept, l1, l0)
-    terms = terms[np.isfinite(terms)]
-    log_err = _logsumexp(terms) - math.log(2.0) if terms.size else -math.inf
+    _check_types(n, len(p))
+    log_err, types, accept = _types_log_error(p[None], q[None], (n,))
     return log_err, _multinomial_sum(types[accept], n)
+
+
+def _sweep(pp: float, qq: float, n: int, points: int | None = None):
+    """(ms, log p_err of each m) for m = 0..n or `points` even nodes; n beyond
+    AGGREGATION_CAP, or blocks x (n + 1) beyond SWEEP_WORK_CAP, are refused."""
+    if n > AGGREGATION_CAP:
+        raise ResourceError(f"n = {n} exceeds the aggregation cap {AGGREGATION_CAP}")
+    ms = range(n + 1)
+    if points is not None and points < n + 1:
+        ms = np.unique(np.linspace(0, n, points).round().astype(int)).tolist()
+    blocks = sorted({min(m, n - m) for m in ms})
+    if len(blocks) * (n + 1) > SWEEP_WORK_CAP:
+        raise ResourceError(f"{len(blocks)} blocks at n = {n} exceed the work cap {SWEEP_WORK_CAP}")
+    by_block = {b: _block_log_err(pp, qq, n, b) for b in blocks}
+    return ms, [by_block[min(m, n - m)] for m in ms]
+
+
+def best_product_pair(p: Povm, n: int, candidates):
+    """(p_err, (pat0, pat1)): exact ML error of the best pair of n-slot product
+    inputs of candidate states, and the candidate index of each slot.
+
+    A slot of class (i, j) sends candidate i under H0 and j under H1.  Joint
+    slot permutations keep the error, so the minimum runs over compositions
+    of n into the classes with i != j (a slot with i = j cancels, and one more
+    slot never raises the error), the i.i.d. pair first; a later one wins only
+    if its log error is lower by more than 1e-15.  The patterns group slots by
+    class.  Two candidates on two outcomes are one full sweep, under its caps;
+    otherwise more than TYPES_CAP joint types, C(n + K m - 1, K m - 1) for K
+    classes, are refused unbuilt.
+    """
+    if n < 1:
+        raise DomainError("n must be positive")
+    cands = list(candidates)
+    if len(cands) < 2:
+        raise DomainError("need at least two candidate states")
+    rows = candidate_probs(p, cands).probs
+    classes = [(i, j) for i in range(len(cands)) for j in range(len(cands)) if i != j]
+    if len(cands) == 2 and p.n_outcomes == 2:
+        # the block's cut search needs pp >= qq; swapping the rates swaps the hypotheses
+        _, log_errs = _sweep(*sorted(rows[:, 0].tolist(), reverse=True), n)
+        comps, errs = _types((n,), 2)[::-1], log_errs[::-1]
+    else:
+        _check_types(n, len(classes) * p.n_outcomes)
+        p_rows, q_rows = rows[np.array(classes).T]
+        comps = _types((n,), len(classes))[::-1]
+        errs = [_types_log_error(p_rows[c > 0], q_rows[c > 0], c[c > 0])[0] for c in comps]
+    best = 0
+    for idx, log_err in enumerate(errs):
+        if log_err < errs[best] - 1e-15:
+            best = idx
+    slots = [cls for cls, c in zip(classes, comps[best]) for _ in range(c)]
+    return math.exp(errs[best]), tuple(zip(*slots))
 
 
 def sweep_x(p: Povm, n: int, points: int | None = None):
     """Error probability against x = m/n for inputs of the form
     (rho0^m rho1^(n-m), rho1^m rho0^(n-m)); exact binomial aggregation.
+    rho0 and rho1 are the extreme eigenvectors of the first element of a
+    two-outcome POVM: its elements commute, so any d reduces to those rates.
 
     Returns a list of (x, p_err, rate) rows for m = 0..n or, when
     0 < points <= n, for the m of `points` evenly spaced nodes on [0, n]
@@ -384,26 +397,12 @@ def sweep_x(p: Povm, n: int, points: int | None = None):
         raise DomainError("n must be positive")
     if points is not None and points < 1:
         raise DomainError(f"points must be positive, got {points}")
-    if n > AGGREGATION_CAP:
-        raise ResourceError(f"n = {n} exceeds the aggregation cap {AGGREGATION_CAP}")
-    pp, qq = _diag_qubit_rates(p)
-    ms = range(n + 1)
-    if points is not None and points < n + 1:
-        ms = np.unique(np.linspace(0, n, points).round().astype(int)).tolist()
-    blocks = sorted({min(m, n - m) for m in ms})
-    if len(blocks) * (n + 1) > SWEEP_WORK_CAP:
-        raise ResourceError(
-            f"a sweep of {len(blocks)} blocks at n = {n} exceeds the work cap of "
-            f"{SWEEP_WORK_CAP} block entries; pass fewer points"
-        )
-    log_errs = {b: _block_log_err(pp, qq, n, b) for b in blocks}
-    rows = []
-    for m in ms:
-        log_err = log_errs[min(m, n - m)]
-        p_err = math.exp(log_err) if math.isfinite(log_err) else 0.0
-        rate = -log_err / n if math.isfinite(log_err) else math.inf
-        rows.append((m / n, p_err, rate))
-    return rows
+    if p.n_outcomes != 2:
+        raise DomainError("binomial aggregation needs a two-outcome POVM")
+    evals, _ = eig_hermitian(p.elements[0])
+    ms, log_errs = _sweep(float(evals[0]), float(evals[-1]), n, points)
+    # exp(-inf) = 0 and -(-inf) / n = inf for disjoint supports
+    return [(m / n, math.exp(log_err), -log_err / n) for m, log_err in zip(ms, log_errs)]
 
 
 def empirical_rate(p: Povm, n: int) -> float:

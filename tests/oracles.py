@@ -94,12 +94,23 @@ def optimal_adaptive(p, candidates, n):
     return p_err, choices
 
 
+def pattern_pair_error(p, candidates, pat0, pat1):
+    """ML error of the product pair that sends candidate pat0[s] under H0 and
+    pat1[s] under H1 in slot s, from the two distributions built with np.kron."""
+    singles = [induced_probs(p, c.mat) for c in candidates]
+    d0 = np.array([1.0])
+    d1 = np.array([1.0])
+    for i, j in zip(pat0, pat1):
+        d0 = np.kron(d0, singles[i])
+        d1 = np.kron(d1, singles[j])
+    return 0.5 * float(np.sum(np.minimum(d0, d1)))
+
+
 def best_product_pair(p, n, candidates):
-    """(p_err, (pat0, pat1)) by building each pattern pair's distributions
-    with np.kron; a later pair wins only if it is lower by more than 1e-15."""
+    """(p_err, (pat0, pat1)) by scoring each pattern pair with
+    pattern_pair_error; a later pair wins only if it is lower by more than 1e-15."""
     cands = list(candidates)
     nc = len(cands)
-    singles = [induced_probs(p, c.mat) for c in cands]
     if nc == 2:
         pattern_pairs = (
             (pat, tuple(1 - i for i in pat)) for pat in itertools.product(range(2), repeat=n)
@@ -110,12 +121,7 @@ def best_product_pair(p, n, candidates):
         )
     best = None
     for pat0, pat1 in pattern_pairs:
-        d0 = np.array([1.0])
-        d1 = np.array([1.0])
-        for i, j in zip(pat0, pat1):
-            d0 = np.kron(d0, singles[i])
-            d1 = np.kron(d1, singles[j])
-        p_err = 0.5 * float(np.sum(np.minimum(d0, d1)))
+        p_err = pattern_pair_error(p, cands, pat0, pat1)
         if best is None or p_err < best[0] - 1e-15:
             best = (p_err, (pat0, pat1))
     return best

@@ -12,7 +12,7 @@ from detpower.channel import candidate_probs, chernoff_exponent
 from detpower.cli import _basis_candidates, _load_valid_povm, main
 from detpower.finite import TYPES_CAP, iid_ml_log_error
 from detpower.io import matrix_to_json, povm_to_json
-from detpower import Povm
+from detpower import Povm, empirical_rate
 from conftest import random_povm
 import oracles
 
@@ -267,6 +267,57 @@ class TestFinite:
         code, out = run(capsys, "finite", POVM_FILE, "--n", n, "--mode", "pattern")
         assert code == 3
         assert out == ""
+
+    def test_pattern_largest_n(self, capsys):
+        # one full sweep of 2236 O(n) blocks; about 1.1 s on a 2-vCPU Xeon, budget 10 s
+        t0 = time.perf_counter()
+        code, rep = run_json(capsys, "finite", POVM_FILE, "--n", "4471", "--mode", "pattern")
+        assert code == 0
+        assert time.perf_counter() - t0 < 10.0
+        pat0, pat1 = rep["results"]["pattern"]["value"]
+        assert len(pat0) == len(pat1) == 4471 and all(a != b for a, b in zip(pat0, pat1))
+        _, ml = run_json(capsys, "finite", POVM_FILE, "--n", "4471", "--mode", "ml")
+        assert 0.0 < rep["results"]["p_err"]["value"] < ml["results"]["p_err"]["value"]
+        # 2237 blocks of 4473 entries exceed the work cap
+        code, out = run(capsys, "finite", POVM_FILE, "--n", "4472", "--mode", "pattern")
+        assert code == 4
+        assert out == ""
+
+    def test_modes_share_one_pair_at_d3(self, capsys, tmp_path):
+        # a two-outcome qutrit detector whose first element has three distinct
+        # eigenvalues in a rotated basis; every mode uses the extreme pair
+        rng = np.random.default_rng(11)
+        u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        e0 = u @ np.diag([0.7, 0.45, 0.2]) @ u.conj().T
+        povm = Povm((e0, np.eye(3) - e0))
+        path = tmp_path / "qutrit.json"
+        path.write_text(json.dumps(povm_to_json(povm)))
+
+        def p_err(n, mode):
+            code, rep = run_json(capsys, "finite", str(path), "--n", str(n), "--mode", mode)
+            assert code == 0
+            return rep["results"]
+
+        curve = p_err(6, "sweep")["curve"]["value"]
+        ml = p_err(6, "ml")
+        assert math.isclose(p_err(6, "pattern")["p_err"]["value"], min(row[1] for row in curve), rel_tol=1e-12)
+        assert math.isclose(ml["p_err"]["value"], curve[0][1], rel_tol=1e-12)
+        assert math.isclose(ml["rate"]["value"], empirical_rate(povm, 6), rel_tol=1e-12)
+        assert math.isclose(p_err(4, "brute")["p_err"]["value"], p_err(4, "ml")["p_err"]["value"], rel_tol=1e-12)
+
+    @pytest.mark.parametrize("n", ["100000000", "1000000000"])
+    @pytest.mark.parametrize(
+        "command",
+        [("finite", "--mode", mode) for mode in ("ml", "brute", "sweep", "pattern")] + [("adaptive",)],
+        ids=["ml", "brute", "sweep", "pattern", "adaptive"],
+    )
+    def test_huge_n_exit_4_at_once(self, capsys, command, n):
+        # every cap is checked before anything of size n is built
+        t0 = time.perf_counter()
+        code, out = run(capsys, command[0], POVM_FILE, "--n", n, *command[1:])
+        assert code == 4
+        assert out == ""
+        assert time.perf_counter() - t0 < 1.0
 
     def test_sweep_json(self, capsys):
         code, rep = run_json(capsys, "finite", POVM_FILE, "--n", "3", "--mode", "sweep")

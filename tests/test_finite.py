@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +25,9 @@ from detpower import (
     sequence_distribution,
     sweep_x,
 )
+from detpower import finite
 from detpower.channel import candidate_probs, induced_probs
+from detpower.io import load_json_file, povm_from_json
 from detpower.finite import (
     DENSE_CAP,
     TYPES_CAP,
@@ -36,6 +40,8 @@ from detpower.finite import (
 )
 from conftest import candidate_pool, diag_detector, random_povm, random_pure, rate_pairs
 import oracles
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 
 @st.composite
@@ -282,7 +288,7 @@ class TestIidMl:
 
     @pytest.mark.parametrize("n, m", [(1, 1), (5, 2), (4, 3), (3, 5), (6, 4)])
     def test_types_are_each_count_once(self, n, m):
-        types = _types(n, m)
+        types = _types((n,), m)
         assert types.shape == (math.comb(n + m - 1, m - 1), m)
         assert (types >= 0).all() and (types.sum(axis=1) == n).all()
         assert len({tuple(t) for t in types.tolist()}) == len(types)
@@ -307,6 +313,26 @@ class TestIidMl:
             iid_ml_log_error([0.4, 0.6], [0.2, 0.3, 0.5], 2)
 
 
+def assert_matches_pattern_loop(povm, n, cands):
+    """The composition minimum is the oracle's minimum over all pattern pairs,
+    and its own patterns, scored by the oracle, reproduce it."""
+    p_err, (pat0, pat1) = best_product_pair(povm, n, cands)
+    want, _ = oracles.best_product_pair(povm, n, cands)
+    assert close(p_err, want)
+    assert len(pat0) == len(pat1) == n
+    assert close(oracles.pattern_pair_error(povm, cands, pat0, pat1), p_err)
+
+
+@st.composite
+def pattern_case(draw):
+    """A detector, 2 or 3 candidates from the pool, n and one pattern pair."""
+    povm, pool = draw(detector_and_pool())
+    cands = [pool[k] for k in draw(st.lists(st.integers(0, 3), min_size=2, max_size=3))]
+    n = draw(st.integers(1, 5))
+    pats = [draw(st.lists(st.integers(0, len(cands) - 1), min_size=n, max_size=n)) for _ in range(2)]
+    return povm, cands, n, pats
+
+
 class TestBestProductPair:
     @given(case=detector_and_pool(), picks=st.lists(st.integers(0, 3), min_size=2, max_size=3), n=st.integers(1, 6))
     def test_matches_pattern_loop(self, case, picks, n):
@@ -314,20 +340,66 @@ class TestBestProductPair:
         cands = [pool[k] for k in picks]
         if len(cands) == 3:
             n = min(n, 2)  # 81 pattern pairs; n = 3 is the seeded case below
-        assert best_product_pair(povm, n, cands) == oracles.best_product_pair(povm, n, cands)
+        assert_matches_pattern_loop(povm, n, cands)
 
     def test_three_candidates_three_uses(self):
         rng = np.random.default_rng(43)
         povm = random_povm(rng, 2, 3)
         cands = [DensityMatrix(np.outer(v, v.conj())) for v in (random_pure(rng, 2) for _ in range(3))]
-        assert best_product_pair(povm, 3, cands) == oracles.best_product_pair(povm, 3, cands)
+        assert_matches_pattern_loop(povm, 3, cands)
+
+    @given(case=pattern_case(), perm_seed=st.integers(0, 2**32 - 1))
+    def test_error_is_slot_permutation_invariant(self, case, perm_seed):
+        povm, cands, n, (pat0, pat1) = case
+        perm = np.random.default_rng(perm_seed).permutation(n)
+        moved = oracles.pattern_pair_error(povm, cands, [pat0[s] for s in perm], [pat1[s] for s in perm])
+        assert close(moved, oracles.pattern_pair_error(povm, cands, pat0, pat1))
+
+    @given(case=pattern_case())
+    def test_never_above_a_pattern_pair(self, case):
+        povm, cands, n, (pat0, pat1) = case
+        p_err, _ = best_product_pair(povm, n, cands)
+        assert p_err <= oracles.pattern_pair_error(povm, cands, pat0, pat1) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("name", ["povm_commuting.json", "povm_noisy_sg_062.json"])
+    def test_two_candidates_are_the_sweep_minimum(self, name):
+        povm = povm_from_json(load_json_file(os.path.join(DATA, name)))
+        _, evecs = eig_hermitian(povm.elements[0])
+        pair = [DensityMatrix.pure(evecs[:, 0]), DensityMatrix.pure(evecs[:, -1])]
+        for n in range(1, 11):
+            p_err, _ = best_product_pair(povm, n, pair)
+            assert close(p_err, min(row[1] for row in sweep_x(povm, n)))
 
     def test_cap(self, diag_povm, basis_states):
-        with pytest.raises(ResourceError):
-            best_product_pair(diag_povm, 11, basis_states)
+        # two candidates on two outcomes: the full sweep's caps
+        assert best_product_pair(diag_povm, 60, basis_states)[0] > 0.0
+        with pytest.raises(ResourceError, match="work cap"):
+            best_product_pair(diag_povm, 4472, basis_states)
+        with pytest.raises(ResourceError, match="aggregation cap"):
+            best_product_pair(diag_povm, 10**9, basis_states)
+        # 3 candidates, 6 classes on 2 outcomes: C(n + 11, 11) joint types
         cands = list(basis_states) + [basis_states[0]]
-        with pytest.raises(ResourceError):
-            best_product_pair(diag_povm, 5, cands)
+        best_product_pair(diag_povm, 5, cands)  # 4368 types
+        for n in (6, 10**9):  # 12376 types and beyond
+            with pytest.raises(ResourceError, match="types cap"):
+                best_product_pair(diag_povm, n, cands)
+        # 2 candidates on 3 outcomes: C(n + 5, 5) joint types, 11628 at n = 14
+        povm = random_povm(np.random.default_rng(5), 2, 3)
+        best_product_pair(povm, 13, basis_states)
+        with pytest.raises(ResourceError, match="types cap"):
+            best_product_pair(povm, 14, basis_states)
+
+    def test_types_cap_refused_before_any_type(self, monkeypatch, diag_povm, basis_states):
+        def unbuilt(*args):
+            raise AssertionError("a type was built")
+
+        monkeypatch.setattr(finite, "_types", unbuilt)
+        cands = list(basis_states) + [basis_states[0]]
+        t0 = time.perf_counter()
+        for n in (6, 10**8, 10**9):
+            with pytest.raises(ResourceError, match="types cap"):
+                best_product_pair(diag_povm, n, cands)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_three_uses(self, diag_povm, basis_states):
         p_err, (pat0, pat1) = best_product_pair(diag_povm, 3, basis_states)
@@ -446,11 +518,13 @@ class TestSweep:
         rates = [r[2] for r in rows]
         assert max(rates) > max(rates[0], rates[-1]) + 1e-6
 
-    def test_requires_two_outcome_qubit(self):
-        eye = np.eye(3, dtype=complex)
-        p = Povm((eye / 2, eye / 2))
-        with pytest.raises(DomainError):
-            sweep_x(p, 3)
+    def test_requires_two_outcomes(self):
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(DomainError, match="two-outcome POVM"):
+            sweep_x(Povm((eye / 2, eye / 4, eye / 4)), 3)
+        # any d: E_0 = I/2 gives both hypotheses the same rates
+        rows = sweep_x(Povm((np.eye(3, dtype=complex) / 2,) * 2), 3)
+        assert [r[1] for r in rows] == [0.5] * 4
 
 
 class TestScipyFormulas:
@@ -502,8 +576,10 @@ class TestEmpiricalRate:
             empirical_rate(diag_povm, 0)
         with pytest.raises(ResourceError, match="aggregation cap"):
             empirical_rate(diag_povm, 10**5 + 1)
-        with pytest.raises(DomainError, match="two-element qubit POVM"):
-            empirical_rate(Povm((np.eye(3, dtype=complex) / 2,) * 2), 3)
+        with pytest.raises(DomainError, match="two-outcome POVM"):
+            empirical_rate(Povm((np.eye(2, dtype=complex) / 3,) * 3), 3)
+        # a d = 3 detector is a value: p_err = 0.5 with E_0 = I/2
+        assert close(empirical_rate(Povm((np.eye(3, dtype=complex) / 2,) * 2), 3), math.log(2.0) / 3)
 
     def test_single_use(self, diag_povm):
         assert abs(empirical_rate(diag_povm, 1) - (-np.log(0.4))) < 1e-12
