@@ -24,6 +24,7 @@ from .finite import (
     _check_sequences,
     best_product_pair,
     brute_force_grouping,
+    extreme_pair,
     iid_ml_log_error,
     sequence_distribution,
     sweep_x,
@@ -142,33 +143,32 @@ def cmd_exponent(args) -> int:
     return EXIT_OK
 
 
+def _error_results(log_err: float, n: int) -> dict:
+    """p_err and rate = -(1/n) ln p_err, from the log as in the sweep, so that
+    the rate survives p_err underflowing ("inf" for disjoint supports)."""
+    rate = _scalar(-log_err / n, "nats", False)
+    return {"p_err": {"value": math.exp(log_err), "units": "probability"}, "rate": rate}
+
+
 def cmd_finite(args) -> int:
     povm = _load_valid_povm(args.file)
     n = args.n
     diagnostics: dict = {}
-    results: dict = {}
-    basis = _basis_candidates(povm)
-    # the extreme eigenvectors, the pair sweep_x aggregates
-    pair = (basis[0], basis[-1])
+    pair = extreme_pair(povm)
     if args.mode == "ml":
-        p_row, q_row = candidate_probs(povm, pair)
-        log_err, diagnostics["grouping_size"] = iid_ml_log_error(p_row, q_row, n)
-        results["p_err"] = {"value": math.exp(log_err), "units": "probability"}
-        # from the log, as in the sweep, so it survives p_err underflowing
-        results["rate"] = _scalar(-log_err / n, "nats", False)
+        log_err, diagnostics["grouping_size"] = iid_ml_log_error(*candidate_probs(povm, pair), n)
+        results = _error_results(log_err, n)
     elif args.mode == "brute":
         _check_sequences(povm.n_outcomes, n)  # before an input of n slots is built
         dist0, dist1 = (sequence_distribution(povm, ProductInput.iid(rho, n)) for rho in pair)
         p_err, mask = brute_force_grouping(dist0, dist1)
-        results["p_err"] = {"value": p_err, "units": "probability"}
+        results = _error_results(math.log(p_err) if p_err > 0.0 else -math.inf, n)
         diagnostics["grouping_size"] = int(mask.accept.sum())
     elif args.mode == "pattern":
-        p_err, (pat0, pat1) = best_product_pair(povm, n, pair)
-        results["p_err"] = {"value": p_err, "units": "probability"}
-        results["pattern"] = {
-            "value": ["".join(map(str, pat0)), "".join(map(str, pat1))],
-            "units": "candidate indices",
-        }
+        log_err, (pat0, pat1) = best_product_pair(povm, n, pair)
+        results = _error_results(log_err, n)
+        patterns = ["".join(map(str, pat0)), "".join(map(str, pat1))]
+        results["pattern"] = {"value": patterns, "units": "candidate indices"}
     else:  # sweep
         rows = sweep_x(povm, n, points=args.points)
         if args.csv:
@@ -176,10 +176,8 @@ def cmd_finite(args) -> int:
             for x, p_err, rate in rows:
                 sys.stdout.write(f"{x:.12g},{p_err:.12g},{rate:.12g}\n")
             return EXIT_OK
-        results["curve"] = {
-            "value": [[x, p_err, rate if math.isfinite(rate) else "inf"] for x, p_err, rate in rows],
-            "units": "x, probability, nats",
-        }
+        curve = [[x, p_err, rate if math.isfinite(rate) else "inf"] for x, p_err, rate in rows]
+        results = {"curve": {"value": curve, "units": "x, probability, nats"}}
     _emit(_report("finite", _digest(args.file), results, diagnostics))
     return EXIT_OK
 

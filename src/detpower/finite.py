@@ -194,40 +194,44 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(np.log1p(w.sum() / count) + np.log(count) + top)
 
 
-def _log_lik(k: np.ndarray, n: int, rate: float) -> np.ndarray:
-    return _xlogy(k, rate) + _xlogy(n - k, 1 - rate)
+def _log_lik(k: np.ndarray, n: int, row) -> np.ndarray:
+    return _xlogy(k, row[0]) + _xlogy(n - k, row[1])
 
 
-def _common_support(n: int, pp: float, qq: float) -> np.ndarray:
-    """Click counts that both Bin(n, pp) and Bin(n, qq) give positive weight."""
-    lo = n if (pp == 1.0 or qq == 1.0) else 0
-    hi = 0 if (pp == 0.0 or qq == 0.0) else n
+def _common_support(n: int, p_row, q_row) -> np.ndarray:
+    """Click counts in n uses that both two-outcome rows give positive weight."""
+    lo = n if (p_row[1] == 0.0 or q_row[1] == 0.0) else 0
+    hi = 0 if (p_row[0] == 0.0 or q_row[0] == 0.0) else n
     return np.arange(lo, hi + 1)
 
 
-def _block_log_err(pp: float, qq: float, n: int, m: int) -> float:
-    """log p_err for the pair (rho0^m rho1^(n-m), rho1^m rho0^(n-m)) under a
-    diagonal two-outcome channel with click rates (pp, qq).
+def _block_log_err(p_row, q_row, n: int, m: int) -> float:
+    """log p_err for the pair (rho0^m rho1^(n-m), rho1^m rho0^(n-m)) whose
+    two-outcome rows (click, no click) are p_row for rho0 and q_row for rho1.
 
     With i clicks in the first m slots and j in the rest, H0 draws
-    i ~ Bin(m, pp), j ~ Bin(n-m, qq) and H1 the reverse.  Block n - m is block
-    m with the hypotheses swapped, so only m <= n/2 is computed.  Cells outside
-    the common support of both hypotheses add nothing and are dropped first;
-    on the rest the log-likelihood ratio is finite, increasing in i and
-    decreasing in j, so for each j the ML decision picks H0 exactly for
-    i >= cut[j].  The error is then a sum over j of a pmf times a one-sided
+    i ~ Bin(m, p_row[0]), j ~ Bin(n-m, q_row[0]) and H1 the reverse.  Block
+    n - m is block m with the hypotheses swapped, so only m <= n/2 is
+    computed.  Cells outside the common support of both hypotheses add
+    nothing and are dropped first; on the rest the log-likelihood ratio is
+    finite, and its slope in i has the sign of p0 q1 - q0 p1.  Where that is
+    negative the rows, and so the hypotheses, are swapped: then it increases
+    in i and decreases in j, so for each j the ML decision picks H0 exactly
+    for i >= cut[j].  The error is then a sum over j of a pmf times a one-sided
     cumulative over i: O(n) memory, and O(n) time apart from one binary
     search per j.
     """
     m = min(m, n - m)
-    i = _common_support(m, pp, qq)
-    j = _common_support(n - m, pp, qq)
+    if p_row[0] * q_row[1] < q_row[0] * p_row[1]:
+        p_row, q_row = q_row, p_row
+    i = _common_support(m, p_row, q_row)
+    j = _common_support(n - m, p_row, q_row)
     if i.size == 0 or j.size == 0:
         return -math.inf
     log_fact = _log_factorials(n - m + 1)
     ci, cj = _log_choose(log_fact, m, i), _log_choose(log_fact, n - m, j)
-    li_p, li_q = _log_lik(i, m, pp), _log_lik(i, m, qq)
-    lj_p, lj_q = _log_lik(j, n - m, pp), _log_lik(j, n - m, qq)
+    li_p, li_q = _log_lik(i, m, p_row), _log_lik(i, m, q_row)
+    lj_p, lj_q = _log_lik(j, n - m, p_row), _log_lik(j, n - m, q_row)
     # l0 - l1 = (li_p - li_q)[i] - (lj_p - lj_q)[j]; min(l0, l1) = l1 iff l0 >= l1
     cut = np.searchsorted(li_p - li_q, lj_p - lj_q, side="left")
     head0 = np.concatenate(([-math.inf], np.logaddexp.accumulate(ci + li_p)))
@@ -326,7 +330,7 @@ def iid_ml_log_error(p_dist, q_dist, n: int):
     return log_err, _multinomial_sum(types[accept], n)
 
 
-def _sweep(pp: float, qq: float, n: int, points: int | None = None):
+def _sweep(p_row, q_row, n: int, points: int | None = None):
     """(ms, log p_err of each m) for m = 0..n or `points` even nodes; n beyond
     AGGREGATION_CAP, or blocks x (n + 1) beyond SWEEP_WORK_CAP, are refused."""
     if n > AGGREGATION_CAP:
@@ -337,13 +341,13 @@ def _sweep(pp: float, qq: float, n: int, points: int | None = None):
     blocks = sorted({min(m, n - m) for m in ms})
     if len(blocks) * (n + 1) > SWEEP_WORK_CAP:
         raise ResourceError(f"{len(blocks)} blocks at n = {n} exceed the work cap {SWEEP_WORK_CAP}")
-    by_block = {b: _block_log_err(pp, qq, n, b) for b in blocks}
+    by_block = {b: _block_log_err(p_row, q_row, n, b) for b in blocks}
     return ms, [by_block[min(m, n - m)] for m in ms]
 
 
 def best_product_pair(p: Povm, n: int, candidates):
-    """(p_err, (pat0, pat1)): exact ML error of the best pair of n-slot product
-    inputs of candidate states, and the candidate index of each slot.
+    """(log p_err, (pat0, pat1)): exact ML error of the best pair of n-slot
+    product inputs of candidate states, and the candidate index of each slot.
 
     A slot of class (i, j) sends candidate i under H0 and j under H1.  Joint
     slot permutations keep the error, so the minimum runs over compositions
@@ -362,8 +366,7 @@ def best_product_pair(p: Povm, n: int, candidates):
     rows = candidate_probs(p, cands).probs
     classes = [(i, j) for i in range(len(cands)) for j in range(len(cands)) if i != j]
     if len(cands) == 2 and p.n_outcomes == 2:
-        # the block's cut search needs pp >= qq; swapping the rates swaps the hypotheses
-        _, log_errs = _sweep(*sorted(rows[:, 0].tolist(), reverse=True), n)
+        _, log_errs = _sweep(rows[0], rows[1], n)
         comps, errs = _types((n,), 2)[::-1], log_errs[::-1]
     else:
         _check_types(n, len(classes) * p.n_outcomes)
@@ -375,14 +378,21 @@ def best_product_pair(p: Povm, n: int, candidates):
         if log_err < errs[best] - 1e-15:
             best = idx
     slots = [cls for cls, c in zip(classes, comps[best]) for _ in range(c)]
-    return math.exp(errs[best]), tuple(zip(*slots))
+    return errs[best], tuple(zip(*slots))
+
+
+def extreme_pair(p: Povm) -> tuple:
+    """The extreme eigenvectors of E_0, as two pure states: the input pair of
+    every finite-n mode.  On two outcomes the elements commute, so at any d
+    these give the two most distinct click rates."""
+    _, evecs = eig_hermitian(p.elements[0])
+    return DensityMatrix.pure(evecs[:, 0]), DensityMatrix.pure(evecs[:, -1])
 
 
 def sweep_x(p: Povm, n: int, points: int | None = None):
     """Error probability against x = m/n for inputs of the form
     (rho0^m rho1^(n-m), rho1^m rho0^(n-m)); exact binomial aggregation.
-    rho0 and rho1 are the extreme eigenvectors of the first element of a
-    two-outcome POVM: its elements commute, so any d reduces to those rates.
+    (rho0, rho1) is the extreme_pair of a two-outcome POVM.
 
     Returns a list of (x, p_err, rate) rows for m = 0..n or, when
     0 < points <= n, for the m of `points` evenly spaced nodes on [0, n]
@@ -399,8 +409,7 @@ def sweep_x(p: Povm, n: int, points: int | None = None):
         raise DomainError(f"points must be positive, got {points}")
     if p.n_outcomes != 2:
         raise DomainError("binomial aggregation needs a two-outcome POVM")
-    evals, _ = eig_hermitian(p.elements[0])
-    ms, log_errs = _sweep(float(evals[0]), float(evals[-1]), n, points)
+    ms, log_errs = _sweep(*candidate_probs(p, extreme_pair(p)).probs, n, points)
     # exp(-inf) = 0 and -(-inf) / n = inf for disjoint supports
     return [(m / n, math.exp(log_err), -log_err / n) for m, log_err in zip(ms, log_errs)]
 

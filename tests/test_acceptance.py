@@ -89,8 +89,8 @@ def test_criterion_1_finite_n_values():
         p_iid, _ = ml_error_probability(d0, d1)
         assert abs(p_iid - 0.352) < 1e-12
 
-        p_pattern, (pat0, pat1) = best_product_pair(povm, 3, (rho0, rho1))
-        assert abs(p_pattern - 0.344) < 1e-12
+        log_pattern, (pat0, pat1) = best_product_pair(povm, 3, (rho0, rho1))
+        assert abs(math.exp(log_pattern) - 0.344) < 1e-12
         assert sorted((pat0, pat1)) == sorted([(0, 0, 1), (1, 1, 0)])
 
         # depth-3 feedback protocol: swap the pair after one outcome of each

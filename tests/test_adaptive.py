@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -169,8 +171,8 @@ class TestEvaluate:
         for h in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             choices[h] = (1, 0)
         strat = AdaptiveStrategy(depth=3, candidates=tuple(basis_states), choices=choices)
-        p_err, _ = best_product_pair(diag_povm, 3, basis_states)
-        assert abs(evaluate_strategy(diag_povm, strat) - p_err) < 1e-12
+        log_err, _ = best_product_pair(diag_povm, 3, basis_states)
+        assert abs(evaluate_strategy(diag_povm, strat) - math.exp(log_err)) < 1e-12
 
     def test_missing_choice_rejected(self, diag_povm, basis_states):
         strat = AdaptiveStrategy(
@@ -234,8 +236,8 @@ class TestOptimal:
     def test_beats_best_product(self, diag_povm, basis_states):
         for n in (2, 3):
             adaptive_err, _ = optimal_adaptive(diag_povm, basis_states, n)
-            product_err, _ = best_product_pair(diag_povm, n, basis_states)
-            assert adaptive_err <= product_err + 1e-15
+            log_err, _ = best_product_pair(diag_povm, n, basis_states)
+            assert adaptive_err <= math.exp(log_err) + 1e-15
 
     def test_single_candidate_useless(self, diag_povm, basis_states):
         p_err, _ = optimal_adaptive(diag_povm, [basis_states[0]], 3)

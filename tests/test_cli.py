@@ -283,6 +283,52 @@ class TestFinite:
         assert code == 4
         assert out == ""
 
+    @pytest.mark.parametrize("mode", ["ml", "brute", "pattern"])
+    def test_error_modes_report_rate(self, capsys, mode):
+        code, rep = run_json(capsys, "finite", POVM_FILE, "--n", "4", "--mode", mode)
+        assert code == 0
+        p_err, rate = rep["results"]["p_err"]["value"], rep["results"]["rate"]["value"]
+        assert math.isclose(rate, -math.log(p_err) / 4, rel_tol=1e-12)
+
+    def test_pattern_rate_survives_underflow(self, capsys):
+        # p_err underflows to 0 at n = 4000; the rate comes from the log.  The
+        # symmetric detector gains nothing from swapped patterns, so the two
+        # rates agree to rounding.
+        _, ml = run_json(capsys, "finite", SG_FILE, "--n", "4000", "--mode", "ml")
+        code, rep = run_json(capsys, "finite", SG_FILE, "--n", "4000", "--mode", "pattern")
+        assert code == 0
+        assert rep["results"]["p_err"]["value"] == 0.0
+        rate = rep["results"]["rate"]["value"]
+        assert abs(rate - 0.243726) < 1e-6
+        assert rate >= ml["results"]["rate"]["value"] * (1 - 1e-12)
+
+    def test_pattern_on_three_outcomes(self, capsys, tmp_path):
+        # three outcomes go through the joint-types sum: C(n + 5, 5) types
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(povm_to_json(random_povm(np.random.default_rng(5), 2, 3))))
+        code, rep = run_json(capsys, "finite", str(path), "--n", "5", "--mode", "pattern")
+        assert code == 0
+        _, ml = run_json(capsys, "finite", str(path), "--n", "5", "--mode", "ml")
+        assert rep["results"]["p_err"]["value"] <= ml["results"]["p_err"]["value"] * (1 + 1e-12)
+        code, out = run(capsys, "finite", str(path), "--n", "14", "--mode", "pattern")
+        assert code == 4
+        assert out == ""
+
+    def test_readme_finite_n_table(self, capsys):
+        # the README's best-pattern vs i.i.d. table, to the digits it prints
+        with open(os.path.join(DATA, "..", "README.md")) as fh:
+            lines = [line for line in fh if line.strip().startswith("| ") and line.count("|") == 6]
+        table = {cells[0]: cells[1:] for cells in ([c.strip() for c in line.split("|")[1:-1]] for line in lines)}
+        for n in ("10", "100", "1000"):
+            printed = table[n]
+            got = []
+            for mode in ("pattern", "ml"):
+                _, rep = run_json(capsys, "finite", POVM_FILE, "--n", n, "--mode", mode)
+                got += [rep["results"]["p_err"]["value"], rep["results"]["rate"]["value"]]
+            for text, value in zip(printed, got):
+                digits = len(text.split("e")[0].replace(".", "").lstrip("0"))
+                assert f"{value:.{digits}g}" == f"{float(text):.{digits}g}", (n, text, value)
+
     def test_modes_share_one_pair_at_d3(self, capsys, tmp_path):
         # a two-outcome qutrit detector whose first element has three distinct
         # eigenvalues in a rotated basis; every mode uses the extreme pair

@@ -86,6 +86,11 @@ def close(a, b, rel=1e-12):
     return a == b or abs(a - b) <= rel * max(abs(a), abs(b))
 
 
+def two_outcome_rows(pp, qq):
+    """The (click, no click) rows of click rates pp and qq."""
+    return (pp, 1 - pp), (qq, 1 - qq)
+
+
 def dense_ml_error(p, q, n):
     """ml_error_probability of P^n and Q^n from their kron products."""
     dists = []
@@ -316,7 +321,8 @@ class TestIidMl:
 def assert_matches_pattern_loop(povm, n, cands):
     """The composition minimum is the oracle's minimum over all pattern pairs,
     and its own patterns, scored by the oracle, reproduce it."""
-    p_err, (pat0, pat1) = best_product_pair(povm, n, cands)
+    log_err, (pat0, pat1) = best_product_pair(povm, n, cands)
+    p_err = math.exp(log_err)
     want, _ = oracles.best_product_pair(povm, n, cands)
     assert close(p_err, want)
     assert len(pat0) == len(pat1) == n
@@ -325,10 +331,12 @@ def assert_matches_pattern_loop(povm, n, cands):
 
 @st.composite
 def pattern_case(draw):
-    """A detector, 2 or 3 candidates from the pool, n and one pattern pair."""
+    """A detector, 2 or 3 candidates from the pool, n and one pattern pair.
+    n is at most 5, and at most 4 for 3 candidates on 3 outcomes, whose
+    C(n + 17, 17) joint types pass TYPES_CAP at n = 5."""
     povm, pool = draw(detector_and_pool())
     cands = [pool[k] for k in draw(st.lists(st.integers(0, 3), min_size=2, max_size=3))]
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 4 if len(cands) == 3 and povm.n_outcomes == 3 else 5))
     pats = [draw(st.lists(st.integers(0, len(cands) - 1), min_size=n, max_size=n)) for _ in range(2)]
     return povm, cands, n, pats
 
@@ -358,8 +366,8 @@ class TestBestProductPair:
     @given(case=pattern_case())
     def test_never_above_a_pattern_pair(self, case):
         povm, cands, n, (pat0, pat1) = case
-        p_err, _ = best_product_pair(povm, n, cands)
-        assert p_err <= oracles.pattern_pair_error(povm, cands, pat0, pat1) * (1 + 1e-12)
+        log_err, _ = best_product_pair(povm, n, cands)
+        assert math.exp(log_err) <= oracles.pattern_pair_error(povm, cands, pat0, pat1) * (1 + 1e-12)
 
     @pytest.mark.parametrize("name", ["povm_commuting.json", "povm_noisy_sg_062.json"])
     def test_two_candidates_are_the_sweep_minimum(self, name):
@@ -367,12 +375,22 @@ class TestBestProductPair:
         _, evecs = eig_hermitian(povm.elements[0])
         pair = [DensityMatrix.pure(evecs[:, 0]), DensityMatrix.pure(evecs[:, -1])]
         for n in range(1, 11):
-            p_err, _ = best_product_pair(povm, n, pair)
-            assert close(p_err, min(row[1] for row in sweep_x(povm, n)))
+            log_err, _ = best_product_pair(povm, n, pair)
+            assert close(math.exp(log_err), min(row[1] for row in sweep_x(povm, n)))
+
+    def test_near_deterministic_candidate(self, basis_states):
+        # outcome 1 of the first candidate has probability 1e-12; 1 - 0.999999999999
+        # would keep only about 4 of its digits
+        povm = diag_detector(1.0, 0.0)
+        cands = [DensityMatrix(np.diag([1 - 1e-12, 1e-12]).astype(complex)), basis_states[1]]
+        for n in (1, 2, 3):
+            log_err, _ = best_product_pair(povm, n, cands)
+            want, _ = oracles.best_product_pair(povm, n, cands)
+            assert close(math.exp(log_err), want)
 
     def test_cap(self, diag_povm, basis_states):
         # two candidates on two outcomes: the full sweep's caps
-        assert best_product_pair(diag_povm, 60, basis_states)[0] > 0.0
+        assert best_product_pair(diag_povm, 60, basis_states)[0] > -math.inf
         with pytest.raises(ResourceError, match="work cap"):
             best_product_pair(diag_povm, 4472, basis_states)
         with pytest.raises(ResourceError, match="aggregation cap"):
@@ -402,13 +420,13 @@ class TestBestProductPair:
         assert time.perf_counter() - t0 < 1.0
 
     def test_three_uses(self, diag_povm, basis_states):
-        p_err, (pat0, pat1) = best_product_pair(diag_povm, 3, basis_states)
-        assert abs(p_err - 0.344) < 1e-12
+        log_err, (pat0, pat1) = best_product_pair(diag_povm, 3, basis_states)
+        assert abs(math.exp(log_err) - 0.344) < 1e-12
         assert sorted((pat0, pat1)) == sorted([(0, 0, 1), (1, 1, 0)])
 
     def test_single_use(self, diag_povm, basis_states):
-        p_err, _ = best_product_pair(diag_povm, 1, basis_states)
-        assert abs(p_err - 0.4) < 1e-14
+        log_err, _ = best_product_pair(diag_povm, 1, basis_states)
+        assert abs(math.exp(log_err) - 0.4) < 1e-14
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_nonpositive_n_refused(self, diag_povm, basis_states, n):
@@ -419,8 +437,8 @@ class TestBestProductPair:
         for n in range(1, 6):
             d0, d1 = iid_dists(diag_povm, n, basis_states)
             iid_err, _ = ml_error_probability(d0, d1)
-            mixed_err, _ = best_product_pair(diag_povm, n, basis_states)
-            assert mixed_err <= iid_err + 1e-15
+            log_err, _ = best_product_pair(diag_povm, n, basis_states)
+            assert math.exp(log_err) <= iid_err + 1e-15
 
     def test_symmetric_detector_prefers_iid(self, basis_states):
         # with p = 1 - q the swapped patterns give nothing extra
@@ -428,8 +446,8 @@ class TestBestProductPair:
         d0 = sequence_distribution(p, ProductInput.iid(basis_states[0], 3))
         d1 = sequence_distribution(p, ProductInput.iid(basis_states[1], 3))
         iid_err, _ = ml_error_probability(d0, d1)
-        mixed_err, _ = best_product_pair(p, 3, basis_states)
-        assert abs(mixed_err - iid_err) < 1e-15
+        log_err, _ = best_product_pair(p, 3, basis_states)
+        assert abs(math.exp(log_err) - iid_err) < 1e-15
 
 
 class TestBlock:
@@ -437,7 +455,7 @@ class TestBlock:
     def test_matches_click_table(self, pair, n):
         pp, qq = pair
         for m in range(n + 1):
-            got, want = _block_log_err(pp, qq, n, m), oracles.block_log_err(pp, qq, n, m)
+            got, want = _block_log_err(*two_outcome_rows(pp, qq), n, m), oracles.block_log_err(pp, qq, n, m)
             if math.isinf(want):
                 assert got == want
             else:
@@ -449,16 +467,25 @@ class TestBlock:
         # support of both hypotheses may be summed
         for m in range(11):
             want = oracles.block_log_err(pp, qq, 10, m)
-            got = _block_log_err(pp, qq, 10, m)
+            got = _block_log_err(*two_outcome_rows(pp, qq), 10, m)
             if math.isinf(want):
                 assert got == want
             else:
                 assert abs(got - want) <= 1e-12
 
+    @given(pair=rate_pairs(), n=st.integers(1, 40))
+    def test_rows_in_either_order(self, pair, n):
+        # swapping the rows swaps the hypotheses, which keeps the error
+        p_row, q_row = two_outcome_rows(*pair)
+        for m in range(n + 1):
+            got, want = _block_log_err(q_row, p_row, n, m), _block_log_err(p_row, q_row, n, m)
+            assert got == want or abs(got - want) <= 1e-12
+
     def test_large_n_matches_click_table(self):
         for pp, qq in ((0.4, 0.2), (0.6, 0.1)):
             for m in range(0, 401, 25):
-                assert abs(_block_log_err(pp, qq, 400, m) - oracles.block_log_err(pp, qq, 400, m)) <= 1e-12
+                got = _block_log_err(*two_outcome_rows(pp, qq), 400, m)
+                assert abs(got - oracles.block_log_err(pp, qq, 400, m)) <= 1e-12
 
 
 class TestSweep:
@@ -567,7 +594,7 @@ class TestEmpiricalRate:
         for n in (1, 7, 400, 5000):
             rate = empirical_rate(diag_povm, n)
             assert rate == sweep_x(diag_povm, n, points=2)[0][2]
-            assert rate == -_block_log_err(0.4, 0.2, n, n) / n
+            assert rate == -_block_log_err((0.4, 0.6), (0.2, 0.8), n, n) / n
         perfect = diag_detector(1.0, 0.0)
         assert empirical_rate(perfect, 5) == math.inf
 
