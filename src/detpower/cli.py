@@ -2,12 +2,14 @@
 
 Every command prints a JSON run report to stdout (curve commands can emit CSV
 with --csv).  Exit codes: 0 ok, 1 usage, 2 parse failure, 3 invalid input
-object, 4 resource cap exceeded.
+object, 4 resource cap exceeded.  A command returns (results, diagnostics);
+``main`` alone parses, writes the report and picks the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -55,42 +57,18 @@ def _digest(path: str | None) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _scalar(value: float, units: str, bits: bool):
-    if units == "nats" and bits and value is not None and math.isfinite(value):
-        return {"value": value / LN2, "units": "bits"}
-    if value is not None and math.isinf(value):
-        return {"value": "inf", "units": "bits" if (bits and units == "nats") else units}
-    return {"value": value, "units": units}
-
-
-def _report(command: str, digest: str, results: dict, diagnostics: dict) -> dict:
-    return {
-        "command": command,
-        "inputs_digest": digest,
-        "results": results,
-        "diagnostics": diagnostics,
-    }
-
-
-def _emit(report: dict) -> None:
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+def _scalar(value: float, units: str, bits: bool) -> dict:
+    if bits and units == "nats":
+        value, units = value / LN2, "bits"
+    return {"value": "inf" if math.isinf(value) else value, "units": units}
 
 
 def _load_valid_povm(path: str) -> Povm:
-    povm = _povm_from_path(path)
+    povm = povm_from_json(load_json_file(path))
     rep = validate_povm(povm)
     if not rep.valid:
         raise DomainError("; ".join(rep.problems))
     return povm
-
-
-def _povm_from_path(path: str) -> Povm:
-    return povm_from_json(load_json_file(path))
-
-
-def _search_options(args) -> SearchOptions:
-    return SearchOptions(restarts=args.restarts, seed=args.seed, mixed=args.mixed)
 
 
 def _basis_candidates(povm: Povm) -> list:
@@ -99,30 +77,24 @@ def _basis_candidates(povm: Povm) -> list:
     return [DensityMatrix.pure(evecs[:, i]) for i in range(povm.dim)]
 
 
-def cmd_validate(args) -> int:
-    povm = _povm_from_path(args.file)
-    rep = validate_povm(povm)
-    report = _report(
-        "validate",
-        _digest(args.file),
-        {
-            "valid": {"value": rep.valid, "units": "bool"},
-            "completeness_residual": {"value": rep.completeness_residual, "units": "abs"},
-            "max_herm_deviation": {"value": max(rep.herm_deviations), "units": "abs"},
-            "min_eigenvalue": {"value": min(rep.min_eigenvalues), "units": "abs"},
-        },
-        {"problems": rep.problems, "warnings": rep.warnings},
-    )
-    _emit(report)
-    return EXIT_OK if rep.valid else EXIT_INVALID
+def cmd_validate(args) -> tuple:
+    rep = validate_povm(povm_from_json(load_json_file(args.file)))
+    results = {
+        "valid": {"value": rep.valid, "units": "bool"},
+        "completeness_residual": {"value": rep.completeness_residual, "units": "abs"},
+        "max_herm_deviation": {"value": max(rep.herm_deviations), "units": "abs"},
+        "min_eigenvalue": {"value": min(rep.min_eigenvalues), "units": "abs"},
+    }
+    diagnostics = {"problems": rep.problems, "warnings": rep.warnings}
+    return results, diagnostics, EXIT_OK if rep.valid else EXIT_INVALID
 
 
-def cmd_exponent(args) -> int:
+def cmd_exponent(args) -> tuple | int:
     if args.kind == "hoeffding" and args.rate is None:
         print("error: --rate is required for the hoeffding exponent", file=sys.stderr)
         return EXIT_USAGE
     povm = _load_valid_povm(args.file)
-    opts = _search_options(args)
+    opts = SearchOptions(restarts=args.restarts, seed=args.seed, mixed=args.mixed)
     if args.kind == "chernoff":
         rep = zeta_chernoff(povm, opts)
     elif args.kind == "stein":
@@ -139,8 +111,7 @@ def cmd_exponent(args) -> int:
     if rep.optimizer is not None:
         diagnostics["optimal_rho"] = matrix_to_json(rep.optimizer.rho.mat)
         diagnostics["optimal_sigma"] = matrix_to_json(rep.optimizer.sigma.mat)
-    _emit(_report("exponent", _digest(args.file), results, diagnostics))
-    return EXIT_OK
+    return results, diagnostics
 
 
 def _error_results(log_err: float, n: int) -> dict:
@@ -150,9 +121,18 @@ def _error_results(log_err: float, n: int) -> dict:
     return {"p_err": {"value": math.exp(log_err), "units": "probability"}, "rate": rate}
 
 
-def cmd_finite(args) -> int:
+def cmd_finite(args) -> tuple | int:
     povm = _load_valid_povm(args.file)
     n = args.n
+    if args.mode == "sweep":  # sweep_x builds its own pair
+        rows = sweep_x(povm, n, points=args.points)
+        if args.csv:
+            sys.stdout.write("x,p_err,rate\n")
+            for x, p_err, rate in rows:
+                sys.stdout.write(f"{x:.12g},{p_err:.12g},{rate:.12g}\n")
+            return EXIT_OK
+        curve = [[x, p_err, rate if math.isfinite(rate) else "inf"] for x, p_err, rate in rows]
+        return {"curve": {"value": curve, "units": "x, probability, nats"}}, {}
     diagnostics: dict = {}
     pair = extreme_pair(povm)
     if args.mode == "ml":
@@ -164,46 +144,32 @@ def cmd_finite(args) -> int:
         p_err, mask = brute_force_grouping(dist0, dist1)
         results = _error_results(math.log(p_err) if p_err > 0.0 else -math.inf, n)
         diagnostics["grouping_size"] = int(mask.accept.sum())
-    elif args.mode == "pattern":
+    else:  # pattern
         log_err, (pat0, pat1) = best_product_pair(povm, n, pair)
         results = _error_results(log_err, n)
         patterns = ["".join(map(str, pat0)), "".join(map(str, pat1))]
         results["pattern"] = {"value": patterns, "units": "candidate indices"}
-    else:  # sweep
-        rows = sweep_x(povm, n, points=args.points)
-        if args.csv:
-            sys.stdout.write("x,p_err,rate\n")
-            for x, p_err, rate in rows:
-                sys.stdout.write(f"{x:.12g},{p_err:.12g},{rate:.12g}\n")
-            return EXIT_OK
-        curve = [[x, p_err, rate if math.isfinite(rate) else "inf"] for x, p_err, rate in rows]
-        results = {"curve": {"value": curve, "units": "x, probability, nats"}}
-    _emit(_report("finite", _digest(args.file), results, diagnostics))
-    return EXIT_OK
+    return results, diagnostics
 
 
-def cmd_adaptive(args) -> int:
+def cmd_adaptive(args) -> tuple:
     povm = _load_valid_povm(args.file)
-    diagnostics: dict = {}
     if args.strategy is not None:
         strat = strategy_from_json(load_json_file(args.strategy))
         p_err = evaluate_strategy(povm, strat)
-        diagnostics["mode"] = "evaluate"
-        diagnostics["decision"] = "explicit-grouping" if strat.grouping is not None else "ml"
+        decision = "explicit-grouping" if strat.grouping is not None else "ml"
+        diagnostics = {"mode": "evaluate", "decision": decision}
     else:
         if args.candidates is not None:
             cands = candidates_from_json(load_json_file(args.candidates))
         else:
             cands = _basis_candidates(povm)
-        p_err, strat = optimal_adaptive(povm, cands, args.n)
-        diagnostics["mode"] = "search"
-        diagnostics["tree_nodes"] = len(strat.choices)
-    results = {"p_err": {"value": p_err, "units": "probability"}}
-    _emit(_report("adaptive", _digest(args.file), results, diagnostics))
-    return EXIT_OK
+        p_err, _ = optimal_adaptive(povm, cands, args.n)
+        diagnostics = {"mode": "search"}
+    return {"p_err": {"value": p_err, "units": "probability"}}, diagnostics
 
 
-def cmd_benchmarks(args) -> int:
+def cmd_benchmarks(args) -> tuple:
     bits = args.bits
     results = {
         "covariant_zeta": _scalar(math.log(4.0 / math.pi), "nats", bits),
@@ -238,21 +204,24 @@ def cmd_benchmarks(args) -> int:
         induced_distribution(mixed, rho0), induced_distribution(mixed, rho1)
     ).value
     results["mixing_mixed_zeta_p05"] = _scalar(mixed_zeta, "nats", bits)
-    _emit(_report("benchmarks", "-", results, {}))
-    return EXIT_OK
+    return results, {}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_USAGE on a usage error; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="detpower",
         description="Discrimination power of a quantum detector (POVM).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_search_flags(sp):
-        sp.add_argument("--restarts", type=int, default=64)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--mixed", action="store_true")
 
     sp = sub.add_parser("validate", help="validate a POVM file")
     sp.add_argument("file")
@@ -263,7 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=("chernoff", "stein", "hoeffding"), default="chernoff")
     sp.add_argument("--rate", type=float, default=None)
     sp.add_argument("--bits", action="store_true")
-    add_search_flags(sp)
+    sp.add_argument("--restarts", type=int, default=64)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--mixed", action="store_true")
     sp.set_defaults(func=cmd_exponent)
 
     sp = sub.add_parser("finite", help="exact finite-n error probabilities")
@@ -288,20 +259,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    DomainError: EXIT_INVALID,
+    StructuralError: EXIT_INVALID,
+    ResourceError: EXIT_RESOURCE,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
+        out = args.func(args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DomainError, StructuralError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return _EXIT_CODES[type(exc)]
+    if isinstance(out, int):  # the command wrote its own output
+        return out
+    results, diagnostics, *code = out
+    report = {
+        "command": args.command,
+        "inputs_digest": _digest(getattr(args, "file", None)),
+        "results": results,
+        "diagnostics": diagnostics,
+    }
+    json.dump(report, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
+    return code[0] if code else EXIT_OK
 
 
 if __name__ == "__main__":

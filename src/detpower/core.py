@@ -72,10 +72,6 @@ class DensityMatrix:
         v = v / n
         return cls(np.outer(v, v.conj()))
 
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim)
-
 
 @dataclass(frozen=True)
 class BlochVector:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -9,14 +10,16 @@ import numpy as np
 import pytest
 
 from detpower.channel import candidate_probs, chernoff_exponent
-from detpower.cli import _basis_candidates, _load_valid_povm, main
+import detpower.cli
+from detpower.cli import _basis_candidates, _load_valid_povm, build_parser, main
 from detpower.finite import TYPES_CAP, iid_ml_log_error
 from detpower.io import matrix_to_json, povm_to_json
 from detpower import Povm, empirical_rate
 from conftest import random_povm
 import oracles
 
-DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+DATA = os.path.join(ROOT, "data")
 POVM_FILE = os.path.join(DATA, "povm_commuting.json")
 SG_FILE = os.path.join(DATA, "povm_noisy_sg_062.json")
 STRATEGY_FILE = os.path.join(DATA, "strategy_feedback.json")
@@ -31,6 +34,29 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [["finite", POVM_FILE, "--n", "abc"], ["finite", POVM_FILE], ["frobnicate"]],
+        ids=["bad-int", "missing-n", "unknown-command"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        # exit 2 is kept for input files that fail to parse
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage: detpower" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: detpower" in capsys.readouterr().out
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
 
 
 class TestValidate:
@@ -351,6 +377,21 @@ class TestFinite:
         assert math.isclose(ml["rate"]["value"], empirical_rate(povm, 6), rel_tol=1e-12)
         assert math.isclose(p_err(4, "brute")["p_err"]["value"], p_err(4, "ml")["p_err"]["value"], rel_tol=1e-12)
 
+    @pytest.mark.parametrize("mode, calls", [("sweep", 0), ("ml", 1), ("brute", 1), ("pattern", 1)])
+    def test_extreme_pair_built_only_where_used(self, capsys, monkeypatch, mode, calls):
+        # sweep_x builds its own pair, so the command builds none in sweep mode
+        seen = []
+        extreme_pair = detpower.cli.extreme_pair
+
+        def counted(p):
+            seen.append(p)
+            return extreme_pair(p)
+
+        monkeypatch.setattr(detpower.cli, "extreme_pair", counted)
+        code, _ = run_json(capsys, "finite", POVM_FILE, "--n", "3", "--mode", mode)
+        assert code == 0
+        assert len(seen) == calls
+
     @pytest.mark.parametrize("n", ["100000000", "1000000000"])
     @pytest.mark.parametrize(
         "command",
@@ -444,6 +485,12 @@ class TestAdaptive:
         code, rep = run_json(capsys, "adaptive", POVM_FILE, "--n", "3")
         assert code == 0
         assert abs(rep["results"]["p_err"]["value"] - 0.336) < 1e-12
+
+    def test_search_diagnostics(self, capsys):
+        # the tree always has a choice at every history shorter than n, so its size is not reported
+        code, rep = run_json(capsys, "adaptive", POVM_FILE, "--n", "2")
+        assert code == 0
+        assert rep["diagnostics"] == {"mode": "search"}
 
     def test_search_depth_one(self, capsys):
         code, rep = run_json(capsys, "adaptive", POVM_FILE, "--n", "1")
@@ -644,6 +691,28 @@ class TestStrategyRoundTrip:
 
         with pytest.raises(StructuralError):
             strategy_to_json(self._strategy(9), 2)
+
+
+def _readme_cli_commands():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split(">")[0])[1:] for line in block.splitlines() if line.startswith("detpower ")]
+
+
+def test_readme_cli_block(capsys, monkeypatch):
+    """Every command of the README's CLI block runs from the repository root
+    and prints its report (or the CSV curve), with any `> file` dropped."""
+    commands = _readme_cli_commands()
+    assert len(commands) == 11
+    monkeypatch.chdir(ROOT)
+    for argv in commands:
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        if "--csv" in argv:
+            assert out.splitlines()[0] == "x,p_err,rate", argv
+        else:
+            assert json.loads(out)["command"] == argv[0], argv
 
 
 def test_import_loads_no_scipy():
