@@ -100,7 +100,9 @@ class Povm:
     """Ordered list of outcome operators on a common d-dimensional space.
 
     The constructor enforces only structural consistency; physical validity
-    (Hermiticity, positivity, completeness) is checked by validate_povm.
+    (Hermiticity, positivity, completeness) is checked by validate_povm.  The
+    elements are held as one read-only (m, d, d) stack, and `elements` is the
+    tuple of its read-only views.
     """
 
     elements: tuple
@@ -113,8 +115,10 @@ class Povm:
         for k, e in enumerate(elems):
             if e.shape[0] != d:
                 raise StructuralError(f"POVM element {k} has dimension {e.shape[0]}, expected {d}")
-            e.setflags(write=False)
-        object.__setattr__(self, "elements", elems)
+        stack = np.stack(elems)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "elements", tuple(stack))
 
     @property
     def dim(self) -> int:
@@ -125,13 +129,8 @@ class Povm:
         return len(self.elements)
 
     def stacked(self) -> np.ndarray:
-        """All elements as one (m, d, d) array, built once and cached."""
-        cached = self.__dict__.get("_stacked")
-        if cached is None:
-            cached = np.stack(self.elements)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_stacked", cached)
-        return cached
+        """All elements as one read-only (m, d, d) array."""
+        return self._stack
 
     def grouped_element(self, indices) -> np.ndarray:
         """Sum of the elements selected by an outcome grouping."""

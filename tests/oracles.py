@@ -1,9 +1,10 @@
 """Direct enumerations of the exact finite-n quantities, kept as test oracles.
 
 Each one spells out its definition cell by cell or node by node; the library
-computes the same numbers with vectorized code.  basis_scan and
-single_shot_scan visit one basis or grouping per step, as the optimizer did
-before it stacked them.  phi_closure is the one-line
+computes the same numbers with vectorized code.  proper_groupings lists
+the outcome groupings that the scans visit, in their order, and basis_scan
+and single_shot_scan visit one basis or grouping per step, as the optimizer
+did before it stacked them.  phi_closure is the one-line
 phi(s) evaluator that the buffered channel._phi_evaluator must match bit for
 bit.  eig_hermitian_2d decomposes one matrix by itself, as eig_hermitian did
 before a matrix became a stack of one, and mixed_line_search is the
@@ -153,6 +154,13 @@ def basis_scan(objective, p, bases):
                 if best.infinite:
                     return best, best_pair
     return best, best_pair
+
+
+def proper_groupings(m):
+    """The outcome tuples that hold outcome 0 and not every outcome, by size
+    and then lexicographically."""
+    subsets = (g for k in range(1, m) for g in itertools.combinations(range(m), k) if g[0] == 0)
+    return sorted(subsets, key=lambda g: (len(g), g))
 
 
 def single_shot_scan(p, groupings):

@@ -92,6 +92,16 @@ class TestSingleShot:
         with pytest.raises(DomainError, match="at least 2 outcomes"):
             single_shot_power(ONE_OUTCOME)
 
+    @given(d=st.integers(2, 3), m=st.integers(3, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_coarse_graining_never_helps(self, d, m, seed, data):
+        # merging outcomes k < l into one element only removes groupings
+        k = data.draw(st.integers(0, m - 2))
+        l = data.draw(st.integers(k + 1, m - 1))
+        p = random_povm(np.random.default_rng(seed), d, m)
+        e = p.elements
+        merged = Povm(e[:k] + (e[k] + e[l],) + e[k + 1 : l] + e[l + 1 :])
+        assert single_shot_power(merged).value >= single_shot_power(p).value - 1e-12
+
 
 class TestChernoffSearch:
     def test_commuting_detector(self, diag_povm):
@@ -463,7 +473,7 @@ class TestChunkedScan:
             "covariant_12": lambda: fibonacci_covariant_discretization(12).to_povm(),
             "near_tie": _near_tie,
         }[which]()
-        spread, group, evecs = oracles.single_shot_scan(p, optimize._proper_groupings(p.n_outcomes))
+        spread, group, evecs = oracles.single_shot_scan(p, oracles.proper_groupings(p.n_outcomes))
         rep = single_shot_power(p)
         assert rep.value == min(max(0.5 - spread / 2.0, 0.0), 0.5)
         assert np.flatnonzero(rep.grouping.accept).tolist() == list(group)
@@ -488,7 +498,7 @@ class TestChunkedScan:
             "stein": (lambda P, Q: ExponentValue(relative_entropy(P, Q)), zeta_stein),
             "hoeffding": (lambda P, Q: hoeffding_exponent(P, Q, 0.05), lambda p, o: zeta_hoeffding(p, 0.05, o)),
         }[kind]
-        bases = [p.grouped_element(g) for g in optimize._proper_groupings(p.n_outcomes)]
+        bases = [p.grouped_element(g) for g in oracles.proper_groupings(p.n_outcomes)]
         best, (rho, sigma) = oracles.basis_scan(pair, p, (eig_hermitian(op)[1] for op in bases))
         rep = search(p, SearchOptions(restarts=0))
         assert rep.value == max(best.value, 0.0) and rep.s_star == best.optimizer_s
@@ -497,9 +507,22 @@ class TestChunkedScan:
 
     def test_grouped_elements_match_grouped_element(self):
         p = random_povm(np.random.default_rng(23), 3, 6)
-        groups = list(optimize._proper_groupings(6))
-        stack = optimize._grouped_elements(p, groups)
-        assert all(stack[r].tobytes() == p.grouped_element(g).tobytes() for r, g in enumerate(groups))
+        for chunk in (1, 7, 10**6):
+            scanned = [(row, op) for rows, ops, *_ in optimize._grouping_scan(p, chunk) for row, op in zip(rows, ops)]
+            assert [tuple(np.flatnonzero(row)) for row, _ in scanned] == list(oracles.proper_groupings(6))
+            assert all(op.tobytes() == p.grouped_element(np.flatnonzero(row)).tobytes() for row, op in scanned)
+
+    @pytest.mark.parametrize("chunk", [1, 4, 9, optimize.SCAN_CHUNK])
+    def test_element_bases_above_the_grouping_cap(self, monkeypatch, chunk):
+        # above MAX_OUTCOMES_GROUPING_SCAN outcomes the scan takes the eigenbases
+        # of the first MAX_BASIS_ELEMENTS elements, in order
+        monkeypatch.setattr(optimize, "MAX_OUTCOMES_GROUPING_SCAN", 3)
+        monkeypatch.setattr(optimize, "MAX_BASIS_ELEMENTS", 5)
+        monkeypatch.setattr(optimize, "SCAN_CHUNK", chunk)
+        p = random_povm(np.random.default_rng(26), 3, 7)
+        chunks = list(optimize._candidate_bases(p))
+        assert all(len(c) <= max(1, chunk // 3) for c in chunks)
+        assert [b.tobytes() for c in chunks for b in c] == [eig_hermitian(e)[1].tobytes() for e in p.elements[:5]]
 
     def test_generator_ends_after_the_last_chunk_is_scored(self, monkeypatch):
         # a profiler stamps the end of the scan when _candidate_bases is exhausted
@@ -575,7 +598,7 @@ def scan_detectors(draw):
 
 def _oracle_scan(pair, p):
     """oracles.basis_scan over the grouped-element eigenbases, one basis at a time."""
-    bases = (eig_hermitian(p.grouped_element(g))[1] for g in optimize._proper_groupings(p.n_outcomes))
+    bases = (eig_hermitian(p.grouped_element(g))[1] for g in oracles.proper_groupings(p.n_outcomes))
     return oracles.basis_scan(pair, p, bases)
 
 
