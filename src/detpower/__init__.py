@@ -47,6 +47,7 @@ from .core import (
     ValidationReport,
     bloch_to_density,
     eig_hermitian,
+    joint_eigenbasis,
     sequence_operator,
     validate_povm,
 )

@@ -106,7 +106,7 @@ def cmd_exponent(args) -> tuple | int:
         "restarts_used": rep.restarts_used,
         "seed": args.seed,
         "s_star": rep.s_star,
-        "value_kind": "achievable lower bound",
+        "value_kind": "exact" if rep.exact else "achievable lower bound",
     }
     if rep.optimizer is not None:
         diagnostics["optimal_rho"] = matrix_to_json(rep.optimizer.rho.mat)

@@ -16,6 +16,9 @@ TOL_HERM = 1e-9
 TOL_TRACE = 1e-9
 TOL_PSD = 1e-10
 TOL_COMPLETE = 1e-9
+# largest off-diagonal entry a joint eigenbasis may leave in an element,
+# relative to the largest entry of any element (round-off leaves about 1e-16)
+TOL_COMMUTE = 1e-12
 # largest d^n that sequence_operator builds (a 4096 x 4096 complex matrix is 256 MB)
 SEQUENCE_OPERATOR_MAX_DIM = 4096
 
@@ -221,6 +224,36 @@ def eig_hermitian(mat):
     evals, evecs = np.linalg.eigh((a + ah) / 2)
     order = np.lexsort((np.argmax(np.abs(evecs), axis=-2), -evals), axis=-1)
     return np.take_along_axis(evals, order, -1), np.take_along_axis(evecs, order[..., None, :], -1)
+
+
+def joint_eigenbasis(p: Povm):
+    """(U, A) when the elements commute: a joint eigenbasis and its row table; else None.
+
+    U's columns u_i are orthonormal and U^dagger E_k U has no off-diagonal
+    entry above TOL_COMMUTE times the largest entry of any element, for every
+    k.  A is the real (d, m) table A[i, k] = <u_i|E_k|u_i>: row i is the
+    outcome distribution of u_i.  U is eig_hermitian's eigenbasis of E_0 (as
+    the grouped element of outcome 0, the scan's first basis) when that basis
+    diagonalizes every element, and else that of the generic combination
+    G = sum_k cos(k(1 + sqrt 5)) E_k, whose eigenvalues tell distinct rows of
+    A apart unless the coefficients happen to balance them (then None, and
+    the caller takes its general path).  A detector with an element that
+    does not commute with G, within 2 d TOL_COMMUTE times the largest entries
+    of the elements and of G, gets None before any eigendecomposition.
+    """
+    s = p.stacked()
+    m, d = s.shape[:2]
+    tol = TOL_COMMUTE * np.abs(s).max()
+    g = (np.cos(np.arange(m) * (1.0 + 5**0.5)) @ s.reshape(m, -1)).reshape(d, d)
+    if np.abs(s @ g - g @ s).max() > 2 * d * tol * np.abs(g).max():
+        return None
+    for op in (p.grouped_element((0,)), g):
+        u = eig_hermitian(op)[1]
+        t = u.conj().T @ s @ u
+        a = np.diagonal(t, axis1=-2, axis2=-1)
+        if np.abs(t - a[..., None] * np.eye(d)).max() <= tol:
+            return u, np.ascontiguousarray(a.real.T)
+    return None
 
 
 def sequence_operator(p: Povm, seq) -> np.ndarray:

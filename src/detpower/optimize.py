@@ -1,9 +1,17 @@
 """Optimization over input state pairs for a fixed detector.
 
 single_shot_power is exact (spread formula over all outcome groupings).
-The asymptotic exponents are maximized over state pairs by an exhaustive
-scan of eigenvector pairs of grouped elements plus seeded random restarts
-with coordinate-wise golden-section refinement, so the reported value is a
+On a commuting detector, one whose elements share an eigenbasis
+(core.joint_eigenbasis), the detector is classical: every state induces a
+mixture of the basis states' outcome distributions.  The single shot is
+then the vertex formula over pairs of basis states, and zeta_chernoff,
+zeta_stein and zeta_hoeffding score the basis's d(d-1) ordered pairs, which
+is exact because the three exponents are jointly convex; restarts and
+--mixed corners are not run there, and the report has exact = True.
+On other detectors, and in optimize_state_pair for any objective, the
+exponents are maximized over state pairs by an exhaustive scan of
+eigenvector pairs of grouped elements plus seeded random restarts with
+coordinate-wise golden-section refinement, so the reported value is a
 certified-achievable lower bound on the true exponent.  With
 SearchOptions.mixed the incumbent (rho, sigma) is also compared with the
 other three corners of its square of mixtures ((1-t) rho + t I/d,
@@ -41,7 +49,7 @@ from .channel import (
     relative_entropy,
     relative_entropy_rows,
 )
-from .core import DensityMatrix, GroupingMask, Povm, eig_hermitian
+from .core import DensityMatrix, GroupingMask, Povm, eig_hermitian, joint_eigenbasis
 from .errors import DomainError, ResourceError
 
 MAX_OUTCOMES_SINGLE_SHOT = 24
@@ -89,6 +97,8 @@ class PowerReport:
     grouping: GroupingMask | None = None
     s_star: float | None = None
     restarts_used: int = 0
+    # True when value is the optimum itself, not only an achievable lower bound
+    exact: bool = False
 
 
 def _grouping_scan(p: Povm, size: int):
@@ -119,36 +129,49 @@ def _grouping_scan(p: Povm, size: int):
 def single_shot_power(p: Povm) -> PowerReport:
     """Minimum single-use error probability 1/2 - max_a spread(E^a)/2.
 
-    The scan diagonalizes every one of the 2^(m-1) - 1 proper groupings as
-    _grouping_scan yields them, SCAN_CHUNK per stacked eig_hermitian call; the
-    first grouping whose spread beats every earlier one by more than 1e-15
-    wins, and its membership row is the reported grouping.  The time doubles
-    with each outcome: at d = 2 on a 2-vCPU Xeon with BLAS on one thread it
-    takes about 0.2 s at m = 16, 0.9 s at m = 18 and 70 s at the cap of
-    MAX_OUTCOMES_SINGLE_SHOT = 24 outcomes (a scan of one grouping at a time
-    took 1.9 s at m = 16 and 9 s at m = 18).
+    On a commuting detector with joint basis u_i and row table A
+    (core.joint_eigenbasis) the largest spread is
+    max_{i != j} sum_k (A_ik - A_jk)_+, the gap P(a) - Q(a) of the inputs
+    (u_i, u_j) on the grouping a = {k : A_ik > A_jk}.  The ordered pairs are
+    taken in itertools.permutations order, and the first whose gap beats
+    every earlier one by more than 1e-15 gives the inputs and the grouping:
+    O(d^2 m) work, with no outcome cap.
+
+    Otherwise the scan diagonalizes every one of the 2^(m-1) - 1 proper
+    groupings as _grouping_scan yields them, SCAN_CHUNK per stacked
+    eig_hermitian call; the first grouping whose spread beats every earlier
+    one by more than 1e-15 wins, and its membership row is the reported
+    grouping, with the top and bottom eigenvectors as inputs.  The time
+    doubles with each outcome: at d = 2 on a 2-vCPU Xeon with BLAS on one
+    thread it takes about 0.2 s at m = 16, 0.9 s at m = 18 and 70 s at the
+    cap of MAX_OUTCOMES_SINGLE_SHOT = 24 outcomes (a scan of one grouping at
+    a time took 1.9 s at m = 16 and 9 s at m = 18).
     """
     _require_two_outcomes(p)
-    m = p.n_outcomes
-    if m > MAX_OUTCOMES_SINGLE_SHOT:
-        raise ResourceError(
-            f"{m} outcomes means 2^{m - 1} groupings; use the heuristic exponent search instead"
-        )
-    best_spread = -1.0
-    best = None
-    for rows, _, evals, evecs in _grouping_scan(p, SCAN_CHUNK):
-        for r, spread in enumerate((evals[:, 0] - evals[:, -1]).tolist()):
-            if spread > best_spread + 1e-15:
-                best_spread = spread
-                best = (rows[r], evecs[r])
-    row, evecs = best
-    rho = DensityMatrix.pure(evecs[:, 0])
-    sigma = DensityMatrix.pure(evecs[:, -1])
-    value = min(max(0.5 - best_spread / 2.0, 0.0), 0.5)
+    joint = joint_eigenbasis(p)
+    if joint is not None:
+        u, a = joint
+        spread = -1.0
+        for i, j in itertools.permutations(range(len(a)), 2) if len(a) > 1 else [(0, 0)]:
+            s = float(np.maximum(a[i] - a[j], 0.0).sum())  # P(a) - Q(a) on a = {k : a[i, k] > a[j, k]}
+            if s > spread + 1e-15:
+                spread, row, rho, sigma = s, a[i] > a[j], u[:, i], u[:, j]
+    else:
+        m = p.n_outcomes
+        if m > MAX_OUTCOMES_SINGLE_SHOT:
+            raise ResourceError(
+                f"{m} outcomes means 2^{m - 1} groupings; use the heuristic exponent search instead"
+            )
+        spread = -1.0
+        for rows, _, evals, evecs in _grouping_scan(p, SCAN_CHUNK):
+            for r, s in enumerate((evals[:, 0] - evals[:, -1]).tolist()):
+                if s > spread + 1e-15:
+                    spread, row, rho, sigma = s, rows[r], evecs[r][:, 0], evecs[r][:, -1]
     return PowerReport(
-        value=value,
-        optimizer=StatePair(rho, sigma),
+        value=min(max(0.5 - spread / 2.0, 0.0), 0.5),
+        optimizer=StatePair(DensityMatrix.pure(rho), DensityMatrix.pure(sigma)),
         grouping=GroupingMask(row),
+        exact=True,
     )
 
 
@@ -193,6 +216,31 @@ def _candidate_bases(p: Povm):
             yield eig_hermitian(elems[i : i + size])[1]
 
 
+def _best_basis_pair(objective, p: Povm, evecs):
+    """The first best-scoring ordered pair of eigenvectors over a stack of bases.
+
+    evecs is an (n, d, d) stack of eigenvector columns, scored as
+    optimize_state_pair describes.  Returns (ExponentValue, (rho_mat,
+    sigma_mat)) of the first largest value, NaN never counting, or
+    (ExponentValue(-inf), None) when no pair scores a number.
+    """
+    d = p.dim
+    rows = getattr(objective, "rows", None) or _pair_rows(objective)
+    pairs = np.array(list(itertools.permutations(range(d), 2)), dtype=int).reshape(-1, 2)
+    vecs = evecs.swapaxes(-1, -2)
+    proj = vecs[..., :, None] * vecs.conj()[..., None, :]  # proj[b, i] = np.outer(v_i, v_i*)
+    states = ClassicalDistribution(induced_probs(p, proj.reshape(-1, d, d)))
+    at = np.arange(len(proj))[:, None] * d
+    values, s = rows(states[(at + pairs[:, 0]).ravel()], states[(at + pairs[:, 1]).ravel()])
+    if not len(values):  # d = 1: a basis holds no ordered pair
+        return ExponentValue(-math.inf), None
+    t = int(np.argmax(np.fmax(values, -math.inf)))  # the first maximum; fmax ranks NaN as -inf
+    if math.isnan(values[t]):
+        return ExponentValue(-math.inf), None
+    b, (i, j) = t // len(pairs), pairs[t % len(pairs)]
+    return ExponentValue(float(values[t]), None if math.isnan(s[t]) else float(s[t])), (proj[b, i], proj[b, j])
+
+
 def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -> PowerReport:
     """Maximize objective(P, Q) -> ExponentValue over input state pairs.
 
@@ -206,21 +254,21 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     since each line search holds the other state fixed.
 
     The basis scan takes the candidate bases a chunk at a time, as
-    _candidate_bases yields them from one stacked eig_hermitian call.  The
-    chunk's projectors are converted in one stacked induced_probs call and
-    checked as one ClassicalDistribution stack; a state that is not a
-    distribution raises its own DomainError there, before the chunk is
-    scored.  All the chunk's ordered pairs are then scored in one call on two
-    stacks indexed from that one, rows(P_stack, Q_stack) -> (values, s): two
-    float arrays whose row k holds objective(P_k, Q_k)'s value and
-    optimizer_s, with NaN for a None optimizer_s.  rows is the objective's
-    `rows` attribute (zeta_chernoff and zeta_stein carry the channel row
-    forms), or else channel._pair_rows, which calls the objective once per
-    pair on the stacks' rows.  The incumbent is the first
-    largest value of a chunk that beats the incumbent so far; NaN never
-    counts.  So, as in a scan of one pair at a time in (basis,
-    itertools.permutations) order, it is the first strict maximum, and the
-    scan ends at the first infinite value.
+    _candidate_bases yields them from one stacked eig_hermitian call, and
+    _best_basis_pair scores each chunk.  The chunk's projectors are
+    converted in one stacked induced_probs call and checked as one
+    ClassicalDistribution stack; a state that is not a distribution raises
+    its own DomainError there, before the chunk is scored.  All the chunk's
+    ordered pairs are then scored in one call on two stacks indexed from that
+    one, rows(P_stack, Q_stack) -> (values, s): two float arrays whose row k
+    holds objective(P_k, Q_k)'s value and optimizer_s, with NaN for a None
+    optimizer_s.  rows is the objective's `rows` attribute (zeta_chernoff
+    and zeta_stein carry the channel row forms), or else channel._pair_rows,
+    which calls the objective once per pair on the stacks' rows.  The
+    incumbent is the first largest value of a chunk that beats the incumbent
+    so far; NaN never counts.  So, as in a scan of one pair at a time in
+    (basis, itertools.permutations) order, it is the first strict maximum,
+    and the scan ends at the first infinite value.
 
     With opts.mixed, the incumbent (rho, sigma) is then compared, in this
     order, with (I/d, sigma), (rho, I/d) and (I/d, I/d), the other corners of
@@ -230,6 +278,8 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
 
     Deterministic for a fixed seed: candidates are scanned in a fixed order and
     a restart or corner only replaces the incumbent on strict improvement.
+    This search runs on any detector and objective; the zeta_* searches call
+    it only for detectors whose elements do not commute.
     """
     _require_two_outcomes(p)
     opts = opts or SearchOptions()
@@ -250,21 +300,10 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
 
     # (a) exhaustive orthogonal pure pairs from grouped-element eigenbases,
     # a chunk of bases at a time
-    rows = getattr(objective, "rows", None) or _pair_rows(objective)
-    pairs = np.array(list(itertools.permutations(range(d), 2)), dtype=int).reshape(-1, 2)
     for evecs in _candidate_bases(p):
-        vecs = evecs.swapaxes(-1, -2)
-        proj = vecs[..., :, None] * vecs.conj()[..., None, :]  # proj[b, i] = np.outer(v_i, v_i*)
-        states = ClassicalDistribution(induced_probs(p, proj.reshape(-1, d, d)))
-        at = np.arange(len(proj))[:, None] * d
-        values, s = rows(states[(at + pairs[:, 0]).ravel()], states[(at + pairs[:, 1]).ravel()])
-        if not len(values):  # d = 1: a basis holds no ordered pair
-            continue
-        t = int(np.argmax(np.fmax(values, -math.inf)))  # the first maximum; fmax ranks NaN as -inf
-        if values[t] > best.value:
-            b, (i, j) = t // len(pairs), pairs[t % len(pairs)]
-            best = ExponentValue(float(values[t]), None if math.isnan(s[t]) else float(s[t]))
-            best_pair = (proj[b, i], proj[b, j])
+        ev, pair = _best_basis_pair(objective, p, evecs)
+        if ev.value > best.value:
+            best, best_pair = ev, pair
             if best.infinite:
                 return _finish(best, best_pair, 0)
 
@@ -324,7 +363,7 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     return _finish(best, best_pair, restarts_used)
 
 
-def _finish(best: ExponentValue, pair, restarts_used) -> PowerReport:
+def _finish(best: ExponentValue, pair, restarts_used, exact=False) -> PowerReport:
     optimizer = None
     if pair is not None:
         optimizer = StatePair(DensityMatrix(_hermitize(pair[0])), DensityMatrix(_hermitize(pair[1])))
@@ -333,6 +372,7 @@ def _finish(best: ExponentValue, pair, restarts_used) -> PowerReport:
         optimizer=optimizer,
         s_star=best.optimizer_s,
         restarts_used=restarts_used,
+        exact=exact,
     )
 
 
@@ -350,14 +390,33 @@ def _row_scored(pair, rows):
     return objective
 
 
+def _convex_search(objective, p: Povm, opts: SearchOptions | None) -> PowerReport:
+    """optimize_state_pair for an objective jointly convex in (P, Q), exact on commuting detectors.
+
+    When the elements commute (core.joint_eigenbasis), the P a state induces
+    ranges over the hull of the rows A_i of the joint basis, and so does Q.
+    A jointly convex objective then peaks at a vertex pair (A_i, A_j), so
+    the joint basis's d(d-1) ordered pairs, scored as the scan scores one
+    basis, give the maximum itself: no other basis, restart or --mixed corner
+    is scored, and the report has restarts_used = 0 and exact = True.  The
+    joint basis is E_0's eigenbasis, the scan's first, whenever that basis
+    diagonalizes every element.  Other detectors go to optimize_state_pair.
+    """
+    _require_two_outcomes(p)
+    joint = joint_eigenbasis(p)
+    if joint is None:
+        return optimize_state_pair(objective, p, opts)
+    return _finish(*_best_basis_pair(objective, p, joint[0][None]), 0, exact=True)
+
+
 def zeta_chernoff(p: Povm, opts: SearchOptions | None = None) -> PowerReport:
     """Asymptotic symmetric-error exponent of the detector (dual Chernoff)."""
-    return optimize_state_pair(_row_scored(chernoff_exponent, chernoff_rows), p, opts)
+    return _convex_search(_row_scored(chernoff_exponent, chernoff_rows), p, opts)
 
 
 def zeta_stein(p: Povm, opts: SearchOptions | None = None) -> PowerReport:
     """Dual Stein exponent: max over pairs of D(P||Q)."""
-    return optimize_state_pair(
+    return _convex_search(
         _row_scored(
             lambda P, Q: ExponentValue(relative_entropy(P, Q)),
             lambda P, Q: (relative_entropy_rows(P, Q), np.full(len(P), math.nan)),
@@ -371,4 +430,4 @@ def zeta_hoeffding(p: Povm, r: float, opts: SearchOptions | None = None) -> Powe
     """Dual Hoeffding exponent at type-I rate constraint r >= 0."""
     if not r >= 0.0:  # also refuses NaN
         raise DomainError(f"rate r must be nonnegative, got {r}")
-    return optimize_state_pair(lambda P, Q: hoeffding_exponent(P, Q, r), p, opts)
+    return _convex_search(lambda P, Q: hoeffding_exponent(P, Q, r), p, opts)

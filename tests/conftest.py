@@ -73,3 +73,30 @@ def rate_pairs(draw):
     a = draw(rates)
     b = draw(st.one_of(st.just(a), rates))
     return max(a, b), min(a, b)
+
+
+def random_unitary(rng, d):
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
+@st.composite
+def commuting_detectors(draw, min_outcomes=2):
+    """(detector, A): a commuting detector with d in 2-4 and m in min_outcomes-6
+    whose elements are U diag(A[:, k]) U^dagger in a random unitary frame U.
+
+    Row i of A, the outcome distribution of U's column i, has entries of at
+    least 0.05/6.  "repeated" copies row 0 to row 1; "degenerate" gives row 1
+    row 0's entries in another order with the first kept, so E_0 has a
+    repeated eigenvalue (the rows differ when m > 2).
+    """
+    d, m = draw(st.integers(2, 4)), draw(st.integers(min_outcomes, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(0.05, 1.0, size=(d, m))
+    a /= a.sum(axis=1, keepdims=True)
+    kind = draw(st.sampled_from(["distinct", "repeated", "degenerate"]))
+    if kind == "repeated":
+        a[1] = a[0]
+    elif kind == "degenerate":
+        a[1] = a[0, [0, *range(m - 1, 0, -1)]]
+    u = random_unitary(rng, d)
+    return Povm(tuple(u @ np.diag(col) @ u.conj().T for col in a.T)), a

@@ -148,11 +148,22 @@ class TestExponent:
         assert code == 0
         assert rep["results"]["zeta_chernoff"]["value"] == "inf"
 
-    def test_value_kind_is_lower_bound(self, capsys):
-        code, rep = run_json(capsys, "exponent", POVM_FILE, "--kind", "stein", "--restarts", "0")
+    def test_value_kind_is_lower_bound(self, capsys, tmp_path):
+        # a qubit detector with three outcomes whose elements do not commute
+        path = tmp_path / "random.json"
+        path.write_text(json.dumps(povm_to_json(random_povm(np.random.default_rng(5), 2, 3))))
+        code, rep = run_json(capsys, "exponent", str(path), "--kind", "stein", "--restarts", "0")
         assert code == 0
         assert rep["diagnostics"]["value_kind"] == "achievable lower bound"
         assert list(rep["results"]) == ["zeta_stein"]
+
+    @pytest.mark.parametrize("kind", [["chernoff"], ["stein"], ["hoeffding", "--rate", "0.05"]])
+    def test_value_kind_is_exact_on_a_commuting_detector(self, capsys, kind):
+        # the joint eigenbasis gives the optimum itself; restarts and --mixed are not run
+        code, rep = run_json(capsys, "exponent", POVM_FILE, "--kind", *kind, "--restarts", "4", "--mixed")
+        assert code == 0
+        assert rep["diagnostics"]["value_kind"] == "exact"
+        assert rep["diagnostics"]["restarts_used"] == 0
 
     def test_negative_restarts_exit_3(self, capsys):
         code, out = run(capsys, "exponent", POVM_FILE, "--restarts", "-3")

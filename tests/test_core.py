@@ -22,12 +22,13 @@ from detpower import (
     bloch_to_density,
     eig_hermitian,
     fibonacci_covariant_discretization,
+    joint_eigenbasis,
     sequence_operator,
     validate_povm,
 )
 from detpower import core
 from detpower.channel import induced_distribution, induced_probs
-from conftest import random_density, random_povm
+from conftest import commuting_detectors, random_density, random_povm, random_unitary
 import oracles
 
 
@@ -451,3 +452,50 @@ class TestIdentityEquality:
         assert a != twin
         assert hash(a) == hash(a)
         assert a in {a} and len({a, twin}) == 2
+
+
+def _row_gap(a, b) -> float:
+    """Largest distance from a row of either table to the nearest row of the other."""
+    dist = np.abs(a[:, None, :] - b[None, :, :]).max(axis=-1)
+    return float(max(dist.min(axis=0).max(), dist.min(axis=1).max()))
+
+
+class TestJointEigenbasis:
+    def test_diagonal_detector(self, diag_povm):
+        u, a = joint_eigenbasis(diag_povm)
+        assert np.array_equal(u, np.eye(2))
+        assert a.tolist() == [[0.4, 0.6], [0.2, 0.8]]
+
+    @given(case=commuting_detectors())
+    def test_recovers_the_rows(self, case):
+        p, want = case
+        u, a = joint_eigenbasis(p)
+        assert np.allclose(u.conj().T @ u, np.eye(p.dim), rtol=0.0, atol=1e-14)
+        assert a.shape == want.shape and _row_gap(a, want) < 1e-14
+        # the basis is E_0's, in eig_hermitian's order, whenever that one diagonalizes every element
+        if len(set(np.round(want[:, 0], 12))) == p.dim:
+            assert np.array_equal(u, eig_hermitian(p.elements[0])[1])
+
+    def test_degenerate_first_element(self):
+        # E_0 = I/2 leaves its basis arbitrary; the generic combination fixes it
+        u = random_unitary(np.random.default_rng(4), 3)
+        rows = np.array([[0.5, 0.1, 0.4], [0.5, 0.3, 0.2], [0.5, 0.4, 0.1]])
+        p = Povm(tuple(u @ np.diag(col) @ u.conj().T for col in rows.T))
+        assert _row_gap(joint_eigenbasis(p)[1], rows) < 1e-14
+
+    @pytest.mark.parametrize("d, m", [(2, 3), (3, 4), (4, 11)])
+    def test_non_commuting_detector(self, d, m):
+        assert joint_eigenbasis(random_povm(np.random.default_rng(d * m), d, m)) is None
+
+    def test_every_two_outcome_detector_commutes(self):
+        rng = np.random.default_rng(6)
+        assert all(joint_eigenbasis(random_povm(rng, d, 2)) is not None for d in (2, 3, 4, 5))
+
+    @pytest.mark.parametrize("eps, commutes", [(1e-14, True), (1e-9, False), (1e-6, False)])
+    def test_tolerance(self, eps, commutes):
+        # eps moves weight between two outcomes along a direction that is not diagonal
+        h = np.array([[0.0, 1.0], [1.0, 0.0]]) * eps
+        elems = [np.diag(c).astype(complex) for c in ([0.5, 0.1], [0.2, 0.3], [0.3, 0.6])]
+        p = Povm((elems[0] + h, elems[1] - h, elems[2]))
+        assert (joint_eigenbasis(p) is not None) == commutes
+        assert core.TOL_COMMUTE <= min(core.TOL_HERM, core.TOL_TRACE, core.TOL_PSD, core.TOL_COMPLETE)

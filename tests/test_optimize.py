@@ -1,10 +1,11 @@
+import contextlib
 import json
 import math
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from detpower import (
@@ -15,6 +16,8 @@ from detpower import (
     Povm,
     ResourceError,
     SearchOptions,
+    commuting_zeta,
+    joint_eigenbasis,
     noisy_sg_povm,
     noisy_sg_zeta,
     relative_entropy,
@@ -33,12 +36,20 @@ from detpower.channel import (
     induced_probs,
 )
 from detpower.io import load_json_file, povm_from_json
-from conftest import random_povm, random_pure
+from conftest import commuting_detectors, random_povm, random_pure, random_unitary
 import oracles
 
 FAST = SearchOptions(restarts=8, seed=0)
 SG_FILE = os.path.join(os.path.dirname(__file__), "..", "data", "povm_noisy_sg_062.json")
 ONE_OUTCOME = Povm((np.eye(2, dtype=complex),))
+
+
+@contextlib.contextmanager
+def scan_only():
+    """Send every detector down the grouping scan, commuting ones too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "joint_eigenbasis", lambda p: None)
+        yield
 
 
 class TestSingleShot:
@@ -83,10 +94,14 @@ class TestSingleShot:
                 assert rep.value <= sampled + 1e-10
 
     def test_outcome_cap(self):
-        eye = np.eye(2, dtype=complex)
-        p = Povm(tuple([eye / 30] * 30))
+        p = random_povm(np.random.default_rng(30), 2, 30)  # its elements do not commute
         with pytest.raises(ResourceError):
             single_shot_power(p)
+
+    def test_commuting_detector_has_no_outcome_cap(self):
+        eye = np.eye(2, dtype=complex)
+        rep = single_shot_power(Povm(tuple([eye / 30] * 30)))
+        assert rep.value == 0.5 and rep.exact
 
     def test_one_outcome_refused(self):
         with pytest.raises(DomainError, match="at least 2 outcomes"):
@@ -324,9 +339,10 @@ class TestSearchOverDistributions:
         monkeypatch.setattr(optimize, "induced_probs", counted_probs)
         monkeypatch.setattr(optimize, "chernoff_exponent", counted_solve)
         monkeypatch.setattr(optimize, "golden_section_min", counted_search)
-        plain = zeta_chernoff(p, SearchOptions(restarts=0))
-        scan = sum(conversions), len(solves)
-        mixed = zeta_chernoff(p, SearchOptions(restarts=0, mixed=True))
+        with scan_only():  # the detector commutes: zeta_chernoff alone would score no corner
+            plain = zeta_chernoff(p, SearchOptions(restarts=0))
+            scan = sum(conversions), len(solves)
+            mixed = zeta_chernoff(p, SearchOptions(restarts=0, mixed=True))
         # both states of each of the three corners are converted and scored once
         assert (sum(conversions) - 2 * scan[0], len(solves) - 2 * scan[1]) == (6, 3)
         assert not line_searches
@@ -474,7 +490,8 @@ class TestChunkedScan:
             "near_tie": _near_tie,
         }[which]()
         spread, group, evecs = oracles.single_shot_scan(p, oracles.proper_groupings(p.n_outcomes))
-        rep = single_shot_power(p)
+        with scan_only():  # near_tie commutes
+            rep = single_shot_power(p)
         assert rep.value == min(max(0.5 - spread / 2.0, 0.0), 0.5)
         assert np.flatnonzero(rep.grouping.accept).tolist() == list(group)
         assert np.array_equal(rep.optimizer.rho.mat, DensityMatrix.pure(evecs[:, 0]).mat)
@@ -621,7 +638,8 @@ class TestScanMatchesOracle:
             "stein": (lambda P, Q: ExponentValue(relative_entropy(P, Q)), zeta_stein),
             "hoeffding": (lambda P, Q: hoeffding_exponent(P, Q, r), lambda p, o: zeta_hoeffding(p, r, o)),
         }[kind]
-        rep = search(p, SearchOptions(restarts=0))
+        with scan_only():  # the projective and diagonal detectors commute
+            rep = search(p, SearchOptions(restarts=0))
         assert _report_bits(rep) == _oracle_bits(*_oracle_scan(pair, p))
 
     @given(p=scan_detectors())
@@ -685,3 +703,81 @@ class TestMixedCorners:
         assert rep.value == math.log(2)
         assert np.array_equal(rep.optimizer.rho.mat, np.eye(2) / 2)
         assert np.array_equal(rep.optimizer.sigma.mat, plain.optimizer.sigma.mat)
+
+
+def _objective(kind, r=0.05):
+    """(per-pair objective, zeta search) of one exponent; the objective is the one the search scores."""
+    return {
+        "chernoff": (optimize._row_scored(chernoff_exponent, chernoff_rows), zeta_chernoff),
+        "stein": (lambda P, Q: ExponentValue(relative_entropy(P, Q)), zeta_stein),
+        "hoeffding": (lambda P, Q: hoeffding_exponent(P, Q, r), lambda p, o: zeta_hoeffding(p, r, o)),
+    }[kind]
+
+
+class TestCommutingExact:
+    """On a commuting detector the exponents peak at a pair of joint
+    eigenvectors, and the single shot is the vertex formula."""
+
+    @settings(max_examples=25)
+    @given(case=commuting_detectors(), kind=st.sampled_from(["chernoff", "stein", "hoeffding"]),
+           r=st.sampled_from([0.0, 0.05, 0.4]))
+    def test_never_below_the_search(self, case, kind, r):
+        p, a = case
+        objective, search = _objective(kind, r)
+        rep = search(p, SearchOptions(restarts=4))
+        assert rep.exact and rep.restarts_used == 0
+        searched = optimize.optimize_state_pair(objective, p, SearchOptions(restarts=4))
+        assert not searched.exact
+        # 1e-12 relative, and 1e-15 absolute for the round-off of a zero exponent (equal rows)
+        assert rep.value >= searched.value - 1e-12 * searched.value - 1e-15
+        # the value is the best vertex pair's, and the reported pair attains it
+        rows = ClassicalDistribution(a)
+        vertex = max(objective(rows[i], rows[j]).value for i in range(p.dim) for j in range(p.dim) if i != j)
+        assert rep.value == pytest.approx(vertex, rel=1e-12, abs=1e-15)
+        P, Q = (ClassicalDistribution(induced_probs(p, x.mat)) for x in (rep.optimizer.rho, rep.optimizer.sigma))
+        assert objective(P, Q).value == pytest.approx(rep.value, rel=1e-12, abs=1e-15)
+
+    @given(case=commuting_detectors())
+    def test_single_shot_equals_the_grouping_scan(self, case):
+        p, _ = case
+        spread, _, _ = oracles.single_shot_scan(p, oracles.proper_groupings(p.n_outcomes))
+        rep = single_shot_power(p)
+        assert rep.exact and abs(rep.value - min(max(0.5 - spread / 2.0, 0.0), 0.5)) <= 1e-12
+        # the reported states and grouping attain the value
+        P, Q = (induced_probs(p, x.mat) for x in (rep.optimizer.rho, rep.optimizer.sigma))
+        a = rep.grouping.accept
+        assert abs(0.5 * (P[~a].sum() + Q[a].sum()) - rep.value) <= 1e-12
+
+    @given(pq=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)).filter(lambda x: abs(x[0] - x[1]) > 1e-3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_commuting_zeta(self, pq, seed):
+        pp, qq = max(pq), min(pq)
+        u = random_unitary(np.random.default_rng(seed), 2)
+        p = Povm(tuple(u @ np.diag(c) @ u.conj().T for c in ([pp, qq], [1 - pp, 1 - qq])))
+        rep = zeta_chernoff(p, SearchOptions(restarts=0))
+        assert rep.exact and abs(rep.value - commuting_zeta(pp, qq)) <= 1e-12
+
+    @given(case=commuting_detectors(min_outcomes=3), seed=st.integers(0, 2**32 - 1))
+    def test_off_commuting_takes_the_search(self, case, seed):
+        # move 1e-6 of an off-diagonal Hermitian direction from E_1 to E_0: still a POVM
+        p, _ = case
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(p.dim, p.dim)) + 1j * rng.normal(size=(p.dim, p.dim))
+        h = g + g.conj().T
+        h *= 1e-6 / np.abs(h).max()
+        e = p.elements
+        moved = Povm((e[0] + h, e[1] - h, *e[2:]))
+        s = moved.stacked()
+        assume(max(np.abs(x @ y - y @ x).max() for x in s for y in s) > 1e-8)
+        assert joint_eigenbasis(moved) is None
+        for search in (zeta_chernoff, zeta_stein, lambda p, o: zeta_hoeffding(p, 0.05, o)):
+            assert not search(moved, SearchOptions(restarts=0)).exact
+
+    def test_bundled_detectors_keep_the_scan_pair(self, diag_povm):
+        # the joint basis is E_0's eigenbasis, the scan's first, so the pair is the scan's
+        for p in (diag_povm, povm_from_json(load_json_file(SG_FILE))):
+            for kind in ("chernoff", "stein", "hoeffding"):
+                search = _objective(kind)[1]
+                with scan_only():
+                    scan = search(p, SearchOptions(restarts=0))
+                assert _report_bits(search(p, SearchOptions(restarts=2, mixed=True))) == _report_bits(scan)
