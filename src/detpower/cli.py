@@ -57,10 +57,15 @@ def _digest(path: str | None) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _number(value: float) -> float | str:
+    """value, or "inf" / "-inf": strict JSON has no infinities."""
+    return str(value) if math.isinf(value) else value
+
+
 def _scalar(value: float, units: str, bits: bool) -> dict:
     if bits and units == "nats":
         value, units = value / LN2, "bits"
-    return {"value": "inf" if math.isinf(value) else value, "units": units}
+    return {"value": _number(value), "units": units}
 
 
 def _load_valid_povm(path: str) -> Povm:
@@ -131,25 +136,26 @@ def cmd_finite(args) -> tuple | int:
             for x, p_err, rate in rows:
                 sys.stdout.write(f"{x:.12g},{p_err:.12g},{rate:.12g}\n")
             return EXIT_OK
-        curve = [[x, p_err, rate if math.isfinite(rate) else "inf"] for x, p_err, rate in rows]
+        curve = [[x, p_err, _number(rate)] for x, p_err, rate in rows]
         return {"curve": {"value": curve, "units": "x, probability, nats"}}, {}
-    diagnostics: dict = {}
     pair = extreme_pair(povm)
-    if args.mode == "ml":
-        log_err, diagnostics["grouping_size"] = iid_ml_log_error(*candidate_probs(povm, pair), n)
-        results = _error_results(log_err, n)
-    elif args.mode == "brute":
-        _check_sequences(povm.n_outcomes, n)  # before an input of n slots is built
-        dist0, dist1 = (sequence_distribution(povm, ProductInput.iid(rho, n)) for rho in pair)
-        p_err, mask = brute_force_grouping(dist0, dist1)
-        results = _error_results(math.log(p_err) if p_err > 0.0 else -math.inf, n)
-        diagnostics["grouping_size"] = int(mask.accept.sum())
-    else:  # pattern
+    if args.mode == "pattern":
         log_err, (pat0, pat1) = best_product_pair(povm, n, pair)
         results = _error_results(log_err, n)
         patterns = ["".join(map(str, pat0)), "".join(map(str, pat1))]
         results["pattern"] = {"value": patterns, "units": "candidate indices"}
-    return results, diagnostics
+        return results, {}
+    if args.mode == "ml":
+        log_err, log_size = iid_ml_log_error(*candidate_probs(povm, pair), n)
+    else:  # brute
+        _check_sequences(povm.n_outcomes, n)  # before an input of n slots is built
+        dist0, dist1 = (sequence_distribution(povm, ProductInput.iid(rho, n)) for rho in pair)
+        p_err, mask = brute_force_grouping(dist0, dist1)
+        log_err = math.log(p_err) if p_err > 0.0 else -math.inf
+        size = int(mask.accept.sum())
+        log_size = math.log(size) if size else -math.inf
+    # log of the number of sequences that go to H0 ("-inf" for none)
+    return _error_results(log_err, n), {"log_grouping_size": _number(log_size)}
 
 
 def cmd_adaptive(args) -> tuple:

@@ -239,7 +239,11 @@ def joint_eigenbasis(p: Povm):
     A apart unless the coefficients happen to balance them (then None, and
     the caller takes its general path).  A detector with an element that
     does not commute with G, within 2 d TOL_COMMUTE times the largest entries
-    of the elements and of G, gets None before any eigendecomposition.
+    of the elements and of G, gets None before any eigendecomposition.  A
+    two-outcome detector commutes only when E_1 = I - E_0 to within this
+    tolerance: validate_povm accepts completeness residuals up to
+    TOL_COMPLETE, far above it, and an E_1 off I - E_0 by 1e-11 off the
+    diagonal gets None.
     """
     s = p.stacked()
     m, d = s.shape[:2]

@@ -24,9 +24,12 @@ SWEEP_WORK_CAP = 10**7
 # largest n that sweep_x and empirical_rate aggregate
 AGGREGATION_CAP = 10**5
 # most types that iid_ml_log_error enumerates, and best_product_pair over all
-# its compositions.  Exact i.i.d. counts are longest at m = 2, n = TYPES_CAP - 1:
-# about 0.13 s and 19 MB above the import (53 MB peak) on a 2-vCPU Xeon, where
-# m^n has 3010 digits, under Python's 4300-digit limit on printing an int.
+# its compositions.  At the cap on a 2-vCPU Xeon: the i.i.d. sum (m = 2,
+# n = 9999) about 1.5 ms and 0.7 MB; best_product_pair, which pays per
+# composition, 70 ms for three candidates on two outcomes at n = 5 (252
+# compositions) and 0.3 s and 2 MB for eight at n = 2 (1596).  Building its
+# composition table takes time of order K^3 for K classes: 30 candidates at
+# n = 1 (K = 870) take 0.6 s and 18 MB.
 TYPES_CAP = 10**4
 
 # Cephes lgam (scipy.special.gammaln) at x = k + 1 takes the log of the exact
@@ -261,30 +264,6 @@ def _types(counts, m: int) -> np.ndarray:
     return types
 
 
-def _binomial_rows(rows: np.ndarray, width: int) -> np.ndarray:
-    """Exact C(r, k) as Python ints for each r of `rows` and k = 0..width, one
-    column per step of C(r, k + 1) = C(r, k) (r - k) / (k + 1)."""
-    table = np.empty((len(rows), width + 1), dtype=object)
-    col = np.ones(len(rows), dtype=object)
-    r = rows.astype(object)
-    for k in range(width + 1):
-        table[:, k] = col
-        col = col * (r - k) // (k + 1)
-    return table
-
-
-def _multinomial_sum(types: np.ndarray, n: int) -> int:
-    """Sum over the rows of multinom(n; t) = prod_j C(uses left before j, k_j),
-    as an exact Python int."""
-    rest = n - np.cumsum(types[:, :-1], axis=1) + types[:, :-1]
-    rows = np.unique(rest)
-    table = _binomial_rows(rows, n)
-    count = np.ones(len(types), dtype=object)
-    for j in range(types.shape[1] - 1):
-        count = count * table[np.searchsorted(rows, rest[:, j]), types[:, j]]
-    return int(count.sum())
-
-
 def _check_types(n: int, cells: int) -> None:
     """Refuse more than TYPES_CAP types of n over `cells` outcomes, unbuilt."""
     if math.comb(n + cells - 1, cells - 1) > TYPES_CAP:
@@ -292,7 +271,7 @@ def _check_types(n: int, cells: int) -> None:
 
 
 def _types_log_error(p_rows: np.ndarray, q_rows: np.ndarray, counts):
-    """(log p_err, joint types, accept) of the ML decision between
+    """(log p_err, log multiplicities, accept) of the ML decision between
     prod_k P_k^c_k and prod_k Q_k^c_k: iid_ml_log_error's sum over types, with
     prod_k multinom(c_k; t_k) sequences per joint type and log-likelihoods
     summed in class, then outcome order.  An empty class adds exact zeros."""
@@ -306,19 +285,20 @@ def _types_log_error(p_rows: np.ndarray, q_rows: np.ndarray, counts):
     terms = log_mult + np.where(accept, l1, l0)
     terms = terms[np.isfinite(terms)]
     log_err = _logsumexp(terms) - math.log(2.0) if terms.size else -math.inf
-    return log_err, types, accept
+    return log_err, log_mult, accept
 
 
 def iid_ml_log_error(p_dist, q_dist, n: int):
-    """(log p_err, grouping_size) of the ML decision between P^n and Q^n.
+    """(log p_err, log_grouping_size) of the ML decision between P^n and Q^n.
 
     A sequence of type t = (k_1, ..., k_m) has probability P^t = prod_j P_j^k_j,
     and multinom(n; t) sequences share it, so p_err = 1/2 sum_t multinom(n; t)
     min(P^t, Q^t) (method of types): C(n + m - 1, m - 1) log-domain terms
     instead of m^n.  A type goes to H0 when its log-likelihoods, summed in
     outcome order, satisfy l0 >= l1: ties, and types that neither hypothesis
-    can produce, go to H0.  grouping_size is the exact number of sequences
-    that go to H0.  Disjoint supports give log p_err = -inf.  n < 1 is
+    can produce, go to H0.  log_grouping_size is the log of the number of
+    sequences that go to H0, summed from the same log multinomials (-inf
+    when none do).  Disjoint supports give log p_err = -inf.  n < 1 is
     refused with DomainError and more than TYPES_CAP types with ResourceError,
     before any type is built.
     """
@@ -326,8 +306,8 @@ def iid_ml_log_error(p_dist, q_dist, n: int):
         raise DomainError("n must be positive")
     p, q = _pair(p_dist, q_dist)
     _check_types(n, len(p))
-    log_err, types, accept = _types_log_error(p[None], q[None], (n,))
-    return log_err, _multinomial_sum(types[accept], n)
+    log_err, log_mult, accept = _types_log_error(p[None], q[None], (n,))
+    return log_err, _logsumexp(log_mult[accept]) if accept.any() else -math.inf
 
 
 def _sweep(p_row, q_row, n: int, points: int | None = None):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -22,6 +24,11 @@ def basis_states():
     rho0 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
     rho1 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
     return rho0, rho1
+
+
+def assert_log_count(log_size, count):
+    """A log count is math.log of the exact count (-inf for none) within 1e-13 relative."""
+    assert math.isclose(log_size, math.log(count) if count else -math.inf, rel_tol=1e-13)
 
 
 def random_density(rng, d):

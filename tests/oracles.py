@@ -10,7 +10,8 @@ bit.  eig_hermitian_2d decomposes one matrix by itself, as eig_hermitian did
 before a matrix became a stack of one, and mixed_line_search is the
 golden-section --mixed refinement that the corner check replaced.
 iid_ml_error decides the i.i.d. ML test type by type in exact rational
-arithmetic, so its ties are exact.  checked_probs checks one flattened
+arithmetic, so its ties are exact, and counts the accepted sequences as an
+exact int (multinomial over compositions).  checked_probs checks one flattened
 distribution by itself, as the channel did before a ClassicalDistribution
 checked every row of a stack, and covariant_zeta_loop scores one Bloch
 direction at a time, as covariant_zeta_numeric did before it scored them
@@ -213,6 +214,23 @@ def mixed_line_search(objective, p, rho_mat, sigma_mat):
     return objective(fixed, dist(mixed(sigma_mat, t_s)))
 
 
+def compositions(n, m):
+    """Every type (k_1, ..., k_m) of n uses over m outcomes, as the gaps
+    between m - 1 bars placed among n + m - 1 slots."""
+    for bars in itertools.combinations(range(n + m - 1), m - 1):
+        edges = (-1, *bars, n + m - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def multinomial(t):
+    """multinom(sum t; t) as an exact int, a product of binomials."""
+    count, left = 1, sum(t)
+    for k in t:
+        count *= math.comb(left, k)
+        left -= k
+    return count
+
+
 def iid_ml_error(p, q, n):
     """(p_err, grouping_size) of the ML decision between P^n and Q^n in exact
     arithmetic: each entry is the Fraction of its float, every type t of n
@@ -220,13 +238,8 @@ def iid_ml_error(p, q, n):
     p = [Fraction(float(x)) for x in p]
     q = [Fraction(float(x)) for x in q]
     p_err, size = Fraction(0), 0
-    for t in itertools.product(range(n + 1), repeat=len(p)):
-        if sum(t) != n:
-            continue
-        count, left = 1, n
-        for k in t:
-            count *= math.comb(left, k)
-            left -= k
+    for t in compositions(n, len(p)):
+        count = multinomial(t)
         pt = math.prod(x**k for x, k in zip(p, t))
         qt = math.prod(x**k for x, k in zip(q, t))
         if pt >= qt:

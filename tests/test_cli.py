@@ -13,9 +13,9 @@ from detpower.channel import candidate_probs, chernoff_exponent
 import detpower.cli
 from detpower.cli import _basis_candidates, _load_valid_povm, build_parser, main
 from detpower.finite import TYPES_CAP, iid_ml_log_error
-from detpower.io import matrix_to_json, povm_to_json
+from detpower.io import loads_strict, matrix_to_json, povm_to_json
 from detpower import Povm, empirical_rate
-from conftest import random_povm
+from conftest import assert_log_count, random_povm
 import oracles
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -32,8 +32,10 @@ def run(capsys, *argv):
 
 
 def run_json(capsys, *argv):
+    """(exit code, report) with the report parsed as strict JSON: a bare NaN
+    or Infinity fails the test."""
     code, out = run(capsys, *argv)
-    return code, json.loads(out)
+    return code, loads_strict(out)
 
 
 class TestUsage:
@@ -193,7 +195,7 @@ class TestFinite:
         code, rep = run_json(capsys, "finite", POVM_FILE, "--n", "3", "--mode", "ml")
         assert code == 0
         assert abs(rep["results"]["p_err"]["value"] - 0.352) < 1e-12
-        assert rep["diagnostics"]["grouping_size"] == 7
+        assert_log_count(rep["diagnostics"]["log_grouping_size"], 7)
 
     def test_brute_matches_ml(self, capsys):
         # ml sums types and brute the dense sequences: 0.352 and 0.35200000000000004
@@ -201,15 +203,28 @@ class TestFinite:
         _, bf = run_json(capsys, "finite", POVM_FILE, "--n", "3", "--mode", "brute")
         ml_err, bf_err = ml["results"]["p_err"]["value"], bf["results"]["p_err"]["value"]
         assert abs(bf_err - ml_err) <= 1e-12 * max(bf_err, ml_err)
-        assert bf["diagnostics"]["grouping_size"] == ml["diagnostics"]["grouping_size"] == 7
+        for rep in (ml, bf):
+            assert_log_count(rep["diagnostics"]["log_grouping_size"], 7)
 
     def test_ml_ties_go_to_h0(self, capsys):
         # the 924 sequences with six clicks of twelve tie; dense kron products gave 2154
         code, rep = run_json(capsys, "finite", SG_FILE, "--n", "12", "--mode", "ml")
         assert code == 0
         p_err, size = oracles.iid_ml_error([0.81, 0.19], [0.19, 0.81], 12)
-        assert rep["diagnostics"]["grouping_size"] == size == 2510
+        assert size == 2510
+        assert_log_count(rep["diagnostics"]["log_grouping_size"], size)
         assert abs(rep["results"]["p_err"]["value"] - float(p_err)) <= 1e-12 * float(p_err)
+
+    def test_useless_detector_log_count(self, capsys, tmp_path):
+        # P = Q: dense brute force accepts no sequence, ML sends all 4 ties to H0
+        useless = Povm((np.eye(2, dtype=complex) / 2, np.eye(2, dtype=complex) / 2))
+        path = tmp_path / "useless.json"
+        path.write_text(json.dumps(povm_to_json(useless)))
+        _, bf = run_json(capsys, "finite", str(path), "--n", "2", "--mode", "brute")
+        _, ml = run_json(capsys, "finite", str(path), "--n", "2", "--mode", "ml")
+        assert bf["diagnostics"]["log_grouping_size"] == "-inf"
+        assert_log_count(ml["diagnostics"]["log_grouping_size"], 4)
+        assert bf["results"]["p_err"]["value"] == ml["results"]["p_err"]["value"] == 0.5
 
     def test_ml_rate(self, capsys):
         code, rep = run_json(capsys, "finite", POVM_FILE, "--n", "3", "--mode", "ml")
@@ -228,13 +243,9 @@ class TestFinite:
         perfect = Povm((np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)))
         path = tmp_path / "perfect.json"
         path.write_text(json.dumps(povm_to_json(perfect)))
-        code, out = run(capsys, "finite", str(path), "--n", "3", "--mode", "ml")
+        code, rep = run_json(capsys, "finite", str(path), "--n", "3", "--mode", "ml")
         assert code == 0
-
-        def reject(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
-        results = json.loads(out, parse_constant=reject)["results"]
+        results = rep["results"]
         assert results["p_err"]["value"] == 0.0
         assert results["rate"]["value"] == "inf"
 
@@ -273,12 +284,12 @@ class TestFinite:
         assert 0.0 < rep["results"]["p_err"]["value"] < 0.5
 
     def test_ml_largest_n(self, capsys):
-        # TYPES_CAP types at m = 2; about 0.15 s on a 2-vCPU Xeon, budget 10 s
+        # TYPES_CAP types at m = 2; about 2 ms on a 2-vCPU Xeon, budget 10 s
         t0 = time.perf_counter()
         code, rep = run_json(capsys, "finite", POVM_FILE, "--n", str(TYPES_CAP - 1), "--mode", "ml")
         assert code == 0
         assert time.perf_counter() - t0 < 10.0
-        assert 0 < rep["diagnostics"]["grouping_size"] < 2 ** (TYPES_CAP - 1)
+        assert 0 < rep["diagnostics"]["log_grouping_size"] < (TYPES_CAP - 1) * math.log(2.0)
         assert 0.0 < rep["results"]["rate"]["value"] < 1.0
 
     def test_ml_above_types_cap_exit_4(self, capsys):
@@ -473,13 +484,9 @@ class TestFinite:
         perfect = Povm((np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)))
         path = tmp_path / "perfect.json"
         path.write_text(json.dumps(povm_to_json(perfect)))
-        code, out = run(capsys, "finite", str(path), "--n", "3", "--mode", "sweep")
+        code, rep = run_json(capsys, "finite", str(path), "--n", "3", "--mode", "sweep")
         assert code == 0
-
-        def reject(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
-        curve = json.loads(out, parse_constant=reject)["results"]["curve"]["value"]
+        curve = rep["results"]["curve"]["value"]
         assert [row[1:] for row in curve] == [[0.0, "inf"]] * 4
 
 
@@ -723,7 +730,7 @@ def test_readme_cli_block(capsys, monkeypatch):
         if "--csv" in argv:
             assert out.splitlines()[0] == "x,p_err,rate", argv
         else:
-            assert json.loads(out)["command"] == argv[0], argv
+            assert loads_strict(out)["command"] == argv[0], argv
 
 
 def test_import_loads_no_scipy():

@@ -34,11 +34,10 @@ from detpower.finite import (
     _block_log_err,
     _log_factorials,
     _logsumexp,
-    _multinomial_sum,
     _types,
     _xlogy,
 )
-from conftest import candidate_pool, diag_detector, random_povm, random_pure, rate_pairs
+from conftest import assert_log_count, candidate_pool, diag_detector, random_povm, random_pure, rate_pairs
 import oracles
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -249,19 +248,40 @@ class TestIidMl:
             ([0.5, 0.5, 0.0], [0.0, 0.3, 0.7], 4),
             ([1.0, 0.0], [0.0, 1.0], 3),  # disjoint supports
             ([0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4], 4),  # all types tie
+            ([0.4 - 1e-11, 0.6 - 1e-11], [0.4, 0.6], 3),  # no type goes to H0: log count -inf
+            # at the types cap, with no ties: the likelihood ratios hold distinct primes
+            ([0.125, 0.375, 0.5], [0.3125, 0.4375, 0.25], 139),
+            ([0.125, 0.375, 0.25, 0.25], [0.3125, 0.4375, 0.1875, 0.0625], 37),
         ],
     )
     def test_matches_exact_oracle(self, p, q, n):
-        log_err, size = iid_ml_log_error(p, q, n)
+        log_err, log_size = iid_ml_log_error(p, q, n)
         want_err, want_size = oracles.iid_ml_error(p, q, n)
-        assert size == want_size
+        assert_log_count(log_size, want_size)
         assert close(math.exp(log_err), float(want_err))
+
+    def test_log_count_at_the_types_cap(self):
+        # m = 2: P^t = 2^-n and Q^t = 3^i / 4^n for i no-clicks, so H0 iff 3^i <= 2^n
+        n = TYPES_CAP - 1
+        j = int(n * math.log(2.0) / math.log(3.0))
+        assert 3**j <= 2**n < 3 ** (j + 1)
+        # sum_{i <= j} C(n, i), by C(n, i + 1) = C(n, i) (n - i) / (i + 1)
+        count, comb = 0, 1
+        for i in range(j + 1):
+            count += comb
+            comb = comb * (n - i) // (i + 1)
+        assert comb == math.comb(n, j + 1)
+        assert_log_count(iid_ml_log_error([0.5, 0.5], [0.25, 0.75], n)[1], count)
 
     def test_ties_go_to_h0(self):
         # sum_{k >= 6} C(12, k); dense ML breaks 356 of the 924 ties the other way
-        assert iid_ml_log_error([0.81, 0.19], [0.19, 0.81], 12)[1] == 2510
-        log_err, size = iid_ml_log_error([0.3, 0.7], [0.3, 0.7], 10)
-        assert size == 2**10
+        count = sum(math.comb(12, k) for k in range(6, 13))
+        assert count == 2510
+        log_size = iid_ml_log_error([0.81, 0.19], [0.19, 0.81], 12)[1]
+        assert_log_count(log_size, count)
+        assert not math.isclose(log_size, math.log(2154), rel_tol=1e-13)
+        log_err, log_size = iid_ml_log_error([0.3, 0.7], [0.3, 0.7], 10)
+        assert_log_count(log_size, 2**10)
         assert abs(log_err - math.log(0.5)) < 1e-15
 
     @given(case=iid_case())
@@ -269,9 +289,9 @@ class TestIidMl:
         povm, states, n = case
         d0, d1 = (sequence_distribution(povm, ProductInput.iid(s, n)) for s in states)
         want, _ = ml_error_probability(d0, d1)
-        log_err, size = iid_ml_log_error(*candidate_probs(povm, states), n)
+        log_err, log_size = iid_ml_log_error(*candidate_probs(povm, states), n)
         assert close(math.exp(log_err), want)
-        assert 0 <= size <= povm.n_outcomes**n
+        assert log_size <= n * math.log(povm.n_outcomes) * (1 + 1e-13)
 
     @given(case=iid_case())
     def test_monotone_in_n(self, case):
@@ -286,9 +306,9 @@ class TestIidMl:
         m = data.draw(st.integers(2, 4))
         n = data.draw(st.integers(1, {2: 12, 3: 7, 4: 6}[m]))
         p, q = data.draw(sparse_distribution(m)), data.draw(sparse_distribution(m))
-        log_err, size = iid_ml_log_error(p, q, n)
+        log_err, log_size = iid_ml_log_error(p, q, n)
         assert not math.isnan(log_err)
-        assert isinstance(size, int) and 0 <= size <= m**n
+        assert isinstance(log_size, float) and log_size <= n * math.log(m) * (1 + 1e-13)
         assert close(math.exp(log_err), dense_ml_error(p, q, n))
 
     @pytest.mark.parametrize("n, m", [(1, 1), (5, 2), (4, 3), (3, 5), (6, 4)])
@@ -297,7 +317,7 @@ class TestIidMl:
         assert types.shape == (math.comb(n + m - 1, m - 1), m)
         assert (types >= 0).all() and (types.sum(axis=1) == n).all()
         assert len({tuple(t) for t in types.tolist()}) == len(types)
-        assert _multinomial_sum(types, n) == m**n
+        assert sum(oracles.multinomial(t) for t in types.tolist()) == m**n
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_nonpositive_n_refused(self, n):

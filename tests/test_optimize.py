@@ -22,6 +22,7 @@ from detpower import (
     noisy_sg_zeta,
     relative_entropy,
     single_shot_power,
+    validate_povm,
     zeta_chernoff,
     zeta_hoeffding,
     zeta_stein,
@@ -756,6 +757,34 @@ class TestCommutingExact:
         p = Povm(tuple(u @ np.diag(c) @ u.conj().T for c in ([pp, qq], [1 - pp, 1 - qq])))
         rep = zeta_chernoff(p, SearchOptions(restarts=0))
         assert rep.exact and abs(rep.value - commuting_zeta(pp, qq)) <= 1e-12
+
+    @given(d=st.integers(2, 4), kind=st.sampled_from(["distinct"] * 3 + ["degenerate"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_two_outcome_complement_is_exact(self, d, kind, seed):
+        # E_1 = I - E_0 commutes with E_0 up to round-off, degenerate E_0 too
+        rng = np.random.default_rng(seed)
+        evals = rng.uniform(0.0, 1.0, size=d)
+        if kind == "degenerate":
+            evals[1] = evals[0]
+        u = random_unitary(rng, d)
+        e0 = u @ np.diag(evals) @ u.conj().T
+        p = Povm((e0, np.eye(d) - e0))
+        assert joint_eigenbasis(p) is not None
+        assert single_shot_power(p).exact
+        for search in (zeta_chernoff, zeta_stein, lambda p, o: zeta_hoeffding(p, 0.05, o)):
+            assert search(p, SearchOptions(restarts=0)).exact
+
+    def test_two_outcome_within_completeness_takes_the_search(self):
+        # E_1 = I - E_0 + 1e-11 H: a valid POVM (completeness residual up to
+        # 1e-9), yet its commutator lies above TOL_COMMUTE, so no joint basis
+        rng = np.random.default_rng(11)
+        u = random_unitary(rng, 2)
+        e0 = u @ np.diag([0.7, 0.2]) @ u.conj().T
+        h = 1e-11 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        p = Povm((e0, np.eye(2) - e0 + h))
+        assert validate_povm(p).valid
+        assert joint_eigenbasis(p) is None
+        assert not zeta_chernoff(p, SearchOptions(restarts=0)).exact
 
     @given(case=commuting_detectors(min_outcomes=3), seed=st.integers(0, 2**32 - 1))
     def test_off_commuting_takes_the_search(self, case, seed):
