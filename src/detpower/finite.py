@@ -8,7 +8,9 @@ O(n) binomial blocks of the pattern-fraction sweep.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +26,10 @@ SWEEP_WORK_CAP = 10**7
 # largest n that sweep_x and empirical_rate aggregate
 AGGREGATION_CAP = 10**5
 # most types that iid_ml_log_error enumerates, and best_product_pair over all
-# its compositions.  At the cap on a 2-vCPU Xeon: the i.i.d. sum (m = 2,
-# n = 9999) about 1.5 ms and 0.7 MB; best_product_pair, which pays per
-# composition, 70 ms for three candidates on two outcomes at n = 5 (252
-# compositions) and 0.3 s and 2 MB for eight at n = 2 (1596).  Building its
-# composition table takes time of order K^3 for K classes: 30 candidates at
-# n = 1 (K = 870) take 0.6 s and 18 MB.
+# its compositions; neither builds a table of them.  At the cap on a 2-vCPU
+# Xeon the i.i.d. sum takes 1.3 ms and 0.9 MB at m = 2, n = 9999, and 2 s and
+# 1.1 MB at its worst, n = 1 on 10^4 outcomes; best_product_pair, which pays
+# per composition, 0.4 s and 0.6 MB for 70 candidates at n = 1 (4830).
 TYPES_CAP = 10**4
 
 # Cephes lgam (scipy.special.gammaln) at x = k + 1 takes the log of the exact
@@ -246,24 +246,6 @@ def _block_log_err(p_row, q_row, n: int, m: int) -> float:
     return _logsumexp(terms) - math.log(2.0)
 
 
-def _types(counts, m: int) -> np.ndarray:
-    """Every joint type of classes with c_k uses each, one per row: the types
-    (k_1, ..., k_m) of the classes side by side, the first class and k_1
-    slowest.  Each of a class's m - 1 steps splits a row with r uses left
-    into the r + 1 rows that give the next outcome 0..r of them."""
-    types = np.zeros((1, 0), dtype=np.int64)
-    for c in counts:
-        rest = np.full(len(types), c)
-        for _ in range(m - 1):
-            size = rest + 1
-            parent = np.repeat(np.arange(len(rest)), size)
-            k = np.arange(len(parent)) - np.repeat(np.cumsum(size) - size, size)
-            types = np.column_stack((types[parent], k))
-            rest = rest[parent] - k
-        types = np.column_stack((types, rest))
-    return types
-
-
 def _check_types(n: int, cells: int) -> None:
     """Refuse more than TYPES_CAP types of n over `cells` outcomes, unbuilt."""
     if math.comb(n + cells - 1, cells - 1) > TYPES_CAP:
@@ -272,15 +254,27 @@ def _check_types(n: int, cells: int) -> None:
 
 def _types_log_error(p_rows: np.ndarray, q_rows: np.ndarray, counts):
     """(log p_err, log multiplicities, accept) of the ML decision between
-    prod_k P_k^c_k and prod_k Q_k^c_k: iid_ml_log_error's sum over types, with
-    prod_k multinom(c_k; t_k) sequences per joint type and log-likelihoods
-    summed in class, then outcome order.  An empty class adds exact zeros."""
-    m = p_rows.shape[1]
-    types = _types(counts, m)
+    prod_k P_k^c_k and prod_k Q_k^c_k over the joint types, prod_k
+    multinom(c_k; t_k) sequences each, enumerated without a table: one outcome
+    at a time, the first class and outcome slowest, a row with r uses of its
+    class left splits into r + 1 rows, and a class's last outcome takes the
+    rest.  Rows carry running log-likelihoods (in class, then outcome order)
+    and log multiplicities; an empty class adds exact zeros."""
     log_fact = _log_factorials(sum(counts) + 1)
-    log_mult = sum(log_fact[c] - log_fact[types[:, k * m : (k + 1) * m]].sum(axis=1) for k, c in enumerate(counts))
-    l0 = sum(_xlogy(types[:, col], r) for col, r in enumerate(p_rows.ravel()))
-    l1 = sum(_xlogy(types[:, col], r) for col, r in enumerate(q_rows.ravel()))
+    l0 = l1 = log_mult = np.zeros(1)
+    for c, p_row, q_row in zip(counts, p_rows, q_rows):
+        rest, log_fact_sum = np.full(len(l0), c), np.zeros(len(l0))
+        for j, (p, q) in enumerate(zip(p_row, q_row)):
+            k = rest
+            if j < len(p_row) - 1:
+                size = rest + 1
+                parent = np.repeat(np.arange(len(rest)), size)
+                k = np.arange(len(parent)) - np.repeat(np.cumsum(size) - size, size)
+                l0, l1, log_mult, log_fact_sum = l0[parent], l1[parent], log_mult[parent], log_fact_sum[parent]
+                rest = rest[parent] - k
+            l0, l1 = l0 + _xlogy(k, p), l1 + _xlogy(k, q)
+            log_fact_sum = log_fact_sum + log_fact[k]
+        log_mult = log_mult + (log_fact[c] - log_fact_sum)
     accept = l0 >= l1
     terms = log_mult + np.where(accept, l1, l0)
     terms = terms[np.isfinite(terms)]
@@ -298,13 +292,15 @@ def iid_ml_log_error(p_dist, q_dist, n: int):
     outcome order, satisfy l0 >= l1: ties, and types that neither hypothesis
     can produce, go to H0.  log_grouping_size is the log of the number of
     sequences that go to H0, summed from the same log multinomials (-inf
-    when none do).  Disjoint supports give log p_err = -inf.  n < 1 is
-    refused with DomainError and more than TYPES_CAP types with ResourceError,
-    before any type is built.
+    when none do).  Disjoint supports give log p_err = -inf.  n < 1 and
+    fewer than two outcomes are refused with DomainError and more than
+    TYPES_CAP types with ResourceError, before any type is built.
     """
     if n < 1:
         raise DomainError("n must be positive")
     p, q = _pair(p_dist, q_dist)
+    if len(p) < 2:
+        raise DomainError("distributions must have at least 2 outcomes")
     _check_types(n, len(p))
     log_err, log_mult, accept = _types_log_error(p[None], q[None], (n,))
     return log_err, _logsumexp(log_mult[accept]) if accept.any() else -math.inf
@@ -332,11 +328,13 @@ def best_product_pair(p: Povm, n: int, candidates):
     A slot of class (i, j) sends candidate i under H0 and j under H1.  Joint
     slot permutations keep the error, so the minimum runs over compositions
     of n into the classes with i != j (a slot with i = j cancels, and one more
-    slot never raises the error), the i.i.d. pair first; a later one wins only
-    if its log error is lower by more than 1e-15.  The patterns group slots by
-    class.  Two candidates on two outcomes are one full sweep, under its caps;
-    otherwise more than TYPES_CAP joint types, C(n + K m - 1, K m - 1) for K
-    classes, are refused unbuilt.
+    slot never raises the error), walked one at a time as the multisets of n
+    classes in combinations_with_replacement order, the i.i.d. pair first.
+    Each is scored by the joint types of its used classes; a later one wins
+    only if its log error is lower by more than 1e-15, and its multiset,
+    sorted by class, is the pattern pair.  Two candidates on two outcomes are
+    one full sweep, under its caps; otherwise more than TYPES_CAP joint types,
+    C(n + K m - 1, K m - 1) for K classes, are refused before any is scored.
     """
     if n < 1:
         raise DomainError("n must be positive")
@@ -347,18 +345,19 @@ def best_product_pair(p: Povm, n: int, candidates):
     classes = [(i, j) for i in range(len(cands)) for j in range(len(cands)) if i != j]
     if len(cands) == 2 and p.n_outcomes == 2:
         _, log_errs = _sweep(rows[0], rows[1], n)
-        comps, errs = _types((n,), 2)[::-1], log_errs[::-1]
+        # m slots of class (0, 1), from m = n down as the compositions below
+        scored = ((log_errs[m], {0: m, 1: n - m}) for m in range(n, -1, -1))
     else:
         _check_types(n, len(classes) * p.n_outcomes)
         p_rows, q_rows = rows[np.array(classes).T]
-        comps = _types((n,), len(classes))[::-1]
-        errs = [_types_log_error(p_rows[c > 0], q_rows[c > 0], c[c > 0])[0] for c in comps]
-    best = 0
-    for idx, log_err in enumerate(errs):
-        if log_err < errs[best] - 1e-15:
-            best = idx
-    slots = [cls for cls, c in zip(classes, comps[best]) for _ in range(c)]
-    return errs[best], tuple(zip(*slots))
+        uses = map(Counter, itertools.combinations_with_replacement(range(len(classes)), n))
+        scored = ((_types_log_error(p_rows[list(u)], q_rows[list(u)], list(u.values()))[0], u) for u in uses)
+    log_err, best = next(scored)
+    for err, u in scored:
+        if err < log_err - 1e-15:
+            log_err, best = err, u
+    slots = [classes[i] for i, c in best.items() for _ in range(c)]
+    return log_err, tuple(zip(*slots))
 
 
 def extreme_pair(p: Povm) -> tuple:

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from detpower.channel import candidate_probs, chernoff_exponent
 import detpower.cli
 from detpower.cli import _basis_candidates, _load_valid_povm, build_parser, main
-from detpower.finite import TYPES_CAP, iid_ml_log_error
+from detpower.finite import TYPES_CAP, extreme_pair, iid_ml_log_error
 from detpower.io import loads_strict, matrix_to_json, povm_to_json
 from detpower import Povm, empirical_rate
 from conftest import assert_log_count, random_povm
@@ -291,6 +292,23 @@ class TestFinite:
         assert time.perf_counter() - t0 < 10.0
         assert 0 < rep["diagnostics"]["log_grouping_size"] < (TYPES_CAP - 1) * math.log(2.0)
         assert 0.0 < rep["results"]["rate"]["value"] < 1.0
+
+    def test_ml_one_use_on_many_outcomes(self, capsys, tmp_path):
+        # 2000 types of one use: p_err = 1/2 sum_k min(P_k, Q_k), without a types table
+        povm = random_povm(np.random.default_rng(13), 2, 2000)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(povm_to_json(povm)))
+        tracemalloc.start()
+        try:
+            code, rep = run_json(capsys, "finite", str(path), "--n", "1", "--mode", "ml")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8e6
+        p, q = candidate_probs(povm, extreme_pair(povm)).probs
+        want = 0.5 * np.minimum(p, q).sum()
+        assert math.isclose(rep["results"]["p_err"]["value"], want, rel_tol=1e-13)
 
     def test_ml_above_types_cap_exit_4(self, capsys):
         # refused before any type is built

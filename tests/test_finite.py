@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,10 +35,18 @@ from detpower.finite import (
     _block_log_err,
     _log_factorials,
     _logsumexp,
-    _types,
+    _types_log_error,
     _xlogy,
 )
-from conftest import assert_log_count, candidate_pool, diag_detector, random_povm, random_pure, rate_pairs
+from conftest import (
+    assert_log_count,
+    candidate_pool,
+    diag_detector,
+    random_distribution,
+    random_povm,
+    random_pure,
+    rate_pairs,
+)
 import oracles
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -311,13 +320,52 @@ class TestIidMl:
         assert isinstance(log_size, float) and log_size <= n * math.log(m) * (1 + 1e-13)
         assert close(math.exp(log_err), dense_ml_error(p, q, n))
 
-    @pytest.mark.parametrize("n, m", [(1, 1), (5, 2), (4, 3), (3, 5), (6, 4)])
+    @pytest.mark.parametrize("n, m", [(1, 1), (5, 2), (4, 3), (3, 5), (6, 4), (8, 8)])
     def test_types_are_each_count_once(self, n, m):
-        types = _types((n,), m)
-        assert types.shape == (math.comb(n + m - 1, m - 1), m)
-        assert (types >= 0).all() and (types.sum(axis=1) == n).all()
-        assert len({tuple(t) for t in types.tolist()}) == len(types)
-        assert sum(oracles.multinomial(t) for t in types.tolist()) == m**n
+        # one log multiplicity per type, in the oracle's composition order
+        u = np.full((1, m), 1.0 / m)
+        _, log_mult, accept = _types_log_error(u, u, (n,))
+        types = list(oracles.compositions(n, m))
+        assert len(log_mult) == len(accept) == len(types) == math.comb(n + m - 1, m - 1)
+        assert sum(oracles.multinomial(t) for t in types) == m**n
+        for got, t in zip(log_mult, types):
+            assert_log_count(got, oracles.multinomial(t))
+
+    @pytest.mark.parametrize("counts, m", [((2, 3), 2), ((2, 0, 3), 2), ((0, 2), 3), ((1, 2, 1), 3)])
+    def test_joint_types_are_class_major(self, counts, m):
+        # joint types run over each class's compositions, the first class slowest
+        u = np.full((len(counts), m), 1.0 / m)
+        _, log_mult, _ = _types_log_error(u, u, counts)
+        joint = list(itertools.product(*(oracles.compositions(c, m) for c in counts)))
+        assert len(log_mult) == len(joint)
+        for got, ts in zip(log_mult, joint):
+            assert_log_count(got, math.prod(oracles.multinomial(t) for t in ts))
+
+    def test_one_outcome_refused_before_any_table(self):
+        # one type at any n, so the types cap never binds; log n! alone would take 8 GB
+        with pytest.raises(DomainError, match="at least 2 outcomes"):
+            iid_ml_log_error([1.0], [1.0], 10**9)
+
+    def test_many_outcomes_one_use_stays_small(self):
+        # one use on 2000 outcomes: 2000 types, built without a (types x outcomes) table
+        rng = np.random.default_rng(11)
+        p, q = (random_distribution(rng, 2000) for _ in range(2))
+        tracemalloc.start()
+        try:
+            log_err, _ = iid_ml_log_error(p, q, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert math.isclose(log_err, math.log(0.5 * np.minimum(p, q).sum()), rel_tol=1e-13)
+
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 300))
+    def test_one_use_closed_form(self, seed, m):
+        # n = 1: the types are the outcomes, so p_err = 1/2 sum_k min(P_k, Q_k)
+        rng = np.random.default_rng(seed)
+        p, q = (random_distribution(rng, m) for _ in range(2))
+        log_err, _ = iid_ml_log_error(p, q, 1)
+        assert math.isclose(log_err, math.log(0.5 * sum(min(a, b) for a, b in zip(p, q))), rel_tol=1e-13)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_nonpositive_n_refused(self, n):
@@ -361,7 +409,64 @@ def pattern_case(draw):
     return povm, cands, n, pats
 
 
+# (seed, d, m, candidates, n, last candidate = first, float.hex of log p_err,
+# pat0, pat1), recorded from the composition-table engine that the lazy walk
+# replaced: they fix its walk order and the 1e-15 tie rule bit for bit.  The
+# duplicated candidates tie classes; two candidates on two outcomes take the sweep.
+PINNED_PATTERNS = [
+    (1, 2, 2, 2, 1, False, "-0x1.84dabac06d65ap-1", "0", "1"),
+    (2, 3, 2, 2, 3, False, "-0x1.85721618fc6a6p-1", "001", "110"),
+    (3, 2, 3, 2, 1, False, "-0x1.c26ae1e0f1a3ap-1", "0", "1"),
+    (4, 2, 3, 2, 4, False, "-0x1.f8fd35ad3c65bp-1", "0001", "1110"),
+    (5, 3, 3, 2, 2, False, "-0x1.06a47a8d1f92ap+0", "00", "11"),
+    (6, 2, 4, 2, 3, False, "-0x1.62f81e93bf2d6p+0", "000", "111"),
+    (7, 3, 4, 2, 4, False, "-0x1.0fea54f3208cep+0", "0000", "1111"),
+    (8, 2, 2, 3, 1, False, "-0x1.f1f51af16dfb7p-1", "1", "2"),
+    (9, 2, 2, 3, 4, False, "-0x1.1c0d08db86c06p+0", "1112", "2221"),
+    (10, 3, 2, 3, 2, True, "-0x1.6d500150eed7fp-1", "00", "11"),
+    (11, 2, 3, 3, 3, False, "-0x1.fd4f5e73f5519p-1", "000", "222"),
+    (12, 3, 3, 3, 4, True, "-0x1.86f45be642735p-1", "0001", "1110"),
+    (13, 2, 4, 3, 2, False, "-0x1.8872aef388a6ap+0", "00", "11"),
+    (14, 3, 4, 3, 3, True, "-0x1.ded00f3cc0857p-1", "000", "111"),
+    (15, 2, 2, 4, 1, False, "-0x1.ce228b0a85d2cp-1", "0", "3"),
+    (16, 3, 2, 4, 3, True, "-0x1.05e28f6d6ae3ap+0", "000", "111"),
+    (17, 2, 3, 4, 2, False, "-0x1.c9a25442bf9f7p-1", "11", "22"),
+    (18, 3, 3, 4, 3, False, "-0x1.ce8b705eac35fp-1", "000", "333"),
+    (19, 2, 4, 4, 1, True, "-0x1.75d6a4277fa0ep+0", "1", "2"),
+    (20, 3, 4, 4, 2, False, "-0x1.3fd5dba53a434p+0", "22", "33"),
+    (21, 2, 3, 2, 2, True, "-0x1.62e42fefa39ffp-1", "00", "11"),
+    (22, 2, 2, 2, 4, True, "-0x1.62e42fefa39cep-1", "0000", "1111"),
+    (23, 2, 2, 2, 10, False, "-0x1.72203e936d781p-1", "0" * 9 + "1", "1" * 9 + "0"),
+    (24, 3, 2, 2, 60, False, "-0x1.810eea53dc858p+2", "0" * 52 + "1" * 8, "1" * 52 + "0" * 8),
+]
+
+
 class TestBestProductPair:
+    @pytest.mark.parametrize("seed, d, m, k, n, dup, log_hex, pat0, pat1", PINNED_PATTERNS)
+    def test_pinned_bit_for_bit(self, seed, d, m, k, n, dup, log_hex, pat0, pat1):
+        rng = np.random.default_rng(seed)
+        povm = random_povm(rng, d, m)
+        cands = [DensityMatrix.pure(random_pure(rng, d)) for _ in range(k)]
+        if dup:
+            cands[-1] = cands[0]
+        log_err, pats = best_product_pair(povm, n, cands)
+        assert float(log_err).hex() == log_hex
+        assert ["".join(map(str, pat)) for pat in pats] == [pat0, pat1]
+
+    def test_many_candidates_one_use_stays_small(self):
+        # 30 candidates: 870 classes and as many compositions, walked without a table
+        rng = np.random.default_rng(12)
+        povm = random_povm(rng, 2, 2)
+        cands = [DensityMatrix.pure(random_pure(rng, 2)) for _ in range(30)]
+        tracemalloc.start()
+        try:
+            log_err, (pat0, pat1) = best_product_pair(povm, 1, cands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert close(math.exp(log_err), oracles.pattern_pair_error(povm, cands, pat0, pat1))
+        assert close(math.exp(log_err), oracles.best_product_pair(povm, 1, cands)[0])
     @given(case=detector_and_pool(), picks=st.lists(st.integers(0, 3), min_size=2, max_size=3), n=st.integers(1, 6))
     def test_matches_pattern_loop(self, case, picks, n):
         povm, pool = case
@@ -431,7 +536,7 @@ class TestBestProductPair:
         def unbuilt(*args):
             raise AssertionError("a type was built")
 
-        monkeypatch.setattr(finite, "_types", unbuilt)
+        monkeypatch.setattr(finite, "_types_log_error", unbuilt)
         cands = list(basis_states) + [basis_states[0]]
         t0 = time.perf_counter()
         for n in (6, 10**8, 10**9):
