@@ -1,9 +1,10 @@
 """Measurement-feedback protocols: conditional states, strategy evaluation,
-and exhaustive search over strategy trees at desk scale."""
+and the exact optimal adaptive search on the error-tradeoff hull."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,25 @@ from .channel import candidate_probs
 from .core import DensityMatrix, Povm
 from .errors import DomainError, ResourceError, StructuralError
 from .finite import DENSE_CAP
+
+# Work cap of optimal_adaptive, in point visits: a level costs LEVEL_VISITS
+# plus the points it forms, (|C|(|C| - 1) m + |C|) |L_{r-1}|, and each of its
+# pruning passes costs PASS_VISITS plus the points the pass checks.  A visit
+# takes 0.14-0.16 us on a 2-vCPU Xeon, so the cap is about 1.5 s: the bundled
+# basis pair reaches n = 52 (1.4 s, 48k vertices) and four random qubit
+# candidates n = 38-41 (1.4-1.7 s).  Depths whose levels alone pass the cap,
+# n >= 9941 for two candidates on two outcomes, are refused before any
+# level is built.
+HULL_CAP = 10**7
+LEVEL_VISITS = 1000
+PASS_VISITS = 200
+# points a level forms and prunes in one batch, at least one candidate
+# pair's (a batch's work arrays peak near 100 MB)
+CHUNK_POINTS = 2**18
+
+
+def _over_cap() -> ResourceError:
+    return ResourceError(f"the adaptive search passes the hull cap of {HULL_CAP} point visits")
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +71,25 @@ class AdaptiveStrategy:
                         f"grouping entry {hist!r} is not an outcome history of length {self.depth}"
                     )
             object.__setattr__(self, "grouping", grouping)
+
+
+class AdaptiveSearch(tuple):
+    """The (p_err, strategy) pair that optimal_adaptive returns, with the
+    size of its final error-tradeoff hull L_n as hull_vertices; strategy is
+    None when the tree is beyond the dense cap."""
+
+    def __new__(cls, p_err: float, strategy: AdaptiveStrategy | None, hull_vertices: int):
+        search = super().__new__(cls, (p_err, strategy))
+        search.hull_vertices = hull_vertices
+        return search
+
+    @property
+    def p_err(self) -> float:
+        return self[0]
+
+    @property
+    def strategy(self) -> AdaptiveStrategy | None:
+        return self[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,36 +163,171 @@ def evaluate_strategy(p: Povm, strat: AdaptiveStrategy) -> float:
     """Average error probability of the protocol under equal priors.
 
     Only histories of nonzero weight are visited, so the work grows with the
-    strategy's live branches, not with m^depth.
+    strategy's live branches, not with m^depth.  The leaf weights are summed
+    with math.fsum, so the sum is correctly rounded however many leaves.
     """
     leaves = _history_weights(p, strat)
     if strat.grouping is not None:
         for h in strat.grouping:
             if not all(k in range(p.n_outcomes) for k in h):
                 raise StructuralError(f"grouping history {h} is not an outcome sequence")
-        alpha = sum(w0 for h, (w0, w1) in leaves.items() if h not in strat.grouping)
-        beta = sum(w1 for h, (w0, w1) in leaves.items() if h in strat.grouping)
+        alpha = math.fsum(w0 for h, (w0, w1) in leaves.items() if h not in strat.grouping)
+        beta = math.fsum(w1 for h, (w0, w1) in leaves.items() if h in strat.grouping)
         return 0.5 * (alpha + beta)
-    return 0.5 * sum(min(w0, w1) for w0, w1 in leaves.values())
+    return 0.5 * math.fsum(min(w0, w1) for w0, w1 in leaves.values())
 
 
-def optimal_adaptive(p: Povm, candidates, n: int):
-    """Exact minimum error over all depth-n strategy trees with ML decision.
+def _hull_level(alpha, beta, a, b, sums, budget):
+    """(alpha, beta, pruning visits) of the next level of the error-tradeoff
+    hull, whose pruning may cost `budget` visits.
 
-    Exhaustive over per-history candidate-pair choices.  n < 1, an empty
-    candidate set and a detector with fewer than 2 outcomes are refused with
-    DomainError; then a search whose leaf arrays, (max(|C|, 2)^2 m)^n floats,
-    exceed finite.DENSE_CAP (2^20) is refused with ResourceError.  At least
-    two candidates are counted so that a single candidate cannot admit a
-    tree of 2^20 nodes.  The weights of all leaves are built level by level
-    and reduced bottom-up; at the budget each leaf array holds 2^20 floats
-    (8 MB) and at most three are alive at once.  Measured at the budget on a
-    2-vCPU Xeon: 4 candidates at m = 2, n = 4 take 0.08 s and 25 MB above
-    the loaded inputs.  The worst shapes measured are 724 candidates at
-    m = 2, n = 1 (0.24 s and 77 MB, mostly the list of candidate pairs) and
-    one candidate on a 2^18-outcome detector at n = 1 (0.9 s, within the
-    memory of the detector itself).  Ties go to the first candidate pair in
-    (i, j) order, and zero-weight branches choose (0, 0).
+    (alpha, beta) is L_{r-1}: h vertices, alpha increasing and beta
+    decreasing along a strictly convex chain.  Row q of a and b holds P_i
+    and P_j of a candidate pair with i != j (_pair_points); a pair (i, i)
+    sums the chain with weights summing to sums[i], so its points are
+    sums[i] L_{r-1}.  L_r is the lower-left convex hull of all these points
+    (_lower_left_hull), (len(a) m + len(sums)) h of them.  The pairs are
+    taken CHUNK_POINTS points at a time, and the points held are pruned
+    whenever they pass CHUNK_POINTS, so that memory stays bounded however
+    many pairs there are.
+    """
+    h, m = len(alpha), a.shape[1]
+    x, y = np.outer(sums, alpha).ravel(), np.outer(sums, beta).ravel()
+    step = max(1, CHUNK_POINTS // (m * h))
+    visits = 0
+    for lo in range(0, len(a), step):
+        px, py = _pair_points(alpha, beta, a[lo : lo + step], b[lo : lo + step])
+        x, y = np.concatenate((x, px)), np.concatenate((y, py))
+        if len(x) > CHUNK_POINTS:
+            keep, cost = _lower_left_hull(x, y, budget - visits)
+            x, y, visits = x[keep], y[keep], visits + cost
+    keep, cost = _lower_left_hull(x, y, budget - visits)
+    return x[keep], y[keep], visits + cost
+
+
+def _pair_points(alpha, beta, a, b):
+    """(alpha, beta) of the m h points that each pair (row of a and b) forms
+    from the chain L_{r-1} = (alpha, beta) of h vertices.
+
+    The pair scales the chain by diag(a[q, k], b[q, k]) for each outcome k.
+    The Minkowski sum over k is a merge of the scaled chains' edges by slope:
+    its point t takes vertex c_k of chain k, where c_k counts chain k's edges
+    among the first t.  A chain scaled to a point on an axis keeps its
+    vertex nearest the other axis.  The points are formed in blocks of m
+    merge steps: at each block boundary directly as (sum_k a[q, k]
+    alpha[c_k], sum_k b[q, k] beta[c_k]), inside a block as alpha from the
+    block's start plus the edges taken since and beta from the block's end
+    plus the edges still to take.  Every term is nonnegative, so no point
+    loses more than a sum of 2m terms.
+    """
+    h = len(alpha)
+    npairs, m = a.shape
+    active = (a > 0) & (b > 0)
+    start = np.where(a > 0, 0, h - 1)
+    # edge e joins vertices e and e + 1; a padding step takes edge h - 1, of length 0
+    d_alpha, d_beta = np.diff(alpha, append=alpha[-1]), -np.diff(beta, append=beta[-1])
+    # edge slopes increase along the chain; accumulate so round-off keeps that order
+    slope = np.maximum.accumulate(-d_beta[:-1] / d_alpha[:-1])
+    ratio = np.divide(b, a, out=np.zeros_like(a), where=active)
+    keys = np.where(active[..., None], ratio[..., None] * slope, np.inf).reshape(npairs, m * (h - 1))
+    # each pair's edges in merge order, then one block of padding; a chain
+    # scaled to a point sorts last and takes no step
+    order = np.argsort(keys, axis=1, kind="stable")
+    pad = np.zeros((npairs, m), dtype=np.intp)
+    k = np.concatenate((order // max(h - 1, 1), pad), axis=1)
+    e = np.concatenate((order % max(h - 1, 1), pad + h - 1), axis=1)
+    real = np.take_along_axis(active, k, 1)
+    real[:, -m:] = False
+    rows = np.arange(npairs)[:, None]
+    # c_k[q, k, j] at block boundary j = 0..h
+    block = np.arange(h * m) // m
+    taken = np.bincount(((rows * m + k) * (h + 1) + block + 1)[real], minlength=npairs * m * (h + 1))
+    c = start[..., None] + np.cumsum(taken.reshape(npairs, m, h + 1), axis=2)
+    at_a = (a[..., None] * alpha[c]).sum(axis=1)
+    at_b = (b[..., None] * beta[c]).sum(axis=1)
+
+    # step u of block j sits at [q, u, j]
+    def per_step(w, d):
+        return np.where(real, w[rows, k] * d[e], 0.0).reshape(npairs, h, m).transpose(0, 2, 1)
+
+    up, down = per_step(a, d_alpha), per_step(b, d_beta)
+    before = np.cumsum(np.concatenate((np.zeros((npairs, 1, h)), up[:, :-1]), axis=1), axis=1)
+    after = np.cumsum(down[:, ::-1], axis=1)[:, ::-1]
+    return (at_a[:, None, :-1] + before).ravel(), (at_b[:, None, 1:] + after).ravel()
+
+
+def _lower_left_hull(x, y, budget):
+    """(indices, visits): the vertices of the lower-left convex hull of the
+    points (x, y) in x order, and what its pruning passes cost.
+
+    In x order, the points below every earlier one in y, and the last of
+    each x.  These are linked to their neighbours, and pass after pass a
+    point goes when the slope does not increase across it; a pass checks
+    only the points next to those the last one dropped, and drops no two
+    neighbours at once, so that each link is mended by one assignment.  A
+    pass costs the points it checks plus PASS_VISITS; passes that would cost
+    more than `budget` raise ResourceError.
+    """
+    idx = np.argsort(x, kind="stable")
+    yy = y[idx]
+    idx = idx[yy < np.minimum.accumulate(np.r_[np.inf, yy[:-1]])]
+    xx = x[idx]
+    idx = idx[np.r_[xx[1:] != xx[:-1], True]]
+    xx, yy, n = x[idx], y[idx], len(idx)
+    before, after = np.arange(n) - 1, np.arange(n) + 1
+    alive, going = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    check, visits = np.arange(1, n - 1), 0
+    while check.size:
+        visits += check.size + PASS_VISITS
+        if visits > budget:
+            raise _over_cap()
+        lo, hi = before[check], after[check]
+        into = (yy[check] - yy[lo]) / (xx[check] - xx[lo])
+        bad = check[into >= (yy[hi] - yy[check]) / (xx[hi] - xx[check])]
+        going[bad] = True
+        gone = bad[~going[before[bad]]]
+        going[bad] = False
+        lo, hi = before[gone], after[gone]
+        after[lo], before[hi] = hi, lo
+        alive[gone] = False
+        check = np.unique(np.concatenate((bad[alive[bad]], lo, hi)))
+        check = check[(check > 0) & (check < n - 1)]
+    return idx[alive], visits
+
+
+def _hull_values(alpha, beta, w0, w1):
+    """V(w0, w1) = min over the hull (alpha, beta) of w0 alpha + w1 beta,
+    elementwise: the vertex is the one after every edge along which
+    w0 alpha + w1 beta falls."""
+    slope = np.diff(beta) / np.diff(alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.searchsorted(slope, np.where(w1 > 0, -w0 / w1, -np.inf))
+    return w0 * alpha[v] + w1 * beta[v]
+
+
+def optimal_adaptive(p: Povm, candidates, n: int) -> AdaptiveSearch:
+    """Exact minimum error over all depth-n strategy trees with ML decision,
+    and an optimal tree while it fits the dense cap.
+
+    V_n(w0, w1) = min over trees of sum_leaves min(w0 a, w1 b) is concave
+    and 1-homogeneous, so it is the lower envelope of a finite set L_n of
+    (type-I, type-II) error pairs of deterministic trees.  L_0 = {(0, 1),
+    (1, 0)}; L_r is the lower-left convex hull of the union over candidate
+    pairs (i, j) of the Minkowski sums over outcomes k of diag(P_i(k),
+    P_j(k)) L_{r-1} (_hull_level); and p_err = 1/2 min over L_n of
+    (alpha + beta).  Returns AdaptiveSearch(p_err, strategy, |L_n|), which
+    unpacks as (p_err, strategy).
+
+    The tree is built while (max(|C|, 2)^2 m)^n <= finite.DENSE_CAP (2^20),
+    the leaves of the full search tree; beyond it strategy is None.  It is
+    built top-down from the stored hulls: a node of weights (w0, w1) with r
+    uses left takes the first pair (i, j) whose sum over k of V_{r-1}(w0
+    P_i(k), w1 P_j(k)) is least, so zero-weight branches take (0, 0).
+
+    n < 1, an empty candidate set and a detector with fewer than 2 outcomes
+    are refused with DomainError.  A search whose point visits pass HULL_CAP
+    is refused with ResourceError: before any level is built when n levels
+    of one-vertex hulls would pass it, and otherwise where it is passed.
     """
     cands = tuple(candidates)
     if n < 1:
@@ -163,42 +337,43 @@ def optimal_adaptive(p: Povm, candidates, n: int):
     m = p.n_outcomes
     if m < 2:
         raise DomainError("POVM must have at least 2 outcomes")
-    base = max(len(cands), 2) ** 2 * m
+    nc = len(cands)
+    # points formed per vertex of the previous level
+    per_vertex = nc * (nc - 1) * m + nc
+    if n * (LEVEL_VISITS + per_vertex) > HULL_CAP:
+        raise ResourceError(f"depth {n} needs over {HULL_CAP} point visits, the hull cap")
+    base = max(nc, 2) ** 2 * m
     # base >= 8, so base^21 > DENSE_CAP and a larger n need not be powered
-    if base ** min(n, 21) > DENSE_CAP:
-        raise ResourceError(f"strategy search needs {base}^{n} leaves, beyond the dense cap {DENSE_CAP}")
-    pairs = list(itertools.product(range(len(cands)), repeat=2))
+    tree = base ** min(n, 21) <= DENSE_CAP
     singles = candidate_probs(p, cands).probs
-    # (pair, outcome) factors of the H0 and H1 weights at every branch
-    f0 = singles[[i for i, _ in pairs]]
-    f1 = singles[[j for _, j in pairs]]
-    # node weights of each level, flattened as (pair, outcome) digits, root first
-    w0, w1 = np.ones(1), np.ones(1)
+    # pair q = (i, j) = divmod(q, nc), in (i, j) order
+    i, j = np.divmod(np.arange(nc * nc), nc)
+    a, b, off = singles[i], singles[j], i != j
+    sums = singles.sum(axis=1)
+    hulls = [(np.array([0.0, 1.0]), np.array([1.0, 0.0]))]
+    work = 0
     for _ in range(n):
-        w0 = (w0[:, None, None] * f0).ravel()
-        w1 = (w1[:, None, None] * f1).ravel()
-    value = np.minimum(w0, w1)
-    del w0, w1
-    # bottom-up: sum the outcomes in k order, then keep the first best pair
-    best = []
-    for _ in range(n):
-        branch = value.reshape(-1, len(pairs), m)
-        total = 0.0
-        for k in range(m):
-            total = total + branch[:, :, k]
-        best.append(np.argmin(total, axis=1))
-        value = total.min(axis=1)
-    best.reverse()
-    # top-down: follow the chosen pairs to index each history's node
+        work += LEVEL_VISITS + per_vertex * len(hulls[-1][0])
+        if work > HULL_CAP:
+            raise _over_cap()
+        alpha, beta, visits = _hull_level(*hulls[-1], a[off], b[off], sums, HULL_CAP - work)
+        work += visits
+        # the tree is built from every level, the error from the last
+        hulls = (hulls if tree else []) + [(alpha, beta)]
+    alpha, beta = hulls[-1]
+    p_err = 0.5 * float(np.min(alpha + beta))
+    if not tree:
+        return AdaptiveSearch(p_err, None, len(alpha))
+    # one depth at a time, histories in k_1-most-significant order
     choices: dict = {}
-    nodes = {(): 0}
-    for level in best:
-        nxt = {}
-        for hist, node in nodes.items():
-            pair = int(level[node])
-            choices[hist] = pairs[pair]
-            for k in range(m):
-                nxt[hist + (k,)] = (node * len(pairs) + pair) * m + k
-        nodes = nxt
-    p_err = 0.5 * float(value[0])
-    return p_err, AdaptiveStrategy(depth=n, candidates=cands, choices=dict(sorted(choices.items())))
+    w0, w1 = np.ones(1), np.ones(1)
+    for depth in range(n):
+        x = w0[:, None, None] * a
+        y = w1[:, None, None] * b
+        best = np.argmin(_hull_values(*hulls[n - depth - 1], x, y).sum(axis=2), axis=1)
+        rho, sigma = np.divmod(best, nc)
+        choices.update(zip(itertools.product(range(m), repeat=depth), zip(rho.tolist(), sigma.tolist())))
+        w0 = x[np.arange(len(best)), best].ravel()
+        w1 = y[np.arange(len(best)), best].ravel()
+    strategy = AdaptiveStrategy(depth=n, candidates=cands, choices=dict(sorted(choices.items())))
+    return AdaptiveSearch(p_err, strategy, len(alpha))

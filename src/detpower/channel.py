@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, Povm
+from .core import TOL_COMPLETE, TOL_TRACE, DensityMatrix, Povm
 from .errors import DomainError, StructuralError
 
 NEG_CLAMP = 1e-12
@@ -24,18 +24,33 @@ SUM_TOL = 1e-9
 _INVPHI = (math.sqrt(5) - 1) / 2  # 1/golden ratio
 
 
+def induced_sum_tol(d: int) -> float:
+    """How far from 1 the outcome probabilities tr(E_k rho) may sum for a
+    detector and a state on C^d that pass validation.
+
+    The sum is tr rho + tr(R rho) with R = sum_k E_k - I.  validate_povm
+    bounds R entrywise by TOL_COMPLETE, so its operator norm by d
+    TOL_COMPLETE, and DensityMatrix bounds |tr rho - 1| by TOL_TRACE; so the
+    sum is 1 within TOL_TRACE + d TOL_COMPLETE (1 + TOL_TRACE).  SUM_TOL on
+    top covers round-off and clipped negatives, as for any distribution.
+    """
+    return SUM_TOL + TOL_TRACE + d * TOL_COMPLETE * (1 + TOL_TRACE)
+
+
 @dataclass(frozen=True, eq=False)
 class ClassicalDistribution:
     """One distribution over m outcomes, or an (..., m) stack of them.
 
     Each row must be finite, have no entry below -NEG_CLAMP and sum to 1
-    within SUM_TOL; probs is a read-only copy with the entries below 0
-    clipped to 0.  A failing stack raises the DomainError of its first
-    failing row in C order.  Indexing a stack over its leading axes gives
-    its rows as distributions without checking them again.
+    within sum_tol: SUM_TOL, or induced_sum_tol(d) for the rows a detector
+    induces.  probs is a read-only copy with the entries below 0 clipped to
+    0.  A failing stack raises the DomainError of its first failing row in C
+    order.  Indexing a stack over its leading axes gives its rows as
+    distributions without checking them again.
     """
 
     probs: np.ndarray
+    sum_tol: float = SUM_TOL
 
     def __post_init__(self):
         raw = np.ascontiguousarray(self.probs, dtype=float)
@@ -43,7 +58,7 @@ class ClassicalDistribution:
         p = np.maximum(raw, 0.0)  # a new array, so the caller's stays untouched
         sums = np.add.reduce(p, axis=-1)
         # a non-finite entry makes its row's min -inf or its sum NaN or inf
-        ok = (low >= -NEG_CLAMP) & (abs(sums - 1.0) <= SUM_TOL)
+        ok = (low >= -NEG_CLAMP) & (abs(sums - 1.0) <= self.sum_tol)
         if not ok.all():
             k = np.unravel_index(np.argmin(ok), ok.shape)  # the first failing row
             if not np.all(np.isfinite(raw[k])):
@@ -65,6 +80,7 @@ class ClassicalDistribution:
         rows.setflags(write=False)
         sub = object.__new__(ClassicalDistribution)  # checked as part of this stack
         object.__setattr__(sub, "probs", rows)
+        object.__setattr__(sub, "sum_tol", self.sum_tol)
         return sub
 
 
@@ -130,7 +146,7 @@ def _trace_rows(elements: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def induced_distribution(p: Povm, rho: DensityMatrix) -> ClassicalDistribution:
     if p.dim != rho.dim:
         raise StructuralError(f"POVM dimension {p.dim} != state dimension {rho.dim}")
-    return ClassicalDistribution(induced_probs(p, rho.mat))
+    return ClassicalDistribution(induced_probs(p, rho.mat), induced_sum_tol(p.dim))
 
 
 def candidate_probs(p: Povm, states) -> ClassicalDistribution:
@@ -143,7 +159,8 @@ def candidate_probs(p: Povm, states) -> ClassicalDistribution:
     for k, c in enumerate(states):
         if c.dim != p.dim:
             raise StructuralError(f"candidate state {k} has dimension {c.dim}, the POVM {p.dim}")
-    return ClassicalDistribution(induced_probs(p, np.array([c.mat for c in states]).reshape(-1, p.dim, p.dim)))
+    mats = np.array([c.mat for c in states]).reshape(-1, p.dim, p.dim)
+    return ClassicalDistribution(induced_probs(p, mats), induced_sum_tol(p.dim))
 
 
 def phi(s: float, p_dist, q_dist) -> float:

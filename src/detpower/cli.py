@@ -19,7 +19,7 @@ import numpy as np
 
 from . import closed_forms
 from .adaptive import evaluate_strategy, optimal_adaptive
-from .core import DensityMatrix, Povm, eig_hermitian, validate_povm
+from .core import DensityMatrix, Povm, eig_hermitian, joint_eigenbasis, validate_povm
 from .errors import DomainError, ParseError, ResourceError, StructuralError
 from .finite import (
     ProductInput,
@@ -77,8 +77,11 @@ def _load_valid_povm(path: str) -> Povm:
 
 
 def _basis_candidates(povm: Povm) -> list:
-    """Eigenbasis of the first element, as the default candidate state set."""
-    _, evecs = eig_hermitian(povm.elements[0])
+    """The default candidate state set: the joint eigenbasis of a commuting
+    detector (E_0's eigenbasis when that one diagonalizes every element),
+    otherwise the eigenbasis of E_0."""
+    joint = joint_eigenbasis(povm)
+    evecs = joint[0] if joint is not None else eig_hermitian(povm.elements[0])[1]
     return [DensityMatrix.pure(evecs[:, i]) for i in range(povm.dim)]
 
 
@@ -170,8 +173,9 @@ def cmd_adaptive(args) -> tuple:
             cands = candidates_from_json(load_json_file(args.candidates))
         else:
             cands = _basis_candidates(povm)
-        p_err, _ = optimal_adaptive(povm, cands, args.n)
-        diagnostics = {"mode": "search"}
+        search = optimal_adaptive(povm, cands, args.n)
+        p_err = search.p_err
+        diagnostics = {"mode": "search", "hull_vertices": search.hull_vertices}
     return {"p_err": {"value": p_err, "units": "probability"}}, diagnostics
 
 

@@ -46,6 +46,7 @@ from .channel import (
     golden_section_min,
     hoeffding_exponent,
     induced_probs,
+    induced_sum_tol,
     relative_entropy,
     relative_entropy_rows,
 )
@@ -229,7 +230,7 @@ def _best_basis_pair(objective, p: Povm, evecs):
     pairs = np.array(list(itertools.permutations(range(d), 2)), dtype=int).reshape(-1, 2)
     vecs = evecs.swapaxes(-1, -2)
     proj = vecs[..., :, None] * vecs.conj()[..., None, :]  # proj[b, i] = np.outer(v_i, v_i*)
-    states = ClassicalDistribution(induced_probs(p, proj.reshape(-1, d, d)))
+    states = ClassicalDistribution(induced_probs(p, proj.reshape(-1, d, d)), induced_sum_tol(d))
     at = np.arange(len(proj))[:, None] * d
     values, s = rows(states[(at + pairs[:, 0]).ravel()], states[(at + pairs[:, 1]).ravel()])
     if not len(values):  # d = 1: a basis holds no ordered pair
@@ -288,7 +289,7 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     best_pair = None
 
     def dist(mat):
-        return ClassicalDistribution(induced_probs(p, mat))
+        return ClassicalDistribution(induced_probs(p, mat), induced_sum_tol(d))
 
     def score(rho_mat, sigma_mat):
         return objective(dist(rho_mat), dist(sigma_mat))

@@ -17,7 +17,9 @@ checked every row of a stack, and covariant_zeta_loop scores one Bloch
 direction at a time, as covariant_zeta_numeric did before it scored them
 all in one row-wise call.  conditional_state applies the d^n x d^n operator
 E_h1 x ... x E_hs x I to the joint state and then takes the partial trace,
-as the library did before one einsum did both.
+as the library did before one einsum did both.  dense_adaptive is the
+search over the weights of every leaf of the full tree, level by level, that
+optimal_adaptive ran before it built the error-tradeoff hull.
 """
 
 import itertools
@@ -305,3 +307,41 @@ def conditional_state(joint, p, history):
     cond = cond / weight
     cond = (cond + cond.conj().T) / 2
     return DensityMatrix(cond), weight
+
+
+def dense_adaptive(p, candidates, n):
+    """(p_err, choices) of the best depth-n tree from the weights of every
+    leaf, (|C|^2 m)^n of them, built level by level and reduced bottom-up:
+    the outcomes are summed in k order, the first pair wins ties, and
+    zero-weight branches choose (0, 0)."""
+    cands = tuple(candidates)
+    m = p.n_outcomes
+    pairs = list(itertools.product(range(len(cands)), repeat=2))
+    singles = np.array([induced_probs(p, c.mat) for c in cands])
+    f0 = singles[[i for i, _ in pairs]]
+    f1 = singles[[j for _, j in pairs]]
+    w0, w1 = np.ones(1), np.ones(1)
+    for _ in range(n):
+        w0 = (w0[:, None, None] * f0).ravel()
+        w1 = (w1[:, None, None] * f1).ravel()
+    value = np.minimum(w0, w1)
+    best = []
+    for _ in range(n):
+        branch = value.reshape(-1, len(pairs), m)
+        total = 0.0
+        for k in range(m):
+            total = total + branch[:, :, k]
+        best.append(np.argmin(total, axis=1))
+        value = total.min(axis=1)
+    best.reverse()
+    choices = {}
+    nodes = {(): 0}
+    for level in best:
+        nxt = {}
+        for hist, node in nodes.items():
+            pair = int(level[node])
+            choices[hist] = pairs[pair]
+            for k in range(m):
+                nxt[hist + (k,)] = (node * len(pairs) + pair) * m + k
+        nodes = nxt
+    return 0.5 * float(value[0]), dict(sorted(choices.items()))

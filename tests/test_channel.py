@@ -9,6 +9,7 @@ from detpower import (
     ClassicalDistribution,
     DensityMatrix,
     DomainError,
+    Povm,
     StructuralError,
     chernoff_exponent,
     golden_section_min,
@@ -17,17 +18,22 @@ from detpower import (
     induced_probs,
     phi,
     relative_entropy,
+    validate_povm,
 )
+from detpower import core, evaluate_strategy, optimal_adaptive
 from detpower.channel import (
     _INVPHI,
     NEG_CLAMP,
+    SUM_TOL,
+    candidate_probs,
+    induced_sum_tol,
     _golden_rows,
     _pair_rows,
     _phi_evaluator,
     chernoff_rows,
     relative_entropy_rows,
 )
-from conftest import random_density, random_distribution, random_povm
+from conftest import random_density, random_distribution, random_povm, random_pure
 import oracles
 
 
@@ -129,6 +135,59 @@ class TestInduced:
             q = induced_distribution(povm, rho)
             assert abs(q.probs.sum() - 1.0) < 1e-9
             assert np.all(q.probs >= 0.0)
+
+
+@st.composite
+def edge_of_tolerances(draw):
+    """(detector, states, deviation): a random detector (d in 1-4, m in 2-4)
+    whose completeness residual R = sum_k E_k - I has every entry of size just
+    under TOL_COMPLETE, aligned with a phase vector u so that its operator
+    norm is d times that, and two states (1 + t)|v><v| with |t| just under
+    TOL_TRACE, v = u first; deviation is the sum of the first state's row
+    minus 1, up to round-off."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, m = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    c = draw(st.sampled_from([1.0, -1.0])) * core.TOL_COMPLETE * (1 - 1e-4)
+    t = draw(st.sampled_from([1.0, -1.0])) * core.TOL_TRACE * (1 - 1e-4)
+    u = np.exp(2j * np.pi * rng.uniform(size=d)) / np.sqrt(d)
+    resid = c * d * np.outer(u, u.conj())
+    p = Povm(tuple(e + resid / m for e in random_povm(rng, d, m).elements))
+    v = random_pure(rng, d)
+    states = [DensityMatrix((1 + t) * np.outer(x, x.conj())) for x in (u, v)]
+    return p, states, (1 + t) * (1 + c * d) - 1
+
+
+class TestSumTolerance:
+    """Rows induced by a detector and states that pass validation, at the
+    edge of TOL_COMPLETE and TOL_TRACE, are accepted everywhere."""
+
+    @given(case=edge_of_tolerances())
+    def test_edge_inputs_accepted(self, case):
+        p, states, deviation = case
+        assert validate_povm(p).valid
+        row = induced_distribution(p, states[0]).probs
+        assert abs(row.sum() - 1 - deviation) < 1e-14
+        assert abs(deviation) <= induced_sum_tol(p.dim)
+        assert candidate_probs(p, states).probs.shape == (2, p.n_outcomes)
+        p_err, strat = optimal_adaptive(p, states, 2)
+        assert 0.0 <= p_err <= 0.5 * (1 + induced_sum_tol(p.dim)) ** 2
+        assert abs(evaluate_strategy(p, strat) - p_err) <= 1e-15
+
+    def test_the_bound_only_widens_and_still_refuses(self):
+        assert all(induced_sum_tol(d) > SUM_TOL for d in range(1, 9))
+        # a detector twice the residual bound off complete is still refused
+        p = Povm((np.diag([0.4, 0.2]).astype(complex), np.diag([0.6, 0.8]).astype(complex) * (1 + 4 * induced_sum_tol(2))))
+        with pytest.raises(DomainError, match="probabilities sum to"):
+            induced_distribution(p, DensityMatrix(np.eye(2, dtype=complex) / 2))
+
+    def test_rows_off_by_both_tolerances(self):
+        # a valid detector and state whose row sums to 1 + 1.8e-9, which the
+        # shared SUM_TOL of 1e-9 refused
+        p = Povm((np.diag([0.4, 0.2]).astype(complex), np.diag([0.6 + 9e-10, 0.8 + 9e-10]).astype(complex)))
+        cands = [DensityMatrix(np.diag(e).astype(complex)) for e in ([1 + 9e-10, 0], [0, 1 + 9e-10])]
+        assert validate_povm(p).valid
+        p_err, _ = optimal_adaptive(p, cands, 2)
+        assert abs(p_err - 0.36000000136800003) < 1e-15
 
 
 RAW_CHECKERS = {

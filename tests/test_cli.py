@@ -16,7 +16,7 @@ from detpower.cli import _basis_candidates, _load_valid_povm, build_parser, main
 from detpower.finite import TYPES_CAP, extreme_pair, iid_ml_log_error
 from detpower.io import loads_strict, matrix_to_json, povm_to_json
 from detpower import Povm, empirical_rate
-from conftest import assert_log_count, random_povm
+from conftest import assert_log_count, random_povm, random_unitary
 import oracles
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -523,10 +523,11 @@ class TestAdaptive:
         assert abs(rep["results"]["p_err"]["value"] - 0.336) < 1e-12
 
     def test_search_diagnostics(self, capsys):
-        # the tree always has a choice at every history shorter than n, so its size is not reported
+        # the tree always has a choice at every history shorter than n, so its
+        # size is not reported; the final error-tradeoff hull's is
         code, rep = run_json(capsys, "adaptive", POVM_FILE, "--n", "2")
         assert code == 0
-        assert rep["diagnostics"] == {"mode": "search"}
+        assert rep["diagnostics"] == {"mode": "search", "hull_vertices": 8}
 
     def test_search_depth_one(self, capsys):
         code, rep = run_json(capsys, "adaptive", POVM_FILE, "--n", "1")
@@ -534,13 +535,31 @@ class TestAdaptive:
         assert abs(rep["results"]["p_err"]["value"] - 0.4) < 1e-12
 
     def test_depth_cap_exit_4(self, capsys):
-        # the basis pair on two outcomes: 8^6 leaves fit the dense cap 2^20, 8^7 do not
+        # the basis pair on two outcomes: the old leaf budget stopped at n = 6;
+        # the hull search reaches n = 30 at once and stops at its cap below n = 60
         code, rep = run_json(capsys, "adaptive", POVM_FILE, "--n", "6")
         assert code == 0
         assert abs(rep["results"]["p_err"]["value"] - 0.27872) < 1e-12
-        code, out = run(capsys, "adaptive", POVM_FILE, "--n", "7")
+        start = time.perf_counter()
+        code, rep = run_json(capsys, "adaptive", POVM_FILE, "--n", "30")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert abs(rep["results"]["p_err"]["value"] - 0.104074) < 1e-6
+        code, out = run(capsys, "adaptive", POVM_FILE, "--n", "60")
         assert code == 4
         assert out == ""
+
+    def test_default_candidates_from_joint_basis(self, capsys, tmp_path):
+        # a commuting qutrit detector whose E_0 has a repeated eigenvalue, in
+        # a random frame: E_0's eigenbasis mixes the two rows of A that share
+        # 0.5, the joint eigenbasis does not (0.28061 with E_0's basis)
+        a = np.array([[0.5, 0.3, 0.2], [0.5, 0.1, 0.4], [0.2, 0.4, 0.4]])
+        u = random_unitary(np.random.default_rng(3), 3)
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(povm_to_json(Povm(tuple(u @ np.diag(col) @ u.conj().T for col in a.T)))))
+        code, rep = run_json(capsys, "adaptive", str(path), "--n", "2")
+        assert code == 0
+        assert abs(rep["results"]["p_err"]["value"] - 0.275) < 1e-12
 
     def test_huge_depth_exit_4_at_once(self, capsys):
         start = time.perf_counter()
