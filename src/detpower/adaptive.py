@@ -76,12 +76,16 @@ class AdaptiveStrategy:
 class AdaptiveSearch(tuple):
     """The (p_err, strategy) pair that optimal_adaptive returns, with the
     size of its final error-tradeoff hull L_n as hull_vertices; strategy is
-    None when the tree is beyond the dense cap."""
+    None when the tree is beyond the dense cap.  It compares, hashes and
+    unpacks as the pair."""
 
     def __new__(cls, p_err: float, strategy: AdaptiveStrategy | None, hull_vertices: int):
         search = super().__new__(cls, (p_err, strategy))
         search.hull_vertices = hull_vertices
         return search
+
+    def __getnewargs__(self):  # for copy and pickle
+        return (*self, self.hull_vertices)
 
     @property
     def p_err(self) -> float:
@@ -328,6 +332,12 @@ def optimal_adaptive(p: Povm, candidates, n: int) -> AdaptiveSearch:
     are refused with DomainError.  A search whose point visits pass HULL_CAP
     is refused with ResourceError: before any level is built when n levels
     of one-vertex hulls would pass it, and otherwise where it is passed.
+
+    Every pair's points are formed and pruned, so many candidates cost even
+    at n = 1, where the dense search over the tree's leaves
+    (tests/oracles.dense_adaptive) reduces one array: 724 random qubit
+    candidates on two outcomes, 524k pairs, take 0.7-0.8 s and 81 MB (peak
+    under tracemalloc) against its 0.17-0.29 s and 76 MB on a 2-vCPU Xeon.
     """
     cands = tuple(candidates)
     if n < 1:

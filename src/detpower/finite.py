@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ClassicalDistribution, _pair, candidate_probs
+from .channel import SUM_TOL, ClassicalDistribution, _pair, candidate_probs
 from .core import DensityMatrix, GroupingMask, Povm, eig_hermitian
 from .errors import DomainError, ResourceError, StructuralError
 
@@ -27,15 +27,10 @@ SWEEP_WORK_CAP = 10**7
 AGGREGATION_CAP = 10**5
 # most types that iid_ml_log_error enumerates, and best_product_pair over all
 # its compositions; neither builds a table of them.  At the cap on a 2-vCPU
-# Xeon the i.i.d. sum takes about 1 ms and 0.9 MB at m = 2, n = 9999, and
-# 0.3 s and 1 MB at its worst, n = 1 on 10^4 outcomes, one enumeration step
-# per outcome (0.1 s at 4000 outcomes); best_product_pair, which pays per
-# composition, 0.4 s and 0.6 MB for 70 candidates at n = 1 (4830).
+# Xeon the i.i.d. sum takes 1.3 ms and 0.9 MB at m = 2, n = 9999, and 2 s and
+# 1.1 MB at its worst, n = 1 on 10^4 outcomes; best_product_pair, which pays
+# per composition, 0.4 s and 0.6 MB for 70 candidates at n = 1 (4830).
 TYPES_CAP = 10**4
-# types per entering row above which _types_log_error sets finished rows
-# aside: below it the bookkeeping costs more than the rows it saves (the
-# crossover was measured between 400 and 1600 types)
-SET_ASIDE_TYPES = 1000
 
 # Cephes lgam (scipy.special.gammaln) at x = k + 1 takes the log of the exact
 # factorial below x = 13 and Stirling's series from there on
@@ -74,16 +69,18 @@ class ProductInput:
 
 @dataclass(frozen=True, eq=False)
 class SequenceDistribution:
-    """Probabilities over outcome sequences k^n, flattened with k_1 most significant."""
+    """Probabilities over outcome sequences k^n, flattened with k_1 most
+    significant, summing to 1 within sum_tol (see ClassicalDistribution)."""
 
     m: int
     n: int
     probs: np.ndarray
+    sum_tol: float = SUM_TOL
 
     def __post_init__(self):
         if np.size(self.probs) != self.m**self.n:
             raise StructuralError("length must be m^n")
-        object.__setattr__(self, "probs", ClassicalDistribution(np.ravel(self.probs)).probs)
+        object.__setattr__(self, "probs", ClassicalDistribution(np.ravel(self.probs), self.sum_tol).probs)
 
     def sequence(self, index: int) -> tuple:
         digits = []
@@ -100,13 +97,18 @@ def _check_sequences(m: int, n: int) -> None:
 
 
 def sequence_distribution(p: Povm, inp: ProductInput) -> SequenceDistribution:
-    """Product distribution over outcome sequences for independent slot inputs."""
+    """Product distribution over outcome sequences for independent slot inputs.
+
+    Each slot's row sums to 1 within t = induced_sum_tol(d), so the product
+    sums to 1 within (1 + t)^n - 1 <= n t (1 + n t) (as n t < 1).
+    """
     m, n = p.n_outcomes, inp.n
     _check_sequences(m, n)
+    rows = candidate_probs(p, inp.factors)
     probs = np.array([1.0])
-    for row in candidate_probs(p, inp.factors).probs:
+    for row in rows.probs:
         probs = np.kron(probs, row)
-    return SequenceDistribution(m, n, probs)
+    return SequenceDistribution(m, n, probs, n * rows.sum_tol * (1 + n * rows.sum_tol))
 
 
 def _grouping_error(p0: np.ndarray, p1: np.ndarray, accept_h0: np.ndarray) -> float:
@@ -263,54 +265,22 @@ def _types_log_error(p_rows: np.ndarray, q_rows: np.ndarray, counts):
     multinom(c_k; t_k) sequences each, enumerated without a table: one outcome
     at a time, the first class and outcome slowest, a row with r uses of its
     class left splits into r + 1 rows, and a class's last outcome takes the
-    rest.  Rows carry running log-likelihoods (in class, then outcome order),
-    log multiplicities and the class's sum of log t_k!; an empty class adds
-    exact zeros.
-
-    A row with no uses left would only add zeros for the class's remaining
-    outcomes.  From a class's outcome c - 1 on, such rows are at least half
-    of all.  When the class has more than SET_ASIDE_TYPES types per entering
-    row, they are set aside there until the class ends; each row then carries
-    the index of its first type in the enumeration order, which puts them
-    back in that order.  A row with r uses left and s outcomes to go has
-    compositions[r, s] = C(r + s - 1, s - 1) types, and its child that takes
-    k starts compositions[r, s] - compositions[r - k, s] types later.
-    """
+    rest.  Rows carry running log-likelihoods (in class, then outcome order)
+    and log multiplicities; an empty class adds exact zeros."""
     log_fact = _log_factorials(sum(counts) + 1)
     l0 = l1 = log_mult = np.zeros(1)
     for c, p_row, q_row in zip(counts, p_rows, q_rows):
-        m = len(p_row)
         rest, log_fact_sum = np.full(len(l0), c), np.zeros(len(l0))
-        retire = c < m and math.comb(c + m - 1, m - 1) > SET_ASIDE_TYPES
-        if retire:
-            compositions = np.ones((c + 1, m + 1), dtype=np.int64)
-            for r in range(1, c + 1):
-                compositions[r] = compositions[r - 1] * (np.arange(m + 1) + r - 1) // r
-            first = np.arange(len(l0)) * compositions[c, m]
-            done = np.empty((4, len(l0) * compositions[c, m]))
         for j, (p, q) in enumerate(zip(p_row, q_row)):
             k = rest
-            if j < m - 1:
+            if j < len(p_row) - 1:
                 size = rest + 1
                 parent = np.repeat(np.arange(len(rest)), size)
                 k = np.arange(len(parent)) - np.repeat(np.cumsum(size) - size, size)
                 l0, l1, log_mult, log_fact_sum = l0[parent], l1[parent], log_mult[parent], log_fact_sum[parent]
-                rest = rest[parent]
-                if retire:
-                    first = first[parent] + compositions[rest, m - j] - compositions[rest - k, m - j]
-                rest = rest - k
+                rest = rest[parent] - k
             l0, l1 = l0 + _xlogy(k, p), l1 + _xlogy(k, q)
             log_fact_sum = log_fact_sum + log_fact[k]
-            if retire and c - 1 <= j < m - 1:
-                out = rest == 0
-                done[:, first[out]] = l0[out], l1[out], log_mult[out], log_fact_sum[out]
-                live = ~out
-                first, l0, l1, log_mult, log_fact_sum, rest = (
-                    x[live] for x in (first, l0, l1, log_mult, log_fact_sum, rest)
-                )
-        if retire:
-            done[:, first] = l0, l1, log_mult, log_fact_sum
-            l0, l1, log_mult, log_fact_sum = done
         log_mult = log_mult + (log_fact[c] - log_fact_sum)
     accept = l0 >= l1
     terms = log_mult + np.where(accept, l1, l0)

@@ -285,11 +285,12 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     _require_two_outcomes(p)
     opts = opts or SearchOptions()
     d = p.dim
+    sum_tol = induced_sum_tol(d)
     best = ExponentValue(-math.inf)
     best_pair = None
 
     def dist(mat):
-        return ClassicalDistribution(induced_probs(p, mat), induced_sum_tol(d))
+        return ClassicalDistribution(induced_probs(p, mat), sum_tol)
 
     def score(rho_mat, sigma_mat):
         return objective(dist(rho_mat), dist(sigma_mat))

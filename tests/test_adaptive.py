@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -335,6 +337,19 @@ class TestOptimal:
         for n in (10**5, 10**9):
             with pytest.raises(ResourceError, match=f"depth {n} needs over"):
                 optimal_adaptive(diag_povm, basis_states, n)
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_result_survives_copy_and_pickle(self, diag_povm, basis_states, n):
+        # n = 8 is past the tree's budget, so its strategy is None
+        search = optimal_adaptive(diag_povm, basis_states, n)
+        for got in (copy.copy(search), copy.deepcopy(search), pickle.loads(pickle.dumps(search))):
+            assert type(got) is adaptive.AdaptiveSearch
+            assert (got.p_err, got.hull_vertices) == (search.p_err, search.hull_vertices)
+            if search.strategy is None:
+                assert got.strategy is None
+            else:
+                assert got.strategy.choices == search.strategy.choices
+                assert evaluate_strategy(diag_povm, got.strategy) == evaluate_strategy(diag_povm, search.strategy)
 
     def test_one_outcome_detector_refused(self, basis_states):
         with pytest.raises(DomainError, match="POVM must have at least 2 outcomes"):

@@ -21,6 +21,7 @@ from detpower import (
     validate_povm,
 )
 from detpower import core, evaluate_strategy, optimal_adaptive
+from detpower import ProductInput, SequenceDistribution, iid_ml_log_error, ml_error_probability, sequence_distribution
 from detpower.channel import (
     _INVPHI,
     NEG_CLAMP,
@@ -172,6 +173,11 @@ class TestSumTolerance:
         p_err, strat = optimal_adaptive(p, states, 2)
         assert 0.0 <= p_err <= 0.5 * (1 + induced_sum_tol(p.dim)) ** 2
         assert abs(evaluate_strategy(p, strat) - p_err) <= 1e-15
+        # the dense n-fold products and the types agree on the same rows
+        d0, d1 = (sequence_distribution(p, ProductInput.iid(s, 3)) for s in states)
+        dense, _ = ml_error_probability(d0, d1)
+        log_err, _ = iid_ml_log_error(*candidate_probs(p, states), 3)
+        assert math.isclose(dense, math.exp(log_err), rel_tol=1e-12, abs_tol=1e-300)
 
     def test_the_bound_only_widens_and_still_refuses(self):
         assert all(induced_sum_tol(d) > SUM_TOL for d in range(1, 9))
@@ -188,6 +194,14 @@ class TestSumTolerance:
         assert validate_povm(p).valid
         p_err, _ = optimal_adaptive(p, cands, 2)
         assert abs(p_err - 0.36000000136800003) < 1e-15
+        # three uses sum to 1 + 5.4e-9, within 3 t (1 + 3 t) for t = induced_sum_tol(2)
+        dist = sequence_distribution(p, ProductInput.iid(cands[0], 3))
+        assert abs(dist.probs.sum() - (1 + 1.8e-9) ** 3) < 1e-15
+        assert dist.sum_tol == 3 * induced_sum_tol(2) * (1 + 3 * induced_sum_tol(2))
+
+    def test_given_sequences_keep_sum_tol(self):
+        with pytest.raises(DomainError, match="probabilities sum to"):
+            SequenceDistribution(2, 2, [0.25, 0.25, 0.25, 0.25 + 2 * SUM_TOL])
 
 
 RAW_CHECKERS = {

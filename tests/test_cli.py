@@ -207,6 +207,21 @@ class TestFinite:
         for rep in (ml, bf):
             assert_log_count(rep["diagnostics"]["log_grouping_size"], 7)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_edge_detector_brute_and_ml(self, capsys, tmp_path, n):
+        # completeness residual just under TOL_COMPLETE: each row sums to
+        # 1 + 9.9e-10 and three uses to 1 + 3.0e-9, past the plain SUM_TOL
+        edge = Povm((np.diag([0.4, 0.2]).astype(complex), np.diag([0.6 + 9.9e-10, 0.8 + 9.9e-10]).astype(complex)))
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(povm_to_json(edge)))
+        reps = []
+        for mode in ("brute", "ml"):
+            code, rep = run_json(capsys, "finite", str(path), "--n", str(n), "--mode", mode)
+            assert code == 0
+            reps.append(rep["results"]["p_err"]["value"])
+        assert math.isclose(*reps, rel_tol=1e-12)
+        assert abs(reps[0] - {1: 0.4, 3: 0.352}[n]) < 1e-8
+
     def test_ml_ties_go_to_h0(self, capsys):
         # the 924 sequences with six clicks of twelve tie; dense kron products gave 2154
         code, rep = run_json(capsys, "finite", SG_FILE, "--n", "12", "--mode", "ml")

@@ -359,27 +359,6 @@ class TestIidMl:
         assert peak < 8e6
         assert math.isclose(log_err, math.log(0.5 * np.minimum(p, q).sum()), rel_tol=1e-13)
 
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        m=st.integers(2, 11),
-        counts=st.lists(st.integers(0, 5), min_size=1, max_size=3),
-    )
-    def test_set_aside_rows_keep_every_bit(self, seed, m, counts):
-        # rows set aside when their class's uses run out come back in the
-        # enumeration order: the same bytes as when every row is carried
-        rng = np.random.default_rng(seed)
-        counts = [c if math.comb(c + m - 1, m - 1) ** len(counts) <= 4000 else 1 for c in counts]
-        rows = rng.uniform(0.05, 1.0, size=(2, len(counts), m))
-        rows[rng.uniform(size=rows.shape) < 0.1] = 0.0
-        p_rows, q_rows = rows / rows.sum(axis=2, keepdims=True).clip(1e-300)
-        results = []
-        for set_aside in (-1, math.inf):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(finite, "SET_ASIDE_TYPES", set_aside)
-                log_err, log_mult, accept = finite._types_log_error(p_rows, q_rows, counts)
-            results.append((np.float64(log_err).tobytes(), log_mult.tobytes(), accept.tobytes()))
-        assert results[0] == results[1]
-
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 300))
     def test_one_use_closed_form(self, seed, m):
         # n = 1: the types are the outcomes, so p_err = 1/2 sum_k min(P_k, Q_k)
