@@ -43,12 +43,17 @@ def _dim_from_json(obj) -> int:
 
 
 def matrix_from_json(obj, dim: int, what: str) -> np.ndarray:
+    """A dim x dim complex matrix from nested lists of [re, im] pairs of JSON
+    numbers; strings and true/false, which numpy would convert, are refused."""
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{what}: entries must be [re, im] pairs") from exc
     if arr.shape != (dim, dim, 2):
         raise ParseError(f"{what}: expected shape {dim}x{dim} of [re, im] pairs, got {arr.shape}")
+    leaves = (x for row in obj for pair in row for x in pair)
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in leaves):
+        raise ParseError(f"{what}: entries must be JSON numbers")
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"{what}: non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -19,20 +19,31 @@ other three corners of its square of mixtures ((1-t) rho + t I/d,
 Stein and Hoeffding exponents are jointly convex in the state pair, so no
 point of that square beats its best corner.
 
-Both scans read one generator, _grouping_scan, that yields the proper
-outcome groupings a chunk at a time as membership rows, with one stacked
-eig_hermitian call for their grouped elements: single_shot_power takes the
-spread of each, and the basis scan the eigenbases, whose projectors it
+Both scans read the proper outcome groupings as membership rows with
+their grouped elements diagonalized, from one generator, _grouping_scan,
+that makes one stacked eig_hermitian call per chunk: single_shot_power takes
+the spread of each, and the basis scan the eigenbases, whose projectors it
 converts in one stacked induced_probs call and scores in one row-wise call,
-rows(P_stack, Q_stack) -> (values, s).  The chunk size bounds memory only:
-every float, and so every result, is the one a scan of one grouping or basis
-at a time gives.
+rows(P_stack, Q_stack) -> (values, s).  On a detector with at most
+MAX_OUTCOMES_GROUPING_SCAN outcomes, where both scans visit the same
+groupings, the scan runs once per Povm: _scanned_groupings keeps its rows,
+eigenvalues and eigenvectors as read-only arrays in a WeakKeyDictionary
+keyed by the Povm, so single_shot_power and every zeta_* call on that
+detector share one diagonalization, and the entry dies with the detector.
+It holds 2^(m-1) - 1 groupings of m + 8d + 16d^2 bytes each, at most
+8191 (m + 8d + 16d^2) bytes: 2.5 MB at d = 4 and 35 MB at d = 16 (m = 14).  A
+basis scan that stops at its first infinite value has still diagonalized
+every grouping, at most the cost of one full scan.  A single shot above that
+cap streams the scan and keeps nothing.  Every float, and so every result,
+is the one a scan of one grouping or basis at a time gives, whatever the
+chunk size and whether or not the scan was kept.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +70,8 @@ MAX_OUTCOMES_SINGLE_SHOT = 24
 MAX_OUTCOMES_GROUPING_SCAN = 14
 MAX_BASIS_ELEMENTS = 256
 # d x d matrices built per stacked call of the grouping scans: grouped
-# elements in single_shot_power, projectors in the basis scan.  It bounds
-# their memory; the results do not depend on it.
+# elements diagonalized by _grouping_scan, projectors in the basis scan.  It
+# bounds their memory; the results do not depend on it.
 SCAN_CHUNK = 128
 # coordinate-wise refinement passes per restart; each pass halves the bracket,
 # and a pass that gains less than REFINE_TOL ends the refinement
@@ -112,7 +123,9 @@ def _grouping_scan(p: Povm, size: int):
     the spread of I - E^a equals the spread of E^a); the groupings come by
     size, then lexicographically.  E_k is added in increasing k to the sums
     whose row holds k, starting from zeros, so each sum has grouped_element's
-    floats.
+    floats.  Up to MAX_OUTCOMES_GROUPING_SCAN outcomes the scans read it
+    through _scanned_groupings, once per detector; above, only
+    single_shot_power reads it, a chunk at a time, and keeps nothing.
     """
     m = p.n_outcomes
     rest = (c for k in range(m - 1) for c in itertools.combinations(range(1, m), k))
@@ -125,6 +138,36 @@ def _grouping_scan(p: Povm, size: int):
         for k, e in enumerate(p.elements):
             ops[rows[:, k]] += e
         yield rows, ops, *eig_hermitian(ops)
+
+
+# Povm -> (rows, evals, evecs) of its grouping scan; a Povm hashes by identity
+_SCANS = weakref.WeakKeyDictionary()
+
+
+def _scanned_groupings(p: Povm):
+    """(rows, evals, evecs) of every proper grouping of p, diagonalized once per detector.
+
+    The _grouping_scan chunks, copied into read-only arrays without the
+    grouped elements, are kept for as long as p lives (see the module
+    docstring for their size), so later calls on p read them instead of
+    diagonalizing again.  Each chunk is copied as it comes, so building them
+    takes their size plus one chunk.  For detectors with at most
+    MAX_OUTCOMES_GROUPING_SCAN outcomes.
+    """
+    scan = _SCANS.get(p)
+    if scan is None:
+        m, d = p.n_outcomes, p.dim
+        n = 2 ** (m - 1) - 1
+        scan = np.empty((n, m), dtype=bool), np.empty((n, d)), np.empty((n, d, d), dtype=complex)
+        at = 0
+        for rows, _, *eig in _grouping_scan(p, SCAN_CHUNK):
+            for kept, part in zip(scan, (rows, *eig)):
+                kept[at : at + len(rows)] = part
+            at += len(rows)
+        for a in scan:
+            a.setflags(write=False)
+        _SCANS[p] = scan
+    return scan
 
 
 def single_shot_power(p: Povm) -> PowerReport:
@@ -142,11 +185,15 @@ def single_shot_power(p: Povm) -> PowerReport:
     groupings as _grouping_scan yields them, SCAN_CHUNK per stacked
     eig_hermitian call; the first grouping whose spread beats every earlier
     one by more than 1e-15 wins, and its membership row is the reported
-    grouping, with the top and bottom eigenvectors as inputs.  The time
-    doubles with each outcome: at d = 2 on a 2-vCPU Xeon with BLAS on one
-    thread it takes about 0.2 s at m = 16, 0.9 s at m = 18 and 70 s at the
-    cap of MAX_OUTCOMES_SINGLE_SHOT = 24 outcomes (a scan of one grouping at
-    a time took 1.9 s at m = 16 and 9 s at m = 18).
+    grouping, with the top and bottom eigenvectors as inputs.  Up to
+    MAX_OUTCOMES_GROUPING_SCAN = 14 outcomes the diagonalized groupings are
+    _scanned_groupings(p), shared with the zeta_* basis scans on the same
+    Povm and kept while it lives (at most 8191 (m + 8d + 16d^2) bytes);
+    above, the scan streams and keeps nothing.  The time doubles with each
+    outcome: at d = 2 on a 2-vCPU Xeon with BLAS on one thread it takes
+    about 0.2 s at m = 16, 0.9 s at m = 18 and 70 s at the cap of
+    MAX_OUTCOMES_SINGLE_SHOT = 24 outcomes (a scan of one grouping at a time
+    took 1.9 s at m = 16 and 9 s at m = 18).
     """
     _require_two_outcomes(p)
     joint = joint_eigenbasis(p)
@@ -163,8 +210,12 @@ def single_shot_power(p: Povm) -> PowerReport:
             raise ResourceError(
                 f"{m} outcomes means 2^{m - 1} groupings; use the heuristic exponent search instead"
             )
+        if m <= MAX_OUTCOMES_GROUPING_SCAN:
+            scans = [_scanned_groupings(p)]
+        else:
+            scans = ((rows, evals, evecs) for rows, _, evals, evecs in _grouping_scan(p, SCAN_CHUNK))
         spread = -1.0
-        for rows, _, evals, evecs in _grouping_scan(p, SCAN_CHUNK):
+        for rows, evals, evecs in scans:
             for r, s in enumerate((evals[:, 0] - evals[:, -1]).tolist()):
                 if s > spread + 1e-15:
                     spread, row, rho, sigma = s, rows[r], evecs[r][:, 0], evecs[r][:, -1]
@@ -203,14 +254,17 @@ def _pure_mat(params: np.ndarray, d: int) -> np.ndarray:
 def _candidate_bases(p: Povm):
     """Eigenbases of grouped elements (small m) or of single elements (large m).
 
-    Yields (n, d, d) stacks of eigenvector columns, one stacked eig_hermitian
-    call each, of up to max(1, SCAN_CHUNK // d) bases: about SCAN_CHUNK
-    projectors.
+    Yields (n, d, d) stacks of eigenvector columns of up to
+    max(1, SCAN_CHUNK // d) bases: about SCAN_CHUNK projectors.  The grouped
+    elements' stacks are slices of _scanned_groupings(p), diagonalized once
+    per detector; the single elements' take one stacked eig_hermitian call
+    each.
     """
     size = max(1, SCAN_CHUNK // p.dim)
     if p.n_outcomes <= MAX_OUTCOMES_GROUPING_SCAN:
-        for *_, evecs in _grouping_scan(p, size):
-            yield evecs
+        evecs = _scanned_groupings(p)[2]
+        for i in range(0, len(evecs), size):
+            yield evecs[i : i + size]
     else:
         elems = p.stacked()[:MAX_BASIS_ELEMENTS]
         for i in range(0, len(elems), size):
@@ -255,11 +309,14 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     since each line search holds the other state fixed.
 
     The basis scan takes the candidate bases a chunk at a time, as
-    _candidate_bases yields them from one stacked eig_hermitian call, and
-    _best_basis_pair scores each chunk.  The chunk's projectors are
-    converted in one stacked induced_probs call and checked as one
-    ClassicalDistribution stack; a state that is not a distribution raises
-    its own DomainError there, before the chunk is scored.  All the chunk's
+    _candidate_bases yields them, and _best_basis_pair scores each chunk.  Up
+    to MAX_OUTCOMES_GROUPING_SCAN outcomes the bases are the grouped
+    elements' eigenbases of _scanned_groupings(p), diagonalized by the first
+    scan or single shot of this Povm and read again by every later one.  The
+    chunk's projectors are converted in one stacked induced_probs call and
+    checked as one ClassicalDistribution stack; a state that is not a
+    distribution raises its own DomainError there, before the chunk is
+    scored.  All the chunk's
     ordered pairs are then scored in one call on two stacks indexed from that
     one, rows(P_stack, Q_stack) -> (values, s): two float arrays whose row k
     holds objective(P_k, Q_k)'s value and optimizer_s, with NaN for a None
@@ -269,7 +326,8 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     incumbent is the first largest value of a chunk that beats the incumbent
     so far; NaN never counts.  So, as in a scan of one pair at a time in
     (basis, itertools.permutations) order, it is the first strict maximum,
-    and the scan ends at the first infinite value.
+    and the scan ends at the first infinite value; the grouped elements
+    are all diagonalized by then, which costs at most one full scan.
 
     With opts.mixed, the incumbent (rho, sigma) is then compared, in this
     order, with (I/d, sigma), (rho, I/d) and (I/d, I/d), the other corners of

@@ -675,6 +675,31 @@ class TestAdaptive:
         assert captured.out == ""
         assert '"dim" must be a positive integer' in captured.err
 
+    @pytest.mark.parametrize("leaf", ["0.5", True, False])
+    @pytest.mark.parametrize("kind", ["povm", "--candidates", "--strategy"])
+    def test_matrix_entries_must_be_json_numbers(self, capsys, tmp_path, kind, leaf):
+        # numpy reads "0.5" as 0.5 and true as 1.0
+        qubit = matrix_to_json(np.eye(2) / 2)
+        if kind == "povm":
+            with open(POVM_FILE, encoding="utf-8") as fh:
+                obj = json.load(fh)
+            matrix = obj["elements"][0]
+        elif kind == "--candidates":
+            obj = {"dim": 2, "states": [qubit]}
+        else:
+            obj = {"depth": 1, "dim": 2, "candidates": [qubit], "choices": {"": [0, 0]}}
+        if kind != "povm":
+            matrix = qubit
+        matrix[1][1][1] = leaf
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        argv = ["validate", str(path)] if kind == "povm" else ["adaptive", POVM_FILE, kind, str(path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "entries must be JSON numbers" in captured.err
+
     @pytest.mark.parametrize("flag", ["--candidates", "--strategy"])
     def test_state_dimension_mismatch_exit_3(self, capsys, tmp_path, flag):
         # qutrit states against the qubit detector of POVM_FILE

@@ -1,7 +1,9 @@
 import contextlib
+import gc
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -450,20 +452,21 @@ def _report_bits(rep):
 
 class TestChunkedScan:
     """The grouping scans build, diagonalize, convert and score SCAN_CHUNK
-    matrices per stacked call; the chunk size bounds memory only."""
+    matrices per stacked call; the chunk size does not change a float."""
 
     @pytest.mark.parametrize("which", ["random_d4_m11", "covariant_12"])
     def test_chunk_size_does_not_change_reports(self, monkeypatch, which):
         from detpower import fibonacci_covariant_discretization
 
-        if which == "covariant_12":  # grouped elements with repeated eigenvalues: the tie order counts
-            p = fibonacci_covariant_discretization(12).to_povm()
-        else:
-            p = random_povm(np.random.default_rng(21), 4, 11)
         opts = SearchOptions(restarts=0)
         reports = []
         for chunk in (1, 10**6, optimize.SCAN_CHUNK):
             monkeypatch.setattr(optimize, "SCAN_CHUNK", chunk)
+            # a fresh Povm per size: a reused one would read the first size's kept scan
+            if which == "covariant_12":  # grouped elements with repeated eigenvalues: the tie order counts
+                p = fibonacci_covariant_discretization(12).to_povm()
+            else:
+                p = random_povm(np.random.default_rng(21), 4, 11)
             reports.append([_report_bits(f(p)) for f in (single_shot_power, lambda p: zeta_chernoff(p, opts),
                                                            lambda p: zeta_stein(p, opts))])
         assert reports[0] == reports[1] == reports[2]
@@ -593,6 +596,79 @@ class TestChunkedScan:
                 objective(p, SearchOptions(restarts=0))
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+
+def _session_call(kind, restarts, p):
+    """One call of a library session on detector p: the single shot or a search."""
+    opts = SearchOptions(restarts=restarts)
+    return {
+        "single_shot": lambda: single_shot_power(p),
+        "chernoff": lambda: zeta_chernoff(p, opts),
+        "stein": lambda: zeta_stein(p, opts),
+        "hoeffding": lambda: zeta_hoeffding(p, 0.05, opts),
+    }[kind]()
+
+
+class TestSharedGroupingScan:
+    """Up to MAX_OUTCOMES_GROUPING_SCAN outcomes, single_shot_power and the
+    basis scans of one Povm share one diagonalization of its groupings."""
+
+    @settings(max_examples=6)
+    @given(
+        d=st.integers(2, 4),
+        m=st.integers(3, 8),
+        seed=st.integers(0, 2**32 - 1),
+        calls=st.lists(
+            st.tuples(st.sampled_from(["single_shot", "chernoff", "stein", "hoeffding"]), st.sampled_from([0, 2])),
+            min_size=2,
+            max_size=4,
+        ),
+    )
+    def test_any_call_order_gives_the_fresh_reports(self, d, m, seed, calls):
+        elements = random_povm(np.random.default_rng(seed), d, m).elements
+        p = Povm(elements)
+        for kind, restarts in calls:
+            fresh = _session_call(kind, restarts, Povm(elements))
+            assert _report_bits(_session_call(kind, restarts, p)) == _report_bits(fresh)
+
+    def test_a_session_diagonalizes_each_grouping_once(self, monkeypatch):
+        calls = []
+
+        def counted(mat):
+            calls.append(len(mat))
+            return eig_hermitian(mat)
+
+        monkeypatch.setattr(optimize, "eig_hermitian", counted)
+        p = random_povm(np.random.default_rng(27), 4, 9)  # 255 groupings: two chunks of SCAN_CHUNK
+        for kind in ("single_shot", "chernoff", "stein", "hoeffding"):
+            _session_call(kind, 0, p)
+        assert calls == [optimize.SCAN_CHUNK, 255 - optimize.SCAN_CHUNK]
+
+    def test_kept_arrays_are_read_only(self):
+        p = random_povm(np.random.default_rng(28), 3, 6)
+        single_shot_power(p)
+        rows, evals, evecs = optimize._scanned_groupings(p)
+        assert rows.shape == (31, 6) and evals.shape == (31, 3) and evecs.shape == (31, 3, 3)
+        assert not any(a.flags.writeable for a in (rows, evals, evecs))
+        with pytest.raises(ValueError, match="read-only"):
+            evecs[0, 0, 0] = 0.0
+
+    def test_kept_scan_dies_with_the_detector(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_SCANS", weakref.WeakKeyDictionary())
+        p = random_povm(np.random.default_rng(29), 3, 5)
+        zeta_stein(p, SearchOptions(restarts=0))
+        assert list(optimize._SCANS.keys()) == [p]
+        alive = weakref.ref(p)
+        del p
+        gc.collect()
+        assert alive() is None and len(optimize._SCANS) == 0
+
+    def test_single_shot_above_the_grouping_cap_keeps_nothing(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_SCANS", weakref.WeakKeyDictionary())
+        p = random_povm(np.random.default_rng(30), 2, 16)
+        assert p.n_outcomes > optimize.MAX_OUTCOMES_GROUPING_SCAN
+        single_shot_power(p)
+        assert len(optimize._SCANS) == 0
 
 
 @st.composite
