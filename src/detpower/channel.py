@@ -22,6 +22,10 @@ NEG_CLAMP = 1e-12
 SUM_TOL = 1e-9
 
 _INVPHI = (math.sqrt(5) - 1) / 2  # 1/golden ratio
+# chernoff_rows' screen: at most this many Newton steps per row, and the
+# cut's margin as a share of max(1, |cut|)
+SCREEN_STEPS = 32
+SCREEN_MARGIN = 1e-9
 
 
 def induced_sum_tol(d: int) -> float:
@@ -130,17 +134,24 @@ def _trace_rows(elements: np.ndarray, rho: np.ndarray) -> np.ndarray:
     That einsum, on a C-ordered rho, sums Re(E_kij rho_ji) = Re E Re rho -
     Im E Im rho over j from zero for each i, then those sums over i from zero.
     Other summation orders, "...ji,ij->..." among them, move the last bit.
+    Each term is an (outcomes, states) array, states innermost, and every sum
+    starts from +0.0, as einsum's does, so no -0.0 appears.
     """
-    rt = np.swapaxes(rho, -1, -2)[..., None, :, :]  # rt[..., 0, i, j] = rho[..., j, i]
-    inner = np.zeros(rho.shape[:-2] + elements.shape[:-1])  # (..., k, i)
-    for j in range(elements.shape[-1]):
-        t = elements.real[..., j] * rt.real[..., j]
-        t -= elements.imag[..., j] * rt.imag[..., j]
-        inner += t
-    out = np.zeros(inner.shape[:-1])
-    for i in range(inner.shape[-1]):
-        out += inner[..., i]
-    return out
+    d = rho.shape[-1]
+    states = rho.reshape(-1, d, d)
+    er, ei = (np.moveaxis(x, 0, -1)[..., None] for x in (elements.real, elements.imag))  # (i, j, k, 1)
+    rr, ri = (np.ascontiguousarray(np.moveaxis(x, 0, -1)) for x in (states.real, states.imag))  # (j, i, n)
+    out = np.zeros((len(elements), len(states)))
+    inner, t, u = np.empty_like(out), np.empty_like(out), np.empty_like(out)
+    for i in range(d):
+        inner.fill(0.0)
+        for j in range(d):
+            np.multiply(er[i, j], rr[j, i], out=t)
+            np.multiply(ei[i, j], ri[j, i], out=u)
+            t -= u
+            inner += t
+        out += inner
+    return np.ascontiguousarray(out.T).reshape(rho.shape[:-2] + elements.shape[:1])
 
 
 def induced_distribution(p: Povm, rho: DensityMatrix) -> ClassicalDistribution:
@@ -279,16 +290,14 @@ def _golden_rows(lp: np.ndarray, lq: np.ndarray, xtol: float = 1e-12):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = _phi_rows(c, lp, lq), _phi_rows(d, lp, lq)
-    while True:
+    while len(live):
         go = np.abs(d - c) > xtol
-        if np.count_nonzero(go) < len(go):
+        if not go.all():
             stop = ~go[:, 0]
             x = (a[stop] + b[stop]) / 2
             s_out[live[stop]] = x
             f_out[live[stop]] = _phi_rows(x, lp[stop], lq[stop])
             keep = go[:, 0]
-            if not keep.any():
-                return s_out, f_out
             live, a, b, c, d, fc, fd, lp, lq = (v[keep] for v in (live, a, b, c, d, fc, fd, lp, lq))
         left = fc < fd  # the scalar loop's branch: keep [a, d], else [c, b]
         a = np.where(left, a, c)
@@ -298,26 +307,106 @@ def _golden_rows(lp: np.ndarray, lq: np.ndarray, xtol: float = 1e-12):
         fx = _phi_rows(x, lp, lq)
         c, d = np.where(left, x, d), np.where(left, c, x)
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    return s_out, f_out
 
 
-def chernoff_rows(p_rows, q_rows):
+def _tilted_rows(s: np.ndarray, lp: np.ndarray, lq: np.ndarray, llr: np.ndarray):
+    """_tilted's phi, phi' and phi'' of every row k at s[k], from (m, n) logs with row k in column k.
+
+    _tilted's formulas, with each sum taken down the short axis of outcomes
+    and the exponent as lq + s llr.  The floats are not _tilted's: they only
+    bound the rows' exponents, where the cancellation that form can bring
+    when Q_k << P_k, a few ulps of |log Q_k| <= 745, stays far inside the
+    screen's margin.
+    """
+    w = s * llr
+    w += lq
+    top = w.max(axis=0)
+    w -= top
+    np.exp(w, out=w)
+    z = w.sum(axis=0)
+    u = w * llr
+    mean = u.sum(axis=0) / z
+    np.subtract(llr, mean, out=u)
+    u *= u
+    u *= w
+    return top + np.log(z), mean, u.sum(axis=0) / z
+
+
+def _exponent_bounds(lp: np.ndarray, lq: np.ndarray, floor: float):
+    """Bounds lo_k <= C_k <= hi_k on the Chernoff exponent C_k = max_s g_k(s),
+    g_k = -phi_k, of every row of the (n, m) logs, and chernoff_rows' cut.
+
+    g is concave (Chernoff 1952), so at any s in [0, 1] g(s) <= C, and the
+    tangent there bounds g from above: C <= g(s) + max(g'(s)(1 - s),
+    -g'(s) s), its largest value on [0, 1].  lo and hi are the best of these
+    over the points a row visits: s = 1/2, then safeguarded Newton steps on
+    phi'(s) = 0, kept inside the bracket where phi' changes sign and
+    bisecting it when a step leaves it (or phi'' is 0).  The gap hi - lo,
+    at most |phi'(s)|, closes as s nears the maximizer.  The cut is
+    max(floor, max lo) less the margin SCREEN_MARGIN * max(1, |cut|).  A row
+    steps only while it is undecided: while its hi, clamped at 0 as the
+    values are, reaches the cut and its gap exceeds the margin, for at most
+    SCREEN_STEPS steps.  lo and hi are the true bounds within round-off.
+    """
+    n = len(lp)
+    lp, lq = np.ascontiguousarray(lp.T), np.ascontiguousarray(lq.T)
+    llr = lp - lq
+    lo, hi = np.full(n, -math.inf), np.full(n, math.inf)
+    live, a, b, s = np.arange(n), np.zeros(n), np.ones(n), np.full(n, 0.5)
+    for _ in range(SCREEN_STEPS):
+        f, df, d2f = _tilted_rows(s, lp, lq, llr)
+        lo[live] = np.maximum(lo[live], -f)
+        hi[live] = np.minimum(hi[live], -f + np.maximum(-df * (1.0 - s), df * s))
+        best = max(floor, lo.max())
+        margin = SCREEN_MARGIN * max(1.0, abs(best)) if math.isfinite(best) else 0.0
+        go = (np.maximum(hi[live], 0.0) >= best - margin) & (hi[live] - lo[live] > margin)
+        if not go.any():
+            break
+        live, lp, lq, llr, a, b, s, df, d2f = (v[..., go] for v in (live, lp, lq, llr, a, b, s, df, d2f))
+        a, b = np.where(df < 0.0, s, a), np.where(df < 0.0, b, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = s - df / d2f
+        s = np.where((a <= step) & (step <= b), step, (a + b) / 2)
+    return lo, hi, best - margin
+
+
+def chernoff_rows(p_rows, q_rows, floor: float | None = None):
     """chernoff_exponent(P[k], Q[k]) for every row k, with the same floats.
 
     Returns the float arrays (values, s), with s NaN where optimizer_s is
     None.  The rows without zeros run golden_section_min's iteration in
     lockstep, then take the same min over s = 0 and 1, the same clamp and
     the same clip.
+
+    With a floor, only the rows that can still reach the largest value or
+    the floor are scored; the others give (-inf, NaN).  The cut is the
+    largest of floor, the zero-entry rows' values and the zero-free rows'
+    certified lower bounds (_exponent_bounds), less SCREEN_MARGIN *
+    max(1, |cut|); a zero-free row is dropped when its certified upper
+    bound, clamped at 0 as the values are, lies below it.  The margin is a
+    thousand times the bounds' and the values' round-off (a few ulps of
+    |log P_k| <= 745), so a dropped row's value lies below floor or below
+    the value of the row with the best lower bound.  A scan that takes the
+    first largest value, and needs it only when it beats floor, so reports
+    what it would without the floor, and every row that is scored keeps its
+    floats.
     """
     P, Q, full = _full_rows(p_rows, q_rows)
     values, s_star = np.empty(len(P)), np.empty(len(P))
     values[~full], s_star[~full] = _pair_rows(chernoff_exponent)(P[~full], Q[~full])
-    if full.any():
-        lp, lq = np.log(P.probs[full]), np.log(Q.probs[full])
-        s, f = _golden_rows(lp, lq)
-        f = np.minimum(f, _phi_rows(np.zeros_like(s), lp, lq))
-        f = np.minimum(f, _phi_rows(np.ones_like(s), lp, lq))
-        values[full] = np.maximum(-f[:, 0], 0.0) + 0.0
-        s_star[full] = np.clip(s[:, 0], 0.0, 1.0)
+    rows = np.flatnonzero(full)
+    lp, lq = np.log(P.probs[full]), np.log(Q.probs[full])
+    if floor is not None and len(rows):
+        _, hi, cut = _exponent_bounds(lp, lq, max(floor, np.max(values[~full], initial=-math.inf)))
+        drop = np.maximum(hi, 0.0) < cut
+        values[rows[drop]], s_star[rows[drop]] = -math.inf, math.nan
+        rows, lp, lq = rows[~drop], lp[~drop], lq[~drop]
+    s, f = _golden_rows(lp, lq)
+    f = np.minimum(f, _phi_rows(np.zeros_like(s), lp, lq))
+    f = np.minimum(f, _phi_rows(np.ones_like(s), lp, lq))
+    values[rows] = np.maximum(-f[:, 0], 0.0) + 0.0
+    s_star[rows] = np.clip(s[:, 0], 0.0, 1.0)
     return values, s_star
 
 

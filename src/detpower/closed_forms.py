@@ -99,8 +99,11 @@ def covariant_zeta_numeric(disc: CovariantDiscretization) -> ExponentValue:
     antipodal pure Bloch pairs along COVARIANT_DIRECTIONS deterministic
     directions.
 
-    All directions are scored in one chernoff_rows call.  The result is the
-    first infinite value, else the first strict maximum above 0, else 0.
+    All directions are scored in one chernoff_rows call, with floor 0: a
+    direction that cannot reach the largest value gives -inf there, which
+    changes neither the first maximum nor whether it lies above 0.  The
+    result is the first infinite value, else the first strict maximum above
+    0, else 0.
     """
     dirs = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
     extra = fibonacci_covariant_discretization(2 * (COVARIANT_DIRECTIONS - 3)).nodes[0::2]
@@ -108,7 +111,7 @@ def covariant_zeta_numeric(disc: CovariantDiscretization) -> ExponentValue:
     proj = np.array([disc.nodes @ b for b in dirs])
     p0 = ClassicalDistribution(np.clip((1.0 + proj) / disc.m, 0.0, None))
     p1 = ClassicalDistribution(np.clip((1.0 - proj) / disc.m, 0.0, None))
-    values, s = chernoff_rows(p0, p1)
+    values, s = chernoff_rows(p0, p1, floor=0.0)
     t = int(np.argmax(values))  # the first maximum, so the first inf if there is one
     if not values[t] > 0.0:
         return ExponentValue(0.0, None)

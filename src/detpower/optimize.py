@@ -24,19 +24,30 @@ their grouped elements diagonalized, from one generator, _grouping_scan,
 that makes one stacked eig_hermitian call per chunk: single_shot_power takes
 the spread of each, and the basis scan the eigenbases, whose projectors it
 converts in one stacked induced_probs call and scores in one row-wise call,
-rows(P_stack, Q_stack) -> (values, s).  On a detector with at most
+rows(P_stack, Q_stack) -> (values, s).  zeta_chernoff's row form,
+channel.chernoff_rows, also takes the incumbent as a floor and runs its
+s-solver only on the rows whose certified upper bound reaches the cut,
+max(incumbent, best certified lower bound) less a margin far above
+round-off; the others score -inf.  A dropped row's value lies below the
+incumbent, which a chunk must beat, or below the chunk's first largest
+value, so no report changes.  On a detector with at most
 MAX_OUTCOMES_GROUPING_SCAN outcomes, where both scans visit the same
 groupings, the scan runs once per Povm: _scanned_groupings keeps its rows,
 eigenvalues and eigenvectors as read-only arrays in a WeakKeyDictionary
 keyed by the Povm, so single_shot_power and every zeta_* call on that
-detector share one diagonalization, and the entry dies with the detector.
+detector share one diagonalization, and the entry dies with the detector;
+above that cap the basis scan's element eigenbases are kept there the same
+way, at most MAX_BASIS_ELEMENTS 16 d^2 bytes.
 It holds 2^(m-1) - 1 groupings of m + 8d + 16d^2 bytes each, at most
 8191 (m + 8d + 16d^2) bytes: 2.5 MB at d = 4 and 35 MB at d = 16 (m = 14).  A
 basis scan that stops at its first infinite value has still diagonalized
 every grouping, at most the cost of one full scan.  A single shot above that
 cap streams the scan and keeps nothing.  Every float, and so every result,
 is the one a scan of one grouping or basis at a time gives, whatever the
-chunk size and whether or not the scan was kept.
+chunk size and whether or not the scan was kept.  A chunk is SCAN_CHUNK =
+384 d x d matrices (SCAN_CHUNK // d bases), and its arrays come on top of
+the kept scan: at their peak about 0.8 MB at d = 4, m = 11 and 10 MB at
+d = 16, m = 14, against 0.3 MB and 3.5 MB with chunks of 128.
 """
 
 from __future__ import annotations
@@ -71,8 +82,10 @@ MAX_OUTCOMES_GROUPING_SCAN = 14
 MAX_BASIS_ELEMENTS = 256
 # d x d matrices built per stacked call of the grouping scans: grouped
 # elements diagonalized by _grouping_scan, projectors in the basis scan.  It
-# bounds their memory; the results do not depend on it.
-SCAN_CHUNK = 128
+# bounds their memory (see the module docstring); the results do not depend
+# on it.  Each chunk pays a fixed cost of some hundred numpy calls (eigh, the
+# trace kernel, the row forms), a third as often as with 128.
+SCAN_CHUNK = 384
 # coordinate-wise refinement passes per restart; each pass halves the bracket,
 # and a pass that gains less than REFINE_TOL ends the refinement
 REFINE_PASSES = 4
@@ -140,7 +153,8 @@ def _grouping_scan(p: Povm, size: int):
         yield rows, ops, *eig_hermitian(ops)
 
 
-# Povm -> (rows, evals, evecs) of its grouping scan; a Povm hashes by identity
+# Povm -> (rows, evals, evecs) of its grouping scan, or above
+# MAX_OUTCOMES_GROUPING_SCAN outcomes its _element_bases; a Povm hashes by identity
 _SCANS = weakref.WeakKeyDictionary()
 
 
@@ -255,29 +269,40 @@ def _candidate_bases(p: Povm):
     """Eigenbases of grouped elements (small m) or of single elements (large m).
 
     Yields (n, d, d) stacks of eigenvector columns of up to
-    max(1, SCAN_CHUNK // d) bases: about SCAN_CHUNK projectors.  The grouped
-    elements' stacks are slices of _scanned_groupings(p), diagonalized once
-    per detector; the single elements' take one stacked eig_hermitian call
-    each.
+    max(1, SCAN_CHUNK // d) bases: about SCAN_CHUNK projectors, sliced from
+    _scanned_groupings(p) or _element_bases(p), each diagonalized once per
+    detector.
     """
     size = max(1, SCAN_CHUNK // p.dim)
-    if p.n_outcomes <= MAX_OUTCOMES_GROUPING_SCAN:
-        evecs = _scanned_groupings(p)[2]
-        for i in range(0, len(evecs), size):
-            yield evecs[i : i + size]
-    else:
+    evecs = _scanned_groupings(p)[2] if p.n_outcomes <= MAX_OUTCOMES_GROUPING_SCAN else _element_bases(p)
+    for i in range(0, len(evecs), size):
+        yield evecs[i : i + size]
+
+
+def _element_bases(p: Povm):
+    """The eigenbases of p's first MAX_BASIS_ELEMENTS elements, diagonalized once per detector.
+
+    For detectors with more than MAX_OUTCOMES_GROUPING_SCAN outcomes: one
+    stacked eig_hermitian call per SCAN_CHUNK elements, kept in _SCANS as a
+    read-only (n, d, d) array, at most MAX_BASIS_ELEMENTS 16 d^2 bytes.
+    """
+    evecs = _SCANS.get(p)
+    if evecs is None:
         elems = p.stacked()[:MAX_BASIS_ELEMENTS]
-        for i in range(0, len(elems), size):
-            yield eig_hermitian(elems[i : i + size])[1]
+        evecs = np.concatenate([eig_hermitian(elems[i : i + SCAN_CHUNK])[1] for i in range(0, len(elems), SCAN_CHUNK)])
+        evecs.setflags(write=False)
+        _SCANS[p] = evecs
+    return evecs
 
 
-def _best_basis_pair(objective, p: Povm, evecs):
+def _best_basis_pair(objective, p: Povm, evecs, floor: float = -math.inf):
     """The first best-scoring ordered pair of eigenvectors over a stack of bases.
 
     evecs is an (n, d, d) stack of eigenvector columns, scored as
-    optimize_state_pair describes.  Returns (ExponentValue, (rho_mat,
-    sigma_mat)) of the first largest value, NaN never counting, or
-    (ExponentValue(-inf), None) when no pair scores a number.
+    optimize_state_pair describes; floor, the incumbent, goes to a floored
+    objective's rows.  Returns (ExponentValue, (rho_mat, sigma_mat)) of the
+    first largest value, NaN never counting, or (ExponentValue(-inf), None)
+    when no pair scores a number.
     """
     d = p.dim
     rows = getattr(objective, "rows", None) or _pair_rows(objective)
@@ -286,7 +311,8 @@ def _best_basis_pair(objective, p: Povm, evecs):
     proj = vecs[..., :, None] * vecs.conj()[..., None, :]  # proj[b, i] = np.outer(v_i, v_i*)
     states = ClassicalDistribution(induced_probs(p, proj.reshape(-1, d, d)), induced_sum_tol(d))
     at = np.arange(len(proj))[:, None] * d
-    values, s = rows(states[(at + pairs[:, 0]).ravel()], states[(at + pairs[:, 1]).ravel()])
+    stacks = states[(at + pairs[:, 0]).ravel()], states[(at + pairs[:, 1]).ravel()]
+    values, s = rows(*stacks, floor) if getattr(objective, "floored", False) else rows(*stacks)
     if not len(values):  # d = 1: a basis holds no ordered pair
         return ExponentValue(-math.inf), None
     t = int(np.argmax(np.fmax(values, -math.inf)))  # the first maximum; fmax ranks NaN as -inf
@@ -361,7 +387,7 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     # (a) exhaustive orthogonal pure pairs from grouped-element eigenbases,
     # a chunk of bases at a time
     for evecs in _candidate_bases(p):
-        ev, pair = _best_basis_pair(objective, p, evecs)
+        ev, pair = _best_basis_pair(objective, p, evecs, best.value)
         if ev.value > best.value:
             best, best_pair = ev, pair
             if best.infinite:
@@ -440,13 +466,21 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def _row_scored(pair, rows):
-    """The objective pair(P, Q), carrying rows(P_stack, Q_stack) for the basis scan."""
+def _row_scored(pair, rows, floored=False):
+    """The objective pair(P, Q), carrying its row form for the basis scan.
+
+    The scan calls rows(P_stack, Q_stack), or, when floored,
+    rows(P_stack, Q_stack, floor) with the incumbent as floor: such rows may
+    give -inf for a row whose value lies below floor or below the stack's
+    first largest value (as chernoff_rows does), since neither changes what
+    the scan keeps.
+    """
 
     def objective(P, Q):
         return pair(P, Q)
 
     objective.rows = rows
+    objective.floored = floored
     return objective
 
 
@@ -471,7 +505,7 @@ def _convex_search(objective, p: Povm, opts: SearchOptions | None) -> PowerRepor
 
 def zeta_chernoff(p: Povm, opts: SearchOptions | None = None) -> PowerReport:
     """Asymptotic symmetric-error exponent of the detector (dual Chernoff)."""
-    return _convex_search(_row_scored(chernoff_exponent, chernoff_rows), p, opts)
+    return _convex_search(_row_scored(chernoff_exponent, chernoff_rows, floored=True), p, opts)
 
 
 def zeta_stein(p: Povm, opts: SearchOptions | None = None) -> PowerReport:

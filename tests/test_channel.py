@@ -25,9 +25,11 @@ from detpower import ProductInput, SequenceDistribution, iid_ml_log_error, ml_er
 from detpower.channel import (
     _INVPHI,
     NEG_CLAMP,
+    SCREEN_MARGIN,
     SUM_TOL,
     candidate_probs,
     induced_sum_tol,
+    _exponent_bounds,
     _golden_rows,
     _pair_rows,
     _phi_evaluator,
@@ -536,6 +538,82 @@ class TestRowForms:
             rows(np.full((2, 3), 1 / 3), np.full((2, 2), 0.5))
         with pytest.raises(StructuralError):
             rows([0.5, 0.5], [0.5, 0.5])
+
+
+@st.composite
+def screen_row(draw, m):
+    """One zero-free row pair with m outcomes: random, near-equal, strongly
+    skewed (P on the first outcome, Q on the last), or with tiny entries."""
+    kind = draw(st.sampled_from(["random", "near_equal", "skewed", "tiny"]))
+    weights = st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)
+    p, q = np.array(draw(weights)), np.array(draw(weights))
+    if kind == "near_equal":
+        q = p * (1.0 + np.array(draw(st.lists(st.floats(-1e-6, 1e-6), min_size=m, max_size=m))))
+    elif kind == "skewed":
+        p[1:] *= 1e-9
+        q[:-1] *= 1e-9
+    elif kind == "tiny":
+        p *= 10.0 ** np.array(draw(st.lists(st.integers(-300, 0), min_size=m, max_size=m)))
+        q *= 10.0 ** np.array(draw(st.lists(st.integers(-300, 0), min_size=m, max_size=m)))
+    return p / p.sum(), q / q.sum()
+
+
+@st.composite
+def screen_stacks(draw):
+    """Two checked (L, m) stacks of zero-free rows, m in 2-12 and L in 1-24,
+    the rows repeated once (ties) or not."""
+    m = draw(st.integers(2, 12))
+    rows = draw(st.lists(screen_row(m), min_size=1, max_size=24))
+    rows += rows if draw(st.booleans()) else []
+    return tuple(ClassicalDistribution(np.array([pair[k] for pair in rows])) for k in (0, 1))
+
+
+class TestChernoffScreen:
+    """chernoff_rows(P, Q, floor) drops only rows that cannot reach the
+    largest value or the floor, and keeps the floats of the rows it scores."""
+
+    @given(stacks=screen_stacks())
+    def test_bounds_bracket_the_value(self, stacks):
+        P, Q = stacks
+        lp, lq = np.log(P.probs), np.log(Q.probs)
+        lo, hi, _ = _exponent_bounds(lp, lq, -math.inf)
+        values, _ = chernoff_rows(P, Q)
+        # values are clamped at 0; round-off grows with |log P_k|, at most 745
+        tol = 64 * np.finfo(float).eps * (1.0 + np.maximum(abs(lp), abs(lq)).max(axis=1))
+        assert np.all(lo <= values + tol)
+        assert np.all(values <= np.maximum(hi, 0.0) + tol)
+
+    @given(stacks=screen_stacks(), where=st.sampled_from(["-inf", "zero", "row", "above"]), k=st.integers(0, 47))
+    def test_screen_keeps_the_first_maximum_and_its_floats(self, stacks, where, k):
+        P, Q = stacks
+        plain, plain_s = chernoff_rows(P, Q)
+        floor = {"-inf": -math.inf, "zero": 0.0, "row": plain[k % len(plain)], "above": plain.max() + 1.0}[where]
+        values, s = chernoff_rows(P, Q, floor)
+        kept = values != -math.inf
+        assert values[kept].tobytes() == plain[kept].tobytes() and s[kept].tobytes() == plain_s[kept].tobytes()
+        assert np.isnan(s[~kept]).all()
+        # a dropped row lies below the floor or the largest value by more than round-off
+        ref = max(floor, plain.max())
+        assert np.all(plain[~kept] < ref - SCREEN_MARGIN * max(1.0, abs(ref)) / 2)
+        if plain.max() > floor:
+            assert np.argmax(values) == np.argmax(plain)
+
+    @given(stacks=screen_stacks())
+    def test_floor_above_every_row_drops_them_all(self, stacks):
+        P, Q = stacks
+        for floor in (chernoff_rows(P, Q)[0].max() + 1.0, math.inf):
+            values, s = chernoff_rows(P, Q, floor)
+            assert np.all(values == -math.inf) and np.isnan(s).all()
+
+    def test_zero_entry_rows_are_scored_and_set_the_cut(self):
+        # disjoint supports give inf, so every zero-free row is dropped
+        values, s = chernoff_rows([[1.0, 0.0], [0.5, 0.5], [0.2, 0.8]], [[0.0, 1.0], [0.5, 0.5], [0.7, 0.3]], -math.inf)
+        assert values[0] == math.inf and math.isnan(s[0])
+        assert values[1:].tolist() == [-math.inf, -math.inf]
+
+    def test_empty_stack_of_logs(self):
+        s, f = _golden_rows(np.empty((0, 3)), np.empty((0, 3)))
+        assert s.shape == f.shape == (0, 1)
 
 
 class TestRelativeEntropy:

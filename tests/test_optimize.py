@@ -275,6 +275,7 @@ class TestSearchOverDistributions:
     @pytest.mark.parametrize("kind", ["chernoff", "stein", "hoeffding"])
     def test_one_check_per_scan_chunk(self, monkeypatch, kind):
         # d = 4, m = 8: 127 bases of 12 ordered pairs, scored 32 bases a chunk
+        monkeypatch.setattr(optimize, "SCAN_CHUNK", 128)
         p = random_povm(np.random.default_rng(11), 4, 8)
         checks = []
         check = ClassicalDistribution.__post_init__
@@ -639,10 +640,27 @@ class TestSharedGroupingScan:
             return eig_hermitian(mat)
 
         monkeypatch.setattr(optimize, "eig_hermitian", counted)
+        monkeypatch.setattr(optimize, "SCAN_CHUNK", 128)
         p = random_povm(np.random.default_rng(27), 4, 9)  # 255 groupings: two chunks of SCAN_CHUNK
         for kind in ("single_shot", "chernoff", "stein", "hoeffding"):
             _session_call(kind, 0, p)
         assert calls == [optimize.SCAN_CHUNK, 255 - optimize.SCAN_CHUNK]
+
+    def test_searches_above_the_grouping_cap_diagonalize_the_elements_once(self, monkeypatch):
+        calls = []
+
+        def counted(mat):
+            calls.append(len(mat))
+            return eig_hermitian(mat)
+
+        monkeypatch.setattr(optimize, "eig_hermitian", counted)
+        p = random_povm(np.random.default_rng(31), 4, 20)
+        assert p.n_outcomes > optimize.MAX_OUTCOMES_GROUPING_SCAN
+        reports = [_report_bits(_session_call(kind, 0, p)) for kind in ("chernoff", "stein", "hoeffding")]
+        assert calls == [20]  # one stacked call for the 20 elements, kept for the later searches
+        assert reports == [_report_bits(_session_call(kind, 0, Povm(p.elements))) for kind in ("chernoff", "stein", "hoeffding")]
+        bases = optimize._SCANS[p]
+        assert bases.shape == (20, 4, 4) and not bases.flags.writeable
 
     def test_kept_arrays_are_read_only(self):
         p = random_povm(np.random.default_rng(28), 3, 6)
