@@ -252,19 +252,34 @@ def relative_entropy(p_dist, q_dist) -> float:
 
 
 # Row forms: one call scores every row pair (P[k], Q[k]) of two (L, m) stacks
-# of distributions and gives the floats of the per-pair function.  Rows
-# without a zero entry are computed together: the per-pair mask then keeps
-# every entry, and np.log, np.exp and np.add.reduce(axis=1) on rows round
-# like their 1-D calls.  A row with a zero entry goes to the per-pair
-# function as a row of its stack, which drops zero terms before summing.
+# of distributions and gives the floats of the per-pair function.  The rows
+# are grouped by the size c of their common support, and each kernel runs on
+# the (n, c) blocks of those entries, in outcome order: the arrays the
+# per-pair function reduces, on which np.log, np.exp and
+# np.add.reduce(axis=1) round like their 1-D calls.  Rows padded with zeros
+# would not: from 8 entries on add.reduce sums in 8 lanes, so a zero moves
+# the last bit.
 
 
-def _full_rows(p_rows, q_rows):
-    """Both stacks as ClassicalDistributions, and the rows where neither has a zero."""
+def _support_blocks(p_rows, q_rows):
+    """Both stacks' probs, checked, each row's common support size, and the blocks.
+
+    A block (rows, P block, Q block) lists, in order, the rows whose P and
+    Q are both positive on c >= 1 outcomes, and holds their (len(rows), c)
+    entries there; a block of zero-free rows is taken without a mask.  A row
+    with disjoint supports, of size 0, is in no block.
+    """
     P, Q = (x if isinstance(x, ClassicalDistribution) else ClassicalDistribution(x) for x in (p_rows, q_rows))
-    if P.probs.shape != Q.probs.shape or P.probs.ndim != 2:
-        raise StructuralError(f"row stacks of shapes {P.probs.shape} and {Q.probs.shape}")
-    return P, Q, np.all(P.probs > 0, axis=1) & np.all(Q.probs > 0, axis=1)
+    p, q = P.probs, Q.probs
+    if p.shape != q.shape or p.ndim != 2:
+        raise StructuralError(f"row stacks of shapes {p.shape} and {q.shape}")
+    sizes = np.count_nonzero(support := (p > 0) & (q > 0), axis=1)
+    blocks = []
+    for c in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():  # the sizes c >= 1 that occur
+        rows = np.flatnonzero(sizes == c)
+        on = slice(None) if c == p.shape[1] else support[rows]
+        blocks.append((rows, p[rows][on].reshape(-1, c), q[rows][on].reshape(-1, c)))
+    return p, q, sizes, blocks
 
 
 def _phi_rows(s: np.ndarray, lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
@@ -375,49 +390,52 @@ def chernoff_rows(p_rows, q_rows, floor: float | None = None):
     """chernoff_exponent(P[k], Q[k]) for every row k, with the same floats.
 
     Returns the float arrays (values, s), with s NaN where optimizer_s is
-    None.  The rows without zeros run golden_section_min's iteration in
-    lockstep, then take the same min over s = 0 and 1, the same clamp and
-    the same clip.
+    None: a row with disjoint supports gives (inf, NaN).  Each support-size
+    block runs golden_section_min's iteration in lockstep on its rows, then
+    takes the same min over s = 0 and 1, the same clamp and the same clip.
 
     With a floor, only the rows that can still reach the largest value or
-    the floor are scored; the others give (-inf, NaN).  The cut is the
-    largest of floor, the zero-entry rows' values and the zero-free rows'
-    certified lower bounds (_exponent_bounds), less SCREEN_MARGIN *
-    max(1, |cut|); a zero-free row is dropped when its certified upper
-    bound, clamped at 0 as the values are, lies below it.  The margin is a
-    thousand times the bounds' and the values' round-off (a few ulps of
-    |log P_k| <= 745), so a dropped row's value lies below floor or below
-    the value of the row with the best lower bound.  A scan that takes the
-    first largest value, and needs it only when it beats floor, so reports
-    what it would without the floor, and every row that is scored keeps its
-    floats.
+    the floor are scored; the others give (-inf, NaN).  The screen covers
+    every row with one cut rule: the cut is the largest of floor, inf if
+    some row is disjoint, and every row's certified lower bound
+    (_exponent_bounds), less SCREEN_MARGIN * max(1, |cut|) when the cut is
+    finite.  A row is dropped when its certified upper bound, clamped at 0
+    as the values are, lies below the cut.  Each block's bounds give the cut
+    of its own rows, and the cut less its margin rises with the cut, so the
+    largest of those is the one cut.  The margin is a thousand times the
+    bounds' and the values' round-off (a few ulps of |log P_k| <= 745), so a
+    dropped row's value lies below floor or below the value of the row with
+    the best lower bound.  A scan that takes the first largest value, and
+    needs it only when it beats floor, so reports what it would without the
+    floor, and every row that is scored keeps its floats.
     """
-    P, Q, full = _full_rows(p_rows, q_rows)
-    values, s_star = np.empty(len(P)), np.empty(len(P))
-    values[~full], s_star[~full] = _pair_rows(chernoff_exponent)(P[~full], Q[~full])
-    rows = np.flatnonzero(full)
-    lp, lq = np.log(P.probs[full]), np.log(Q.probs[full])
-    if floor is not None and len(rows):
-        _, hi, cut = _exponent_bounds(lp, lq, max(floor, np.max(values[~full], initial=-math.inf)))
-        drop = np.maximum(hi, 0.0) < cut
-        values[rows[drop]], s_star[rows[drop]] = -math.inf, math.nan
-        rows, lp, lq = rows[~drop], lp[~drop], lq[~drop]
-    s, f = _golden_rows(lp, lq)
-    f = np.minimum(f, _phi_rows(np.zeros_like(s), lp, lq))
-    f = np.minimum(f, _phi_rows(np.ones_like(s), lp, lq))
-    values[rows] = np.maximum(-f[:, 0], 0.0) + 0.0
-    s_star[rows] = np.clip(s[:, 0], 0.0, 1.0)
+    *_, sizes, blocks = _support_blocks(p_rows, q_rows)
+    values, s_star = np.where(sizes == 0, math.inf, -math.inf), np.full(len(sizes), math.nan)
+    blocks = [(rows, np.log(pb), np.log(qb)) for rows, pb, qb in blocks]
+    if floor is not None:  # a disjoint row's inf is a lower bound too
+        bounds = [_exponent_bounds(lp, lq, floor if sizes.all() else math.inf) for _, lp, lq in blocks]
+        cut = max((c for *_, c in bounds), default=math.inf)
+    for k, (rows, lp, lq) in enumerate(blocks):
+        if floor is not None:
+            keep = np.maximum(bounds[k][1], 0.0) >= cut
+            rows, lp, lq = rows[keep], lp[keep], lq[keep]
+        s, f = _golden_rows(lp, lq)
+        f = np.minimum(f, _phi_rows(np.zeros_like(s), lp, lq))
+        f = np.minimum(f, _phi_rows(np.ones_like(s), lp, lq))
+        values[rows] = np.maximum(-f[:, 0], 0.0) + 0.0
+        s_star[rows] = np.clip(s[:, 0], 0.0, 1.0)
     return values, s_star
 
 
 def _pair_rows(pair):
     """The row form of a per-pair objective pair(P, Q) -> ExponentValue.
 
-    rows(P, Q) calls pair(P[k], Q[k]) on each row pair of two stacks and
-    returns the float arrays (values, s), with s NaN where optimizer_s is None.
+    rows(P, Q, floor) calls pair(P[k], Q[k]) on each row pair of two stacks
+    and returns the float arrays (values, s), with s NaN where optimizer_s
+    is None.  It takes the scan's floor, as chernoff_rows does, and ignores it.
     """
 
-    def rows(P, Q):
+    def rows(P, Q, floor=None):
         scores = np.empty((len(P), 2))
         for k in range(len(P)):
             ev = pair(P[k], Q[k])
@@ -429,13 +447,12 @@ def _pair_rows(pair):
 
 def relative_entropy_rows(p_rows, q_rows) -> np.ndarray:
     """relative_entropy(P[k], Q[k]) for every row k, with the same floats."""
-    P, Q, full = _full_rows(p_rows, q_rows)
-    out = np.empty(len(P))
-    for k in np.flatnonzero(~full):
-        out[k] = relative_entropy(P[k], Q[k])
-    pf, qf = P.probs[full], Q.probs[full]
-    d = np.add.reduce(pf * (np.log(pf) - np.log(qf)), axis=1)
-    out[full] = np.where(0.0 > d, 0.0, d)  # max(d, 0.0), keeping a -0.0 as max does
+    p, q, _, blocks = _support_blocks(p_rows, q_rows)
+    out = np.empty(len(p))
+    for rows, pb, qb in blocks:
+        d = np.add.reduce(pb * (np.log(pb) - np.log(qb)), axis=1)
+        out[rows] = np.where(0.0 > d, 0.0, d)  # max(d, 0.0), keeping a -0.0 as max does
+    out[np.flatnonzero((p > 0) & (q == 0)) // p.shape[1]] = math.inf  # rows where supp P is not in supp Q
     return out
 
 

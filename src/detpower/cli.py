@@ -23,7 +23,7 @@ from .core import DensityMatrix, Povm, eig_hermitian, joint_eigenbasis, validate
 from .errors import DomainError, ParseError, ResourceError, StructuralError
 from .finite import (
     ProductInput,
-    _check_sequences,
+    _check_partitions,
     best_product_pair,
     brute_force_grouping,
     extreme_pair,
@@ -151,7 +151,7 @@ def cmd_finite(args) -> tuple | int:
     if args.mode == "ml":
         log_err, log_size = iid_ml_log_error(*candidate_probs(povm, pair), n)
     else:  # brute
-        _check_sequences(povm.n_outcomes, n)  # before an input of n slots is built
+        _check_partitions(povm.n_outcomes, n)  # brute_force_grouping's cap, before any sequence is built
         dist0, dist1 = (sequence_distribution(povm, ProductInput.iid(rho, n)) for rho in pair)
         p_err, mask = brute_force_grouping(dist0, dist1)
         log_err = math.log(p_err) if p_err > 0.0 else -math.inf

@@ -96,6 +96,12 @@ def _check_sequences(m: int, n: int) -> None:
         raise ResourceError(f"{m}^{n} sequences exceed the dense cap {DENSE_CAP}")
 
 
+def _check_partitions(m: int, n: int) -> None:
+    """Refuse 2^(m^n) > DENSE_CAP partitions, that is more than 20 sequences."""
+    if m ** min(n, 21) > DENSE_CAP.bit_length() - 1:
+        raise ResourceError(f"2^({m}^{n}) partitions exceed the dense cap {DENSE_CAP}")
+
+
 def sequence_distribution(p: Povm, inp: ProductInput) -> SequenceDistribution:
     """Product distribution over outcome sequences for independent slot inputs.
 
@@ -134,13 +140,12 @@ def brute_force_grouping(p0: SequenceDistribution, p1: SequenceDistribution):
     """Exact minimum over all 2^(m^n) outcome-sequence partitions (oracle).
 
     Its table scores every partition, so more than DENSE_CAP of them (more
-    than 20 sequences) are refused with ResourceError.
+    than 20 sequences) are refused with ResourceError (_check_partitions).
     """
     if (p0.m, p0.n) != (p1.m, p1.n):
         raise StructuralError("sequence distributions are over different index sets")
+    _check_partitions(p0.m, p0.n)
     nseq = len(p0.probs)
-    if 2**nseq > DENSE_CAP:
-        raise ResourceError(f"2^{nseq} partitions exceed the dense cap {DENSE_CAP}")
     diff = p0.probs - p1.probs
     # score of subset a is sum_a (p0 - p1); p_err = (1 - score)/2, so rank by score
     lo_bits = nseq // 2

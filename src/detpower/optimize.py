@@ -24,13 +24,14 @@ their grouped elements diagonalized, from one generator, _grouping_scan,
 that makes one stacked eig_hermitian call per chunk: single_shot_power takes
 the spread of each, and the basis scan the eigenbases, whose projectors it
 converts in one stacked induced_probs call and scores in one row-wise call,
-rows(P_stack, Q_stack) -> (values, s).  zeta_chernoff's row form,
-channel.chernoff_rows, also takes the incumbent as a floor and runs its
-s-solver only on the rows whose certified upper bound reaches the cut,
-max(incumbent, best certified lower bound) less a margin far above
-round-off; the others score -inf.  A dropped row's value lies below the
-incumbent, which a chunk must beat, or below the chunk's first largest
-value, so no report changes.  On a detector with at most
+rows(P_stack, Q_stack, floor) -> (values, s), with the incumbent as floor.
+zeta_chernoff's row form, channel.chernoff_rows, screens every row with one
+cut rule and runs its s-solver only on the rows whose certified upper bound
+reaches the cut: max(incumbent, inf if some row's supports are disjoint,
+best certified lower bound) less a margin far above round-off; the others
+score -inf.  A dropped row's value lies below the incumbent, which a chunk
+must beat, or below the chunk's first largest value, so no report changes.
+The other row forms ignore floor.  On a detector with at most
 MAX_OUTCOMES_GROUPING_SCAN outcomes, where both scans visit the same
 groupings, the scan runs once per Povm: _scanned_groupings keeps its rows,
 eigenvalues and eigenvectors as read-only arrays in a WeakKeyDictionary
@@ -47,7 +48,7 @@ is the one a scan of one grouping or basis at a time gives, whatever the
 chunk size and whether or not the scan was kept.  A chunk is SCAN_CHUNK =
 384 d x d matrices (SCAN_CHUNK // d bases), and its arrays come on top of
 the kept scan: at their peak about 0.8 MB at d = 4, m = 11 and 10 MB at
-d = 16, m = 14, against 0.3 MB and 3.5 MB with chunks of 128.
+d = 16, m = 14.
 """
 
 from __future__ import annotations
@@ -206,8 +207,7 @@ def single_shot_power(p: Povm) -> PowerReport:
     above, the scan streams and keeps nothing.  The time doubles with each
     outcome: at d = 2 on a 2-vCPU Xeon with BLAS on one thread it takes
     about 0.2 s at m = 16, 0.9 s at m = 18 and 70 s at the cap of
-    MAX_OUTCOMES_SINGLE_SHOT = 24 outcomes (a scan of one grouping at a time
-    took 1.9 s at m = 16 and 9 s at m = 18).
+    MAX_OUTCOMES_SINGLE_SHOT = 24 outcomes.
     """
     _require_two_outcomes(p)
     joint = joint_eigenbasis(p)
@@ -299,10 +299,10 @@ def _best_basis_pair(objective, p: Povm, evecs, floor: float = -math.inf):
     """The first best-scoring ordered pair of eigenvectors over a stack of bases.
 
     evecs is an (n, d, d) stack of eigenvector columns, scored as
-    optimize_state_pair describes; floor, the incumbent, goes to a floored
-    objective's rows.  Returns (ExponentValue, (rho_mat, sigma_mat)) of the
-    first largest value, NaN never counting, or (ExponentValue(-inf), None)
-    when no pair scores a number.
+    optimize_state_pair describes; floor, the incumbent, goes to the rows.
+    Returns (ExponentValue, (rho_mat, sigma_mat)) of the first largest
+    value, NaN never counting, or (ExponentValue(-inf), None) when no pair
+    scores a number.
     """
     d = p.dim
     rows = getattr(objective, "rows", None) or _pair_rows(objective)
@@ -312,7 +312,7 @@ def _best_basis_pair(objective, p: Povm, evecs, floor: float = -math.inf):
     states = ClassicalDistribution(induced_probs(p, proj.reshape(-1, d, d)), induced_sum_tol(d))
     at = np.arange(len(proj))[:, None] * d
     stacks = states[(at + pairs[:, 0]).ravel()], states[(at + pairs[:, 1]).ravel()]
-    values, s = rows(*stacks, floor) if getattr(objective, "floored", False) else rows(*stacks)
+    values, s = rows(*stacks, floor)
     if not len(values):  # d = 1: a basis holds no ordered pair
         return ExponentValue(-math.inf), None
     t = int(np.argmax(np.fmax(values, -math.inf)))  # the first maximum; fmax ranks NaN as -inf
@@ -344,11 +344,13 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     distribution raises its own DomainError there, before the chunk is
     scored.  All the chunk's
     ordered pairs are then scored in one call on two stacks indexed from that
-    one, rows(P_stack, Q_stack) -> (values, s): two float arrays whose row k
-    holds objective(P_k, Q_k)'s value and optimizer_s, with NaN for a None
-    optimizer_s.  rows is the objective's `rows` attribute (zeta_chernoff
-    and zeta_stein carry the channel row forms), or else channel._pair_rows,
-    which calls the objective once per pair on the stacks' rows.  The
+    one, rows(P_stack, Q_stack, floor) -> (values, s), with the incumbent as
+    floor: two float arrays whose row k holds objective(P_k, Q_k)'s value
+    and optimizer_s, with NaN for a None optimizer_s, or -inf where the row
+    cannot beat floor or the chunk's first largest value.  rows is the
+    objective's `rows` attribute (zeta_chernoff and zeta_stein carry the
+    channel row forms), or else channel._pair_rows, which calls the
+    objective once per pair on the stacks' rows and ignores floor.  The
     incumbent is the first largest value of a chunk that beats the incumbent
     so far; NaN never counts.  So, as in a scan of one pair at a time in
     (basis, itertools.permutations) order, it is the first strict maximum,
@@ -466,21 +468,19 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def _row_scored(pair, rows, floored=False):
+def _row_scored(pair, rows):
     """The objective pair(P, Q), carrying its row form for the basis scan.
 
-    The scan calls rows(P_stack, Q_stack), or, when floored,
-    rows(P_stack, Q_stack, floor) with the incumbent as floor: such rows may
-    give -inf for a row whose value lies below floor or below the stack's
-    first largest value (as chernoff_rows does), since neither changes what
-    the scan keeps.
+    The scan calls rows(P_stack, Q_stack, floor) with the incumbent as
+    floor.  rows may give -inf for a row whose value lies below floor or
+    below the stack's first largest value (as chernoff_rows does), since
+    neither changes what the scan keeps, or it may ignore floor.
     """
 
     def objective(P, Q):
         return pair(P, Q)
 
     objective.rows = rows
-    objective.floored = floored
     return objective
 
 
@@ -505,7 +505,7 @@ def _convex_search(objective, p: Povm, opts: SearchOptions | None) -> PowerRepor
 
 def zeta_chernoff(p: Povm, opts: SearchOptions | None = None) -> PowerReport:
     """Asymptotic symmetric-error exponent of the detector (dual Chernoff)."""
-    return _convex_search(_row_scored(chernoff_exponent, chernoff_rows, floored=True), p, opts)
+    return _convex_search(_row_scored(chernoff_exponent, chernoff_rows), p, opts)
 
 
 def zeta_stein(p: Povm, opts: SearchOptions | None = None) -> PowerReport:
@@ -513,7 +513,7 @@ def zeta_stein(p: Povm, opts: SearchOptions | None = None) -> PowerReport:
     return _convex_search(
         _row_scored(
             lambda P, Q: ExponentValue(relative_entropy(P, Q)),
-            lambda P, Q: (relative_entropy_rows(P, Q), np.full(len(P), math.nan)),
+            lambda P, Q, floor: (relative_entropy_rows(P, Q), np.full(len(P), math.nan)),
         ),
         p,
         opts,

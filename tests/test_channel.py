@@ -33,6 +33,7 @@ from detpower.channel import (
     _golden_rows,
     _pair_rows,
     _phi_evaluator,
+    _support_blocks,
     chernoff_rows,
     relative_entropy_rows,
 )
@@ -511,7 +512,7 @@ class TestRowForms:
         "rows", [chernoff_rows, relative_entropy_rows, _pair_rows(chernoff_exponent)], ids=["chernoff", "stein", "pair"]
     )
     def test_checked_stacks_are_not_checked_again(self, monkeypatch, rows):
-        # rows with zero entries go through the per-pair functions
+        # rows with zero entries are scored in blocks cut from the checked stacks
         P = ClassicalDistribution([[0.5, 0.5], [1.0, 0.0], [0.2, 0.8]])
         Q = ClassicalDistribution([[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]])
         checks = []
@@ -542,9 +543,10 @@ class TestRowForms:
 
 @st.composite
 def screen_row(draw, m):
-    """One zero-free row pair with m outcomes: random, near-equal, strongly
-    skewed (P on the first outcome, Q on the last), or with tiny entries."""
-    kind = draw(st.sampled_from(["random", "near_equal", "skewed", "tiny"]))
+    """One row pair with m >= 2 outcomes: random, near-equal, strongly skewed
+    (P on the first outcome, Q on the last), with tiny entries, with exact
+    zero entries, or with disjoint supports."""
+    kind = draw(st.sampled_from(["random", "near_equal", "skewed", "tiny", "zeros", "disjoint"]))
     weights = st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)
     p, q = np.array(draw(weights)), np.array(draw(weights))
     if kind == "near_equal":
@@ -555,12 +557,21 @@ def screen_row(draw, m):
     elif kind == "tiny":
         p *= 10.0 ** np.array(draw(st.lists(st.integers(-300, 0), min_size=m, max_size=m)))
         q *= 10.0 ** np.array(draw(st.lists(st.integers(-300, 0), min_size=m, max_size=m)))
+    elif kind == "zeros":
+        p *= np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+        q *= np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+        p[0] += p.sum() == 0.0
+        q[-1] += q.sum() == 0.0
+    elif kind == "disjoint":
+        split = draw(st.integers(1, m - 1))
+        p[split:] = 0.0
+        q[:split] = 0.0
     return p / p.sum(), q / q.sum()
 
 
 @st.composite
 def screen_stacks(draw):
-    """Two checked (L, m) stacks of zero-free rows, m in 2-12 and L in 1-24,
+    """Two checked (L, m) stacks of screen_row pairs, m in 2-12 and L in 1-24,
     the rows repeated once (ties) or not."""
     m = draw(st.integers(2, 12))
     rows = draw(st.lists(screen_row(m), min_size=1, max_size=24))
@@ -574,14 +585,18 @@ class TestChernoffScreen:
 
     @given(stacks=screen_stacks())
     def test_bounds_bracket_the_value(self, stacks):
+        # the screen bounds each support-size block's rows; a disjoint row's bound is its inf
         P, Q = stacks
-        lp, lq = np.log(P.probs), np.log(Q.probs)
-        lo, hi, _ = _exponent_bounds(lp, lq, -math.inf)
         values, _ = chernoff_rows(P, Q)
-        # values are clamped at 0; round-off grows with |log P_k|, at most 745
-        tol = 64 * np.finfo(float).eps * (1.0 + np.maximum(abs(lp), abs(lq)).max(axis=1))
-        assert np.all(lo <= values + tol)
-        assert np.all(values <= np.maximum(hi, 0.0) + tol)
+        *_, sizes, blocks = _support_blocks(P, Q)
+        assert np.all(values[sizes == 0] == math.inf)
+        for rows, pb, qb in blocks:
+            lp, lq = np.log(pb), np.log(qb)
+            lo, hi, _ = _exponent_bounds(lp, lq, -math.inf)
+            # values are clamped at 0; round-off grows with |log P_k|, at most 745
+            tol = 64 * np.finfo(float).eps * (1.0 + np.maximum(abs(lp), abs(lq)).max(axis=1))
+            assert np.all(lo <= values[rows] + tol)
+            assert np.all(values[rows] <= np.maximum(hi, 0.0) + tol)
 
     @given(stacks=screen_stacks(), where=st.sampled_from(["-inf", "zero", "row", "above"]), k=st.integers(0, 47))
     def test_screen_keeps_the_first_maximum_and_its_floats(self, stacks, where, k):
@@ -592,18 +607,23 @@ class TestChernoffScreen:
         kept = values != -math.inf
         assert values[kept].tobytes() == plain[kept].tobytes() and s[kept].tobytes() == plain_s[kept].tobytes()
         assert np.isnan(s[~kept]).all()
-        # a dropped row lies below the floor or the largest value by more than round-off
+        # a dropped row lies below the floor or the largest value by more than
+        # round-off, and below any disjoint row's inf
         ref = max(floor, plain.max())
-        assert np.all(plain[~kept] < ref - SCREEN_MARGIN * max(1.0, abs(ref)) / 2)
+        assert np.all(plain[~kept] < ref - (SCREEN_MARGIN * max(1.0, abs(ref)) / 2 if math.isfinite(ref) else 0.0))
         if plain.max() > floor:
             assert np.argmax(values) == np.argmax(plain)
 
     @given(stacks=screen_stacks())
     def test_floor_above_every_row_drops_them_all(self, stacks):
+        # no floor lies above a disjoint row's inf, so those rows stay
         P, Q = stacks
-        for floor in (chernoff_rows(P, Q)[0].max() + 1.0, math.inf):
+        plain = chernoff_rows(P, Q)[0]
+        finite = np.isfinite(plain)
+        for floor in (np.max(plain[finite], initial=0.0) + 1.0, math.inf):
             values, s = chernoff_rows(P, Q, floor)
-            assert np.all(values == -math.inf) and np.isnan(s).all()
+            assert np.all(values[finite] == -math.inf) and np.all(values[~finite] == math.inf)
+            assert np.isnan(s).all()
 
     def test_zero_entry_rows_are_scored_and_set_the_cut(self):
         # disjoint supports give inf, so every zero-free row is dropped

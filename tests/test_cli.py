@@ -337,6 +337,16 @@ class TestFinite:
         code, _ = run(capsys, "finite", POVM_FILE, "--n", "8", "--mode", "brute")
         assert code == 4
 
+    def test_brute_cap_refused_before_any_sequence_is_built(self, capsys, monkeypatch):
+        # 2^20 sequences fit the dense cap, but their 2^(2^20) partitions do not
+        def unreachable(*args):
+            raise AssertionError("sequence_distribution called")
+
+        monkeypatch.setattr(detpower.cli, "sequence_distribution", unreachable)
+        code, out = run(capsys, "finite", POVM_FILE, "--n", "20", "--mode", "brute")
+        assert code == 4
+        assert out == ""
+
     def test_pattern(self, capsys):
         code, rep = run_json(capsys, "finite", POVM_FILE, "--n", "3", "--mode", "pattern")
         assert code == 0

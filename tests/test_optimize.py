@@ -555,9 +555,9 @@ class TestChunkedScan:
             yield from original(p)
             events.append("exhausted")
 
-        def rows(P, Q):
+        def rows(P, Q, floor):
             events.append("scored")
-            return chernoff_rows(P, Q)
+            return chernoff_rows(P, Q, floor)
 
         monkeypatch.setattr(optimize, "SCAN_CHUNK", 8)
         monkeypatch.setattr(optimize, "_candidate_bases", watched)
@@ -568,9 +568,9 @@ class TestChunkedScan:
     def test_scan_stops_at_the_first_infinite_value(self, monkeypatch):
         calls = []
 
-        def rows(P, Q):
+        def rows(P, Q, floor):
             calls.append(len(P))
-            return chernoff_rows(P, Q)
+            return chernoff_rows(P, Q, floor)
 
         monkeypatch.setattr(optimize, "SCAN_CHUNK", 3)  # one basis per chunk
         objective = optimize._row_scored(chernoff_exponent, rows)
