@@ -235,11 +235,16 @@ def chernoff_exponent(p_dist, q_dist) -> ExponentValue:
     p, q = _pair(p_dist, q_dist)
     if not np.any((p > 0) & (q > 0)):
         return ExponentValue(math.inf, None)
+    return ExponentValue(*_chernoff_solve(p, q))
+
+
+def _chernoff_solve(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
+    """chernoff_exponent's (value, optimizer_s) for two 1-D arrays with a common support."""
     obj = _phi_evaluator(p, q)
     # phi is convex in s, so golden section on [0, 1] is reliable
     s_star, f_star = golden_section_min(obj, 0.0, 1.0, xtol=1e-12)
     f_star = min(f_star, obj(0.0), obj(1.0))
-    return ExponentValue(float(max(-f_star, 0.0) + 0.0), float(np.clip(s_star, 0.0, 1.0)))
+    return float(max(-f_star, 0.0) + 0.0), float(np.clip(s_star, 0.0, 1.0))
 
 
 def relative_entropy(p_dist, q_dist) -> float:
@@ -258,7 +263,8 @@ def relative_entropy(p_dist, q_dist) -> float:
 # per-pair function reduces, on which np.log, np.exp and
 # np.add.reduce(axis=1) round like their 1-D calls.  Rows padded with zeros
 # would not: from 8 entries on add.reduce sums in 8 lanes, so a zero moves
-# the last bit.
+# the last bit.  chernoff_rows only screens its blocks; it scores each row
+# it keeps with the per-pair solver.
 
 
 def _support_blocks(p_rows, q_rows):
@@ -280,49 +286,6 @@ def _support_blocks(p_rows, q_rows):
         on = slice(None) if c == p.shape[1] else support[rows]
         blocks.append((rows, p[rows][on].reshape(-1, c), q[rows][on].reshape(-1, c)))
     return p, q, sizes, blocks
-
-
-def _phi_rows(s: np.ndarray, lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
-    """_phi_evaluator's phi at s[k] for each row k of the logs; s is a column."""
-    t = s * lp
-    t += (1.0 - s) * lq
-    np.exp(t, out=t)
-    f = np.log(np.add.reduce(t, axis=1, keepdims=True))
-    return np.minimum(f, 0.0)  # log never gives -0.0 or NaN here, so this is min(f, 0.0)
-
-
-def _golden_rows(lp: np.ndarray, lq: np.ndarray, xtol: float = 1e-12):
-    """golden_section_min(phi_k, 0, 1, xtol) for every row k, in lockstep.
-
-    Each row takes the same branch and the same probe points as the scalar
-    loop and leaves it when its own |d - c| <= xtol.  Returns the columns
-    (s_k, phi_k(s_k)).
-    """
-    n = len(lp)
-    s_out, f_out = np.empty((n, 1)), np.empty((n, 1))
-    live = np.arange(n)
-    a, b = np.zeros((n, 1)), np.ones((n, 1))
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = _phi_rows(c, lp, lq), _phi_rows(d, lp, lq)
-    while len(live):
-        go = np.abs(d - c) > xtol
-        if not go.all():
-            stop = ~go[:, 0]
-            x = (a[stop] + b[stop]) / 2
-            s_out[live[stop]] = x
-            f_out[live[stop]] = _phi_rows(x, lp[stop], lq[stop])
-            keep = go[:, 0]
-            live, a, b, c, d, fc, fd, lp, lq = (v[keep] for v in (live, a, b, c, d, fc, fd, lp, lq))
-        left = fc < fd  # the scalar loop's branch: keep [a, d], else [c, b]
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        w = _INVPHI * (b - a)
-        x = np.where(left, b - w, a + w)
-        fx = _phi_rows(x, lp, lq)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    return s_out, f_out
 
 
 def _tilted_rows(s: np.ndarray, lp: np.ndarray, lq: np.ndarray, llr: np.ndarray):
@@ -390,9 +353,9 @@ def chernoff_rows(p_rows, q_rows, floor: float | None = None):
     """chernoff_exponent(P[k], Q[k]) for every row k, with the same floats.
 
     Returns the float arrays (values, s), with s NaN where optimizer_s is
-    None: a row with disjoint supports gives (inf, NaN).  Each support-size
-    block runs golden_section_min's iteration in lockstep on its rows, then
-    takes the same min over s = 0 and 1, the same clamp and the same clip.
+    None: a row with disjoint supports gives (inf, NaN).  Every row it keeps
+    is scored by chernoff_exponent's own solver (_chernoff_solve) on the
+    checked row, which is not checked again.
 
     With a floor, only the rows that can still reach the largest value or
     the floor are scored; the others give (-inf, NaN).  The screen covers
@@ -409,21 +372,16 @@ def chernoff_rows(p_rows, q_rows, floor: float | None = None):
     needs it only when it beats floor, so reports what it would without the
     floor, and every row that is scored keeps its floats.
     """
-    *_, sizes, blocks = _support_blocks(p_rows, q_rows)
+    p, q, sizes, blocks = _support_blocks(p_rows, q_rows)
     values, s_star = np.where(sizes == 0, math.inf, -math.inf), np.full(len(sizes), math.nan)
-    blocks = [(rows, np.log(pb), np.log(qb)) for rows, pb, qb in blocks]
+    keep = sizes > 0
     if floor is not None:  # a disjoint row's inf is a lower bound too
-        bounds = [_exponent_bounds(lp, lq, floor if sizes.all() else math.inf) for _, lp, lq in blocks]
+        bounds = [_exponent_bounds(np.log(pb), np.log(qb), floor if sizes.all() else math.inf) for _, pb, qb in blocks]
         cut = max((c for *_, c in bounds), default=math.inf)
-    for k, (rows, lp, lq) in enumerate(blocks):
-        if floor is not None:
-            keep = np.maximum(bounds[k][1], 0.0) >= cut
-            rows, lp, lq = rows[keep], lp[keep], lq[keep]
-        s, f = _golden_rows(lp, lq)
-        f = np.minimum(f, _phi_rows(np.zeros_like(s), lp, lq))
-        f = np.minimum(f, _phi_rows(np.ones_like(s), lp, lq))
-        values[rows] = np.maximum(-f[:, 0], 0.0) + 0.0
-        s_star[rows] = np.clip(s[:, 0], 0.0, 1.0)
+        for (rows, *_), (_, hi, _) in zip(blocks, bounds):
+            keep[rows] = np.maximum(hi, 0.0) >= cut
+    for k in np.flatnonzero(keep).tolist():
+        values[k], s_star[k] = _chernoff_solve(p[k], q[k])
     return values, s_star
 
 

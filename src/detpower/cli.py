@@ -150,8 +150,10 @@ def cmd_finite(args) -> tuple | int:
         return results, {}
     if args.mode == "ml":
         log_err, log_size = iid_ml_log_error(*candidate_probs(povm, pair), n)
-    else:  # brute
-        _check_partitions(povm.n_outcomes, n)  # brute_force_grouping's cap, before any sequence is built
+    else:  # brute; n and brute_force_grouping's cap are checked before any sequence is built
+        if n < 1:
+            raise DomainError("n must be positive")
+        _check_partitions(povm.n_outcomes, n)
         dist0, dist1 = (sequence_distribution(povm, ProductInput.iid(rho, n)) for rho in pair)
         p_err, mask = brute_force_grouping(dist0, dist1)
         log_err = math.log(p_err) if p_err > 0.0 else -math.inf

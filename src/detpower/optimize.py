@@ -26,14 +26,15 @@ the spread of each, and the basis scan the eigenbases, whose projectors it
 converts in one stacked induced_probs call and scores in one row-wise call,
 rows(P_stack, Q_stack, floor) -> (values, s), with the incumbent as floor.
 zeta_chernoff's row form, channel.chernoff_rows, screens every row with one
-cut rule and runs its s-solver only on the rows whose certified upper bound
-reaches the cut: max(incumbent, inf if some row's supports are disjoint,
-best certified lower bound) less a margin far above round-off; the others
-score -inf.  A dropped row's value lies below the incumbent, which a chunk
-must beat, or below the chunk's first largest value, so no report changes.
-The other row forms ignore floor.  On a detector with at most
-MAX_OUTCOMES_GROUPING_SCAN outcomes, where both scans visit the same
-groupings, the scan runs once per Povm: _scanned_groupings keeps its rows,
+cut rule and scores, with chernoff_exponent's own solver, only the rows
+whose certified upper bound reaches the cut: max(incumbent, inf if some
+row's supports are disjoint, best certified lower bound) less a margin far
+above round-off; the others score -inf.  A dropped row's value lies below
+the incumbent, which a chunk must beat, or below the chunk's first largest
+value, so no report changes.  The other row forms ignore floor.  On a
+detector with at most MAX_OUTCOMES_GROUPING_SCAN outcomes, where both
+scans visit the same groupings, the scan runs once per Povm:
+_scanned_groupings keeps its rows,
 eigenvalues and eigenvectors as read-only arrays in a WeakKeyDictionary
 keyed by the Povm, so single_shot_power and every zeta_* call on that
 detector share one diagonalization, and the entry dies with the detector;
@@ -85,7 +86,7 @@ MAX_BASIS_ELEMENTS = 256
 # elements diagonalized by _grouping_scan, projectors in the basis scan.  It
 # bounds their memory (see the module docstring); the results do not depend
 # on it.  Each chunk pays a fixed cost of some hundred numpy calls (eigh, the
-# trace kernel, the row forms), a third as often as with 128.
+# trace kernel, the row forms' support blocks and screen).
 SCAN_CHUNK = 384
 # coordinate-wise refinement passes per restart; each pass halves the bracket,
 # and a pass that gains less than REFINE_TOL ends the refinement

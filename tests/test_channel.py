@@ -20,7 +20,7 @@ from detpower import (
     relative_entropy,
     validate_povm,
 )
-from detpower import core, evaluate_strategy, optimal_adaptive
+from detpower import channel, core, evaluate_strategy, optimal_adaptive
 from detpower import ProductInput, SequenceDistribution, iid_ml_log_error, ml_error_probability, sequence_distribution
 from detpower.channel import (
     _INVPHI,
@@ -30,7 +30,6 @@ from detpower.channel import (
     candidate_probs,
     induced_sum_tol,
     _exponent_bounds,
-    _golden_rows,
     _pair_rows,
     _phi_evaluator,
     _support_blocks,
@@ -94,25 +93,6 @@ def row_stacks(draw):
 
 def _hex(x):
     return None if x is None else float(x).hex()
-
-
-def _bracket_widths(f):
-    """|d - c| at each step of golden_section_min(f, 0, 1, 1e-12)'s loop."""
-    a, b = 0.0, 1.0
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    widths = []
-    while abs(d - c) > 1e-12:
-        widths.append(abs(d - c))
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return widths
 
 
 # s at both ends, at golden_section_min's first two points on [0, 1], or anywhere
@@ -487,19 +467,6 @@ class TestRowForms:
         got = relative_entropy_rows(*stacks)
         assert [_hex(v) for v in got] == [_hex(relative_entropy(p, q)) for p, q in zip(*stacks)]
 
-    def test_rows_stop_at_their_own_step(self):
-        # the rows' brackets shrink alike up to round-off, so an xtol between
-        # two rows' widths at one step stops some rows there and not others
-        rng = np.random.default_rng(5)
-        p, q = (np.array([random_distribution(rng, 4) for _ in range(8)]) for _ in range(2))
-        closures = [_phi_evaluator(a, b) for a, b in zip(p, q)]
-        widths = np.array([_bracket_widths(f) for f in closures])
-        step = next(k for k in range(widths.shape[1]) if widths[:, k].min() < widths[:, k].max())
-        xtol = widths[:, step].min()
-        s, f = _golden_rows(np.log(p), np.log(q), xtol)
-        want = [golden_section_min(g, 0.0, 1.0, xtol) for g in closures]
-        assert list(zip(map(_hex, s[:, 0]), map(_hex, f[:, 0]))) == [(_hex(x), _hex(v)) for x, v in want]
-
     def test_disjoint_row_is_infinite(self):
         values, s = chernoff_rows([[1.0, 0.0], [0.5, 0.5]], [[0.0, 1.0], [0.5, 0.5]])
         assert math.isinf(values[0]) and math.isnan(s[0])  # NaN stands for optimizer_s None
@@ -631,9 +598,23 @@ class TestChernoffScreen:
         assert values[0] == math.inf and math.isnan(s[0])
         assert values[1:].tolist() == [-math.inf, -math.inf]
 
-    def test_empty_stack_of_logs(self):
-        s, f = _golden_rows(np.empty((0, 3)), np.empty((0, 3)))
-        assert s.shape == f.shape == (0, 1)
+    def test_empty_stack(self):
+        for floor in (None, -math.inf):
+            values, s = chernoff_rows(np.empty((0, 3)), np.empty((0, 3)), floor)
+            assert values.shape == s.shape == (0,)
+
+    @pytest.mark.parametrize("where", ["none", "-inf", "row", "above"])
+    def test_each_scored_row_is_one_golden_section(self, monkeypatch, where):
+        rng = np.random.default_rng(11)
+        rows = [random_distribution(rng, 4) for _ in range(12)]
+        p, q = np.array(rows[:6] + [[0.5, 0.5, 0.0, 0.0]]), np.array(rows[6:] + [[0.0, 0.5, 0.5, 0.0]])
+        plain = chernoff_rows(p, q)[0]
+        floor = {"none": None, "-inf": -math.inf, "row": plain[2], "above": plain.max() + 1.0}[where]
+        calls = []
+        solve = channel.golden_section_min
+        monkeypatch.setattr(channel, "golden_section_min", lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+        values, _ = chernoff_rows(p, q, floor)
+        assert len(calls) == np.isfinite(values).sum()
 
 
 class TestRelativeEntropy:

@@ -347,6 +347,12 @@ class TestFinite:
         assert code == 4
         assert out == ""
 
+    @pytest.mark.parametrize("mode", ["ml", "brute", "sweep", "pattern"])
+    def test_zero_n_exit_3(self, capsys, mode):
+        code = main(["finite", POVM_FILE, "--n", "0", "--mode", mode])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (3, "", "error: n must be positive\n")
+
     def test_pattern(self, capsys):
         code, rep = run_json(capsys, "finite", POVM_FILE, "--n", "3", "--mode", "pattern")
         assert code == 0
