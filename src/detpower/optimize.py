@@ -1,6 +1,9 @@
 """Optimization over input state pairs for a fixed detector.
 
-single_shot_power is exact (spread formula over all outcome groupings).
+single_shot_power is exact (spread formula over all outcome groupings);
+on a non-commuting qubit it diagonalizes only the vertex groupings of the
+zonotope of the elements' Bloch vectors (_zonotope_groupings), O(m^2) of
+them, in the order and with the floats of the scan below, and keeps nothing.
 On a commuting detector, one whose elements share an eigenbasis
 (core.joint_eigenbasis), the detector is classical: every state induces a
 mixture of the basis states' outcome distributions.  The single shot is
@@ -22,9 +25,10 @@ point of that square beats its best corner.
 Both scans read the proper outcome groupings as membership rows with
 their grouped elements diagonalized, from one generator, _grouping_scan,
 that makes one stacked eig_hermitian call per chunk: single_shot_power takes
-the spread of each, and the basis scan the eigenbases, whose projectors it
-converts in one stacked induced_probs call and scores in one row-wise call,
-rows(P_stack, Q_stack, floor) -> (values, s), with the incumbent as floor.
+the spread of each (on d >= 3), and the basis scan the eigenbases, whose
+projectors it converts in one stacked induced_probs call and scores in one
+row-wise call, rows(P_stack, Q_stack, floor) -> (values, s), with the
+incumbent as floor.
 zeta_chernoff's row form, channel.chernoff_rows, screens every row with one
 cut rule and scores, with chernoff_exponent's own solver, only the rows
 whose certified upper bound reaches the cut: max(incumbent, inf if some
@@ -36,8 +40,8 @@ detector with at most MAX_OUTCOMES_GROUPING_SCAN outcomes, where both
 scans visit the same groupings, the scan runs once per Povm:
 _scanned_groupings keeps its rows,
 eigenvalues and eigenvectors as read-only arrays in a WeakKeyDictionary
-keyed by the Povm, so single_shot_power and every zeta_* call on that
-detector share one diagonalization, and the entry dies with the detector;
+keyed by the Povm, so single_shot_power (d >= 3) and every zeta_* call on
+that detector share one diagonalization, and the entry dies with the detector;
 above that cap the basis scan's element eigenbases are kept there the same
 way, at most MAX_BASIS_ELEMENTS 16 d^2 bytes.
 It holds 2^(m-1) - 1 groupings of m + 8d + 16d^2 bytes each, at most
@@ -78,6 +82,20 @@ from .core import DensityMatrix, GroupingMask, Povm, eig_hermitian, joint_eigenb
 from .errors import DomainError, ResourceError
 
 MAX_OUTCOMES_SINGLE_SHOT = 24
+# the qubit single shot scores O(m^2) vertex groupings with O(m^3) work (see
+# _zonotope_groupings); at this cap it takes about 0.2 s and 6-15 MB
+MAX_OUTCOMES_QUBIT_SINGLE_SHOT = 256
+# a Bloch vector no longer than this counts as 0, and one within this distance
+# of a plane or line through 0 as lying in it: far above the round-off of the
+# vectors (about 1e-16) and of the unit directions built from them
+BLOCH_TIE_TOL = 1e-13
+# a qubit candidate whose closed-form spread lies more than this below the
+# widest is not diagonalized: far above the round-off of either spread, so the
+# dropped groupings are never the scan's first strict maximum
+SPREAD_SCREEN = 1e-10
+# vertex directions times Bloch vectors per block of _zonotope_groupings; it
+# bounds the blocks' memory (about 2 MB), and the results do not depend on it
+ZONOTOPE_BLOCK = 1 << 15
 # beyond this many outcomes the 2^(m-1) grouping scan is replaced by
 # per-element eigenbases (capped), keeping the search tractable
 MAX_OUTCOMES_GROUPING_SCAN = 14
@@ -140,7 +158,7 @@ def _grouping_scan(p: Povm, size: int):
     whose row holds k, starting from zeros, so each sum has grouped_element's
     floats.  Up to MAX_OUTCOMES_GROUPING_SCAN outcomes the scans read it
     through _scanned_groupings, once per detector; above, only
-    single_shot_power reads it, a chunk at a time, and keeps nothing.
+    single_shot_power (d >= 3) reads it, a chunk at a time, and keeps nothing.
     """
     m = p.n_outcomes
     rest = (c for k in range(m - 1) for c in itertools.combinations(range(1, m), k))
@@ -149,10 +167,141 @@ def _grouping_scan(p: Povm, size: int):
         rows[:, 0] = True
         at = np.repeat(np.arange(len(chunk)), [len(c) for c in chunk])
         rows[at, list(itertools.chain.from_iterable(chunk))] = True
-        ops = np.zeros((len(chunk), p.dim, p.dim), dtype=complex)
-        for k, e in enumerate(p.elements):
-            ops[rows[:, k]] += e
+        ops = _grouped_elements(p, rows)
         yield rows, ops, *eig_hermitian(ops)
+
+
+def _grouped_elements(p: Povm, rows: np.ndarray) -> np.ndarray:
+    """The (n, d, d) grouped elements of (n, m) membership rows, with grouped_element's floats.
+
+    E_k is added in increasing k to the sums whose row holds k, starting
+    from zeros.
+    """
+    ops = np.zeros((len(rows), p.dim, p.dim), dtype=complex)
+    for k, e in enumerate(p.elements):
+        ops[rows[:, k]] += e
+    return ops
+
+
+def _bloch_vectors(p: Povm) -> np.ndarray:
+    """The (m, 3) Bloch vectors b_k of a qubit detector's Hermitian parts, E_k = a_k I + b_k . sigma."""
+    s = p.stacked()
+    off = (s[:, 1, 0] + s[:, 0, 1].conj()) / 2
+    return np.stack([off.real, off.imag, (s[:, 0, 0].real - s[:, 1, 1].real) / 2], axis=1)
+
+
+def _lex_cells(d1, d2, d3) -> np.ndarray:
+    """Membership rows of the cells around flags of directions (w, x, e).
+
+    d1, d2 and d3 are (F, n) tables of b_k . w, b_k . x and b_k . e for F
+    orthonormal frames.  Vector k lies in the cell of the direction
+    w + t x + t^2 s3 e, for small t > 0, when its first coordinate beyond
+    BLOCH_TIE_TOL is positive, d3 deciding by its sign alone; the four rows
+    per frame take x as +x and -x, and s3 as +1 and -1.  Returns (4F, n).
+    """
+    tie1, tie2, pos1 = np.abs(d1) <= BLOCH_TIE_TOL, np.abs(d2) <= BLOCH_TIE_TOL, d1 > BLOCH_TIE_TOL
+    cells = []
+    for lvl2 in (d2 > BLOCH_TIE_TOL, d2 < -BLOCH_TIE_TOL):
+        for lvl3 in (d3 > 0, d3 < 0):
+            cells.append(pos1 | tie1 & (lvl2 | tie2 & lvl3))
+    return np.concatenate(cells)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of two (n, 3) arrays: np.cross's floats without its
+    axis handling, which costs more than the products at a dozen outcomes."""
+    return a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+
+
+def _vertex_cells(b: np.ndarray, norms: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Membership rows over b of the cells that touch the vertex directions w = b_i x b_j / |b_i x b_j|.
+
+    The planes b_k . u = 0 that hold w cross the tangent plane at w in
+    lines; the cells around w are its sectors.  Each sector has a boundary
+    ray x = w x b_j / |b_j| for some vector b_j of the plane that is not
+    parallel to the smallest-index vector there, so the pairs i < j visit
+    every sector.  Along the ray the vectors parallel to b_j tie again and
+    e = b_j / |b_j| splits them.  The pair's own ties are set exactly.  The
+    cells around -w are the antipodes of these, which _proper_rows covers.
+    """
+    w = _cross(b[i], b[j])
+    w /= np.linalg.norm(w, axis=1)[:, None]
+    e = b[j] / norms[j, None]
+    d1, d2, d3 = (f @ b.T for f in (w, _cross(w, e), e))
+    r = np.arange(len(i))
+    d1[r, i] = d1[r, j] = d2[r, j] = 0.0
+    return _lex_cells(d1, d2, d3)
+
+
+def _zonotope_groupings(b: np.ndarray) -> np.ndarray:
+    """Membership rows of the qubit single shot's candidate groupings, in the scan's order.
+
+    With E_k = a_k I + b_k . sigma, spread(E^a) = 2 |sum_{k in a} b_k|, so
+    the widest grouping is a vertex of the zonotope sum_k [0, b_k]: the set
+    {k : b_k . u > 0} of a direction u inside a cell of the arrangement of
+    the planes b_k . u = 0.  Every cell touches a vertex direction
+    +-(b_i x b_j) (_vertex_cells); if all vectors are parallel, the cells
+    are the two sides of their line.  Vectors no longer than BLOCH_TIE_TOL
+    lie on every plane and are left out of the cells; _proper_rows maps the
+    cells to proper groupings with and without them.  {0}, the scan's first
+    grouping, is added, so that one always exists.  Only groupings whose
+    closed-form spread lies within SPREAD_SCREEN of the widest are kept,
+    without repeats, ordered as _grouping_scan orders them: by size, then
+    lexicographically.  The cells come ZONOTOPE_BLOCK vector products at a
+    time; O(m^3) work for the m(m-1)/2 vertex pairs.
+    """
+    m = len(b)
+    norms = np.linalg.norm(b, axis=1)
+    live = norms > BLOCH_TIE_TOL
+    bl, nl = b[live], norms[live]
+    i, j = np.triu_indices(len(bl), 1)
+    apart = np.linalg.norm(_cross(bl[i], bl[j]), axis=1) > BLOCH_TIE_TOL * np.maximum(nl[i], nl[j])
+    i, j = i[apart], j[apart]
+    step = max(1, ZONOTOPE_BLOCK // max(1, len(bl)))
+    if len(i):
+        cells = (_vertex_cells(bl, nl, i[a : a + step], j[a : a + step]) for a in range(0, len(i), step))
+    elif len(bl):  # every vector on one line
+        cells = [_lex_cells(*np.zeros((2, 1, len(bl))), (bl @ bl[np.argmax(nl)])[None])]
+    else:
+        cells = []
+    first = np.zeros((1, m), dtype=bool)
+    first[0, 0] = True
+    kept, best = [~np.packbits(first, axis=1)], -math.inf
+    for rows in _proper_rows(cells, live):
+        spread = 2.0 * np.linalg.norm(rows @ b, axis=1)
+        best = max(best, spread.max(initial=-math.inf))
+        # complemented packed rows ascend as the groupings' index tuples do at one size
+        kept.append(~np.packbits(rows[spread >= best - SPREAD_SCREEN], axis=1))
+    keys = np.concatenate(kept)
+    keys = np.unique(keys.view(np.dtype((np.void, keys.shape[1]))).ravel())  # sorted as bytes
+    rows = np.unpackbits(~keys.view(np.uint8).reshape(len(keys), -1), axis=1, count=m).astype(bool)
+    spread = 2.0 * np.linalg.norm(rows @ b, axis=1)
+    rows = rows[spread >= spread.max() - SPREAD_SCREEN]
+    return rows[np.argsort(rows.sum(axis=1), kind="stable")]
+
+
+def _proper_rows(cells, live: np.ndarray):
+    """Each block of cell rows over the live vectors as proper groupings over every outcome.
+
+    A cell maps to a grouping that holds outcome 0: if b_0 is live, the cell
+    or its antipode, live minus the cell, whichever holds 0 (their grouped
+    elements E^a and about I - E^a spread alike); else 0 joins both.  Each
+    grouping comes without and, if some other vector is not live, with every
+    such vector.  The full grouping is dropped.
+    """
+    others = ~live
+    others[0] = False
+    for cell in cells:
+        if live[0]:
+            cell[~cell[:, 0]] ^= True
+        else:
+            cell = np.concatenate([cell, ~cell])
+        rows = np.zeros((len(cell), len(live)), dtype=bool)
+        rows[:, live] = cell
+        rows[:, 0] = True
+        if others.any():
+            rows = np.concatenate([rows, rows | others])
+        yield rows[~rows.all(axis=1)]
 
 
 # Povm -> (rows, evals, evecs) of its grouping scan, or above
@@ -197,7 +346,25 @@ def single_shot_power(p: Povm) -> PowerReport:
     every earlier one by more than 1e-15 gives the inputs and the grouping:
     O(d^2 m) work, with no outcome cap.
 
-    Otherwise the scan diagonalizes every one of the 2^(m-1) - 1 proper
+    On any other qubit (d = 2), E_k = a_k I + b_k . sigma and
+    spread(E^a) = 2 |sum_{k in a} b_k|, so the widest grouping is a vertex
+    of the zonotope of the Bloch vectors b_k.  Only the candidates of
+    _zonotope_groupings are diagonalized, O(m^2) groupings of which the
+    closed-form screen keeps the near-widest, in one stacked eig_hermitian
+    call.  They come in the scan's order and are built with its floats
+    (_grouped_elements), and the scan's rule below picks among them, so the
+    value, grouping and states are the scan's whenever no grouping left out
+    spreads within 1e-15 of the widest; tests/oracles.single_shot_scan checks
+    them to the bit on random, symmetric, coplanar and degenerate qubits.
+    O(m^3) work: about 0.6 ms at m = 12, 12 ms at m = 100 and 0.2 s at the
+    cap of MAX_OUTCOMES_QUBIT_SINGLE_SHOT = 256 outcomes, with a peak of
+    6 MB (15 MB when every cell is near the widest, as on a regular polygon
+    of Bloch vectors), on a 2-vCPU Xeon with BLAS on one thread; a larger
+    qubit detector is refused with ResourceError before any work.  Nothing is
+    kept in _SCANS, so a later zeta_* call on the same Povm diagonalizes its
+    groupings on first use.
+
+    On d >= 3 the scan diagonalizes every one of the 2^(m-1) - 1 proper
     groupings as _grouping_scan yields them, SCAN_CHUNK per stacked
     eig_hermitian call; the first grouping whose spread beats every earlier
     one by more than 1e-15 wins, and its membership row is the reported
@@ -206,9 +373,8 @@ def single_shot_power(p: Povm) -> PowerReport:
     _scanned_groupings(p), shared with the zeta_* basis scans on the same
     Povm and kept while it lives (at most 8191 (m + 8d + 16d^2) bytes);
     above, the scan streams and keeps nothing.  The time doubles with each
-    outcome: at d = 2 on a 2-vCPU Xeon with BLAS on one thread it takes
-    about 0.2 s at m = 16, 0.9 s at m = 18 and 70 s at the cap of
-    MAX_OUTCOMES_SINGLE_SHOT = 24 outcomes.
+    outcome: at d = 3 on the same box about 0.1 s at m = 16 and 0.5 s at
+    m = 18, up to the cap of MAX_OUTCOMES_SINGLE_SHOT = 24 outcomes.
     """
     _require_two_outcomes(p)
     joint = joint_eigenbasis(p)
@@ -221,11 +387,19 @@ def single_shot_power(p: Povm) -> PowerReport:
                 spread, row, rho, sigma = s, a[i] > a[j], u[:, i], u[:, j]
     else:
         m = p.n_outcomes
-        if m > MAX_OUTCOMES_SINGLE_SHOT:
+        if p.dim == 2:
+            if m > MAX_OUTCOMES_QUBIT_SINGLE_SHOT:
+                raise ResourceError(
+                    f"{m} outcomes exceeds the qubit single-shot cap of {MAX_OUTCOMES_QUBIT_SINGLE_SHOT}"
+                )
+        elif m > MAX_OUTCOMES_SINGLE_SHOT:
             raise ResourceError(
                 f"{m} outcomes means 2^{m - 1} groupings; use the heuristic exponent search instead"
             )
-        if m <= MAX_OUTCOMES_GROUPING_SCAN:
+        if p.dim == 2:
+            rows = _zonotope_groupings(_bloch_vectors(p))
+            scans = [(rows, *eig_hermitian(_grouped_elements(p, rows)))]
+        elif m <= MAX_OUTCOMES_GROUPING_SCAN:
             scans = [_scanned_groupings(p)]
         else:
             scans = ((rows, evals, evecs) for rows, _, evals, evecs in _grouping_scan(p, SCAN_CHUNK))

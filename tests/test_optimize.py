@@ -11,6 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from detpower import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     ClassicalDistribution,
     DensityMatrix,
     DomainError,
@@ -97,8 +100,17 @@ class TestSingleShot:
                 assert rep.value <= sampled + 1e-10
 
     def test_outcome_cap(self):
-        p = random_povm(np.random.default_rng(30), 2, 30)  # its elements do not commute
+        p = random_povm(np.random.default_rng(30), 3, 30)  # its elements do not commute
         with pytest.raises(ResourceError):
+            single_shot_power(p)
+
+    def test_qubit_outcome_cap_refused_up_front(self, monkeypatch):
+        def never(b):
+            raise AssertionError("the candidates were built")
+
+        monkeypatch.setattr(optimize, "_zonotope_groupings", never)
+        p = random_povm(np.random.default_rng(30), 2, optimize.MAX_OUTCOMES_QUBIT_SINGLE_SHOT + 1)
+        with pytest.raises(ResourceError, match="qubit single-shot cap"):
             single_shot_power(p)
 
     def test_commuting_detector_has_no_outcome_cap(self):
@@ -119,6 +131,132 @@ class TestSingleShot:
         e = p.elements
         merged = Povm(e[:k] + (e[k] + e[l],) + e[k + 1 : l] + e[l + 1 :])
         assert single_shot_power(merged).value >= single_shot_power(p).value - 1e-12
+
+
+class TestQubitSingleShot:
+    """A qubit single shot diagonalizes only the zonotope's vertex groupings."""
+
+    def test_bloch_vectors_rebuild_the_hermitian_parts(self):
+        p = random_povm(np.random.default_rng(44), 2, 5)
+        b = optimize._bloch_vectors(p)
+        a = np.trace(p.stacked(), axis1=1, axis2=2).real / 2
+        rebuilt = a[:, None, None] * np.eye(2) + np.einsum("ki,ixy->kxy", b, np.stack([PAULI_X, PAULI_Y, PAULI_Z]))
+        assert np.allclose(rebuilt, p.stacked(), rtol=0.0, atol=1e-15)
+
+    @given(which=st.sampled_from(["random", "real", "rank_one", "repeated", "identity"]), m=st.integers(2, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_candidates_are_distinct_proper_groupings_in_scan_order(self, which, m, seed):
+        rng = np.random.default_rng(seed)
+        p = {
+            "random": lambda: random_povm(rng, 2, m),
+            "real": lambda: _real_povm(rng, m),
+            "rank_one": lambda: _rank_one_povm(rng, m),
+            "repeated": lambda: _with_repeated_element(rng),
+            "identity": lambda: _with_identity_element(rng),
+        }[which]()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize, "SPREAD_SCREEN", math.inf)  # every candidate
+            rows = optimize._zonotope_groupings(optimize._bloch_vectors(p))
+        groupings = [tuple(np.flatnonzero(r)) for r in rows]
+        order = {g: n for n, g in enumerate(oracles.proper_groupings(p.n_outcomes))}
+        assert all(g in order for g in groupings)
+        assert [order[g] for g in groupings] == sorted(order[g] for g in set(groupings))
+        # one per antipodal pair of the n(n - 1) + 2 cells of the n live vectors,
+        # with and without the others, and {0}
+        live = np.linalg.norm(optimize._bloch_vectors(p), axis=1) > optimize.BLOCH_TIE_TOL
+        n = int(live.sum())
+        assert len(groupings) <= (n * (n - 1) // 2 + 1) * (1 if live.all() else 2) + 1
+
+    @given(which=st.sampled_from(["random", "real", "rank_one", "repeated"]), m=st.integers(2, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_cell_is_a_candidate(self, which, m, seed):
+        # the grouping {k : b_k . u > 0} of a random direction u, or its
+        # complement if that holds outcome 0, is always among the candidates
+        rng = np.random.default_rng(seed)
+        p = {
+            "random": lambda: random_povm(rng, 2, m),
+            "real": lambda: _real_povm(rng, m),
+            "rank_one": lambda: _rank_one_povm(rng, m),
+            "repeated": lambda: _with_repeated_element(rng),
+        }[which]()
+        b = optimize._bloch_vectors(p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize, "SPREAD_SCREEN", math.inf)
+            candidates = {tuple(r) for r in optimize._zonotope_groupings(b)}
+        cells = b @ rng.normal(size=(3, 2000)) > 0
+        cells[:, ~cells[0]] ^= True
+        assert {tuple(c) for c in cells.T if not c.all()} <= candidates
+
+    def test_block_size_does_not_change_reports(self, monkeypatch):
+        reports = []
+        for block in (1, 7, optimize.ZONOTOPE_BLOCK):
+            monkeypatch.setattr(optimize, "ZONOTOPE_BLOCK", block)
+            detectors = (_covariant(14), random_povm(np.random.default_rng(45), 2, 12),
+                         _real_povm(np.random.default_rng(46), 10))
+            reports.append([_report_bits(single_shot_power(p)) for p in detectors])
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_one_stacked_diagonalization(self, monkeypatch):
+        calls = []
+
+        def counted(mat):
+            calls.append(len(mat))
+            return eig_hermitian(mat)
+
+        monkeypatch.setattr(optimize, "eig_hermitian", counted)
+        p = _covariant(12)
+        single_shot_power(p)
+        assert calls == [len(optimize._zonotope_groupings(optimize._bloch_vectors(p)))]
+
+    def test_keeps_no_scan(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_SCANS", weakref.WeakKeyDictionary())
+        p = random_povm(np.random.default_rng(47), 2, 8)
+        single_shot_power(p)
+        assert len(optimize._SCANS) == 0
+        zeta_stein(p, SearchOptions(restarts=0))  # the basis scan diagonalizes the groupings on first use
+        assert list(optimize._SCANS.keys()) == [p]
+
+    def test_coplanar_tie_set_is_solved_in_the_plane(self, monkeypatch):
+        # every vector ties at the plane's normal: its sectors are solved one
+        # dimension lower, not by the 2^40 subsets of the tie set
+        p = _real_povm(np.random.default_rng(48), 40)
+        monkeypatch.setattr(optimize, "SPREAD_SCREEN", math.inf)
+        # one per antipodal pair of the 2m sectors, and {0}
+        assert len(optimize._zonotope_groupings(optimize._bloch_vectors(p))) <= 41
+        monkeypatch.undo()
+        b = optimize._bloch_vectors(p)
+        assert single_shot_power(p).value <= 0.5 - np.linalg.norm(b, axis=1).sum() / 4 + 1e-12
+
+    def test_no_vector_above_the_tie_tolerance(self):
+        # no cell exists; {0}, the scan's first grouping, is the one candidate
+        eye = np.eye(2, dtype=complex)
+        p = Povm(tuple(eye / 3 + np.array([[0.0, x], [x, 0.0]]) for x in (1e-14, -2e-14, 1e-14)))
+        with scan_only():
+            rep = single_shot_power(p)
+        assert rep.grouping.accept.tolist() == [True, False, False]
+        assert rep.value == 0.5 - float(np.subtract(*eig_hermitian(p.elements[0])[0])) / 2
+
+    def test_runs_at_the_cap(self):
+        p = random_povm(np.random.default_rng(49), 2, optimize.MAX_OUTCOMES_QUBIT_SINGLE_SHOT)
+        assert 0.0 < single_shot_power(p).value < 0.5
+
+    @settings(max_examples=40)
+    @given(m=st.integers(2, 64), seed=st.integers(0, 2**32 - 1), rank_one=st.booleans())
+    def test_closed_form_bound(self, m, seed, rank_one):
+        # the mean of sum_k (b_k . u)_+ over directions u is sum_k |b_k| / 4, so the
+        # widest spread 2 max_u sum_k (b_k . u)_+ is at least sum_k |b_k| / 2; a
+        # rank-one element w_k (I + n_k . sigma) has |b_k| = w_k, and sum_k w_k = 1
+        rng = np.random.default_rng(seed)
+        p = _rank_one_povm(rng, m) if rank_one else random_povm(rng, 2, m)
+        value = single_shot_power(p).value
+        assert value <= 0.5 - np.linalg.norm(optimize._bloch_vectors(p), axis=1).sum() / 4 + 1e-12
+        if rank_one:
+            assert value <= 0.25 + 1e-12
+
+    def test_covariant_discretizations_approach_a_quarter(self):
+        values = [single_shot_power(_covariant(m)).value for m in (50, 100)]
+        assert 0.24 < values[0] < values[1] <= 0.25
+        assert values == pytest.approx([0.24283734391257017, 0.24624479963742546], rel=1e-12, abs=0.0)
 
 
 class TestChernoffSearch:
@@ -438,10 +576,92 @@ class TestRowScoredScan:
         assert calls  # the restarts still score one pair at a time
 
 
-def _near_tie():
+def _near_tie(eps=2e-16):
     e0 = np.diag([0.5, 0.1]).astype(complex)
-    e1 = np.diag([2e-16, 0.0]).astype(complex)
+    e1 = np.diag([eps, 0.0]).astype(complex)
     return Povm((e0, e1, np.eye(2) - e0 - e1))
+
+
+def _qubit_povm(weights, directions):
+    """The qubit detector E_k = w_k (I + n_k . sigma)."""
+    eye = np.eye(2, dtype=complex)
+    return Povm(tuple(w * (eye + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) for w, (x, y, z) in zip(weights, directions)))
+
+
+def _real_povm(rng, m):
+    """A random real qubit detector: its Bloch vectors lie in the xz plane."""
+    mats = [g @ g.T for g in rng.normal(size=(m, 2, 2))]
+    evals, evecs = np.linalg.eigh(sum(mats))
+    inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.T
+    return Povm(tuple((inv_sqrt @ a @ inv_sqrt).astype(complex) for a in mats))
+
+
+def _rank_one_povm(rng, m):
+    """A random rank-one qubit detector: E_k = w_k (I + n_k . sigma) with |n_k| = 1."""
+    v = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+    mats = v[:, :, None] * v.conj()[:, None, :]
+    evals, evecs = np.linalg.eigh(mats.sum(axis=0))
+    inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.conj().T
+    return Povm(tuple(inv_sqrt @ a @ inv_sqrt for a in mats))
+
+
+def _with_identity_element(rng):
+    e = random_povm(rng, 2, 5).elements
+    return Povm(tuple(0.8 * x for x in e) + (0.2 * np.eye(2, dtype=complex),))
+
+
+def _with_identity_elements_around(rng):
+    # E_0 and E_5 are multiples of I: outcome 0 has no Bloch vector
+    e = random_povm(rng, 2, 4).elements
+    eye = np.eye(2, dtype=complex)
+    return Povm((0.1 * eye,) + tuple(0.8 * x for x in e) + (0.1 * eye,))
+
+
+def _with_repeated_element(rng):
+    e = random_povm(rng, 2, 5).elements
+    return Povm(e[:1] + (e[1] / 2, e[1] / 2) + e[2:])
+
+
+def _off_complement(rng):
+    e0 = random_povm(rng, 2, 2).elements[0]
+    return Povm((e0, np.eye(2) - e0 + np.array([[0.0, 1e-11], [1e-11, 0.0]])))
+
+
+def _covariant(m):
+    from detpower import fibonacci_covariant_discretization
+
+    return fibonacci_covariant_discretization(m).to_povm()
+
+
+TETRAHEDRON = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]) / math.sqrt(3)
+SINGLE_SHOT_CASES = {
+    "random_d3_m9": lambda: random_povm(np.random.default_rng(22), 3, 9),
+    "covariant_6": lambda: _covariant(6),  # planar
+    "covariant_8": lambda: _covariant(8),
+    "covariant_12": lambda: _covariant(12),
+    "covariant_14": lambda: _covariant(14),
+    "trine": lambda: _qubit_povm([1 / 3] * 3, [(math.sin(t), 0.0, math.cos(t)) for t in 2 * math.pi * np.arange(3) / 3]),
+    "sic": lambda: _qubit_povm([1 / 4] * 4, TETRAHEDRON),
+    "real_m9": lambda: _real_povm(np.random.default_rng(40), 9),
+    "near_tie": _near_tie,
+    "near_tie_wider": lambda: _near_tie(2e-14),  # |b_1| = 1e-14 counts as 0, and {0, 1} is wider by 2e-14
+    "identity_element": lambda: _with_identity_element(np.random.default_rng(41)),
+    "identity_elements_around": lambda: _with_identity_elements_around(np.random.default_rng(44)),
+    "repeated_element": lambda: _with_repeated_element(np.random.default_rng(42)),
+    "two_outcome_off_complement": lambda: _off_complement(np.random.default_rng(43)),
+}
+
+
+def _assert_single_shot_is_the_scan(p):
+    """single_shot_power gives the value, grouping and states of the per-grouping scan, to the bit."""
+    spread, group, evecs = oracles.single_shot_scan(p, oracles.proper_groupings(p.n_outcomes))
+    with scan_only():  # near_tie commutes
+        rep = single_shot_power(p)
+    assert rep.value == min(max(0.5 - spread / 2.0, 0.0), 0.5)
+    assert np.flatnonzero(rep.grouping.accept).tolist() == list(group)
+    assert rep.optimizer.rho.mat.tobytes() == DensityMatrix.pure(evecs[:, 0]).mat.tobytes()
+    assert rep.optimizer.sigma.mat.tobytes() == DensityMatrix.pure(evecs[:, -1]).mat.tobytes()
+    return rep
 
 
 def _report_bits(rep):
@@ -485,24 +705,21 @@ class TestChunkedScan:
         plain = optimize.optimize_state_pair(lambda P, Q: pair(P, Q), p, opts)  # no rows: one call per pair
         assert _report_bits(search(p, opts)) == _report_bits(plain)
 
-    @pytest.mark.parametrize("which", ["random_d3_m9", "covariant_12", "near_tie"])
+    @pytest.mark.parametrize("which", list(SINGLE_SHOT_CASES))
     def test_single_shot_matches_per_grouping_scan(self, which):
-        from detpower import fibonacci_covariant_discretization
-
-        p = {
-            "random_d3_m9": lambda: random_povm(np.random.default_rng(22), 3, 9),
-            "covariant_12": lambda: fibonacci_covariant_discretization(12).to_povm(),
-            "near_tie": _near_tie,
-        }[which]()
-        spread, group, evecs = oracles.single_shot_scan(p, oracles.proper_groupings(p.n_outcomes))
-        with scan_only():  # near_tie commutes
-            rep = single_shot_power(p)
-        assert rep.value == min(max(0.5 - spread / 2.0, 0.0), 0.5)
-        assert np.flatnonzero(rep.grouping.accept).tolist() == list(group)
-        assert np.array_equal(rep.optimizer.rho.mat, DensityMatrix.pure(evecs[:, 0]).mat)
-        assert np.array_equal(rep.optimizer.sigma.mat, DensityMatrix.pure(evecs[:, -1]).mat)
+        p = SINGLE_SHOT_CASES[which]()
+        rep = _assert_single_shot_is_the_scan(p)
         if which == "near_tie":  # {0, 1} spreads a few ulps wider than {0}, within 1e-15
             assert rep.grouping.accept.tolist() == [True, False, False]
+        if which == "near_tie_wider":
+            assert rep.grouping.accept.tolist() == [True, True, False]
+        if which == "two_outcome_off_complement":  # takes the qubit path without scan_only
+            assert joint_eigenbasis(p) is None
+
+    @settings(max_examples=30)
+    @given(m=st.integers(2, 14), seed=st.integers(0, 2**32 - 1))
+    def test_qubit_single_shot_matches_per_grouping_scan(self, m, seed):
+        _assert_single_shot_is_the_scan(random_povm(np.random.default_rng(seed), 2, m))
 
     @pytest.mark.parametrize("kind", ["chernoff", "stein", "hoeffding"])
     @pytest.mark.parametrize("which", ["covariant_12", "noisy_sg", "commuting"])
@@ -683,7 +900,7 @@ class TestSharedGroupingScan:
 
     def test_single_shot_above_the_grouping_cap_keeps_nothing(self, monkeypatch):
         monkeypatch.setattr(optimize, "_SCANS", weakref.WeakKeyDictionary())
-        p = random_povm(np.random.default_rng(30), 2, 16)
+        p = random_povm(np.random.default_rng(30), 3, 15)  # a qubit would take the zonotope path
         assert p.n_outcomes > optimize.MAX_OUTCOMES_GROUPING_SCAN
         single_shot_power(p)
         assert len(optimize._SCANS) == 0
