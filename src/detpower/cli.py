@@ -82,7 +82,7 @@ def _basis_candidates(povm: Povm) -> list:
     otherwise the eigenbasis of E_0."""
     joint = joint_eigenbasis(povm)
     evecs = joint[0] if joint is not None else eig_hermitian(povm.elements[0])[1]
-    return [DensityMatrix.pure(evecs[:, i]) for i in range(povm.dim)]
+    return [DensityMatrix._pure(evecs[:, i]) for i in range(povm.dim)]
 
 
 def cmd_validate(args) -> tuple:

@@ -44,6 +44,36 @@ def herm_deviation(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
+def _check_hermitian_unit_trace(m: np.ndarray) -> None:
+    """The density-matrix checks that need no eigendecomposition."""
+    if herm_deviation(m) > TOL_HERM:
+        raise DomainError("density matrix is not Hermitian within tolerance")
+    if abs(np.trace(m).real - 1.0) > TOL_TRACE or abs(np.trace(m).imag) > TOL_TRACE:
+        raise DomainError("density matrix trace differs from 1")
+
+
+def _unit_outer(vec) -> np.ndarray:
+    """u u^dagger for u = v/|v|, the vector v flattened, as a new C-ordered array.
+
+    A 2-norm that underflows to 0 or overflows is taken after dividing v by
+    its largest real or imaginary part, so every other vector keeps the
+    floats of v/|v|.  The zero vector and non-finite entries are refused.
+    """
+    v = np.asarray(vec, dtype=complex).ravel()
+    if not np.all(np.isfinite(v)):
+        raise DomainError("pure state vector has non-finite entries")
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    if n == 0.0 or n == np.inf:
+        top = np.abs(v.view(float)).max(initial=0.0)
+        if top == 0.0:
+            raise DomainError("cannot build a pure state from the zero vector")
+        v = v / top
+        n = np.linalg.norm(v)
+    v = v / n
+    return np.outer(v, v.conj())
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix."""
@@ -52,10 +82,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _as_square_complex(self.mat, "density matrix")
-        if herm_deviation(m) > TOL_HERM:
-            raise DomainError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > TOL_TRACE or abs(np.trace(m).imag) > TOL_TRACE:
-            raise DomainError("density matrix trace differs from 1")
+        _check_hermitian_unit_trace(m)
         evals, _ = eig_hermitian(m)
         if evals.min() < -TOL_PSD:
             raise DomainError(f"density matrix has negative eigenvalue {evals.min():.3e}")
@@ -68,12 +95,34 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, vec) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex).ravel()
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise DomainError("cannot build a pure state from the zero vector")
-        v = v / n
-        return cls(np.outer(v, v.conj()))
+        """|v><v| / <v|v> for a nonzero vector v with finite entries.
+
+        A vector whose 2-norm underflows to 0 or overflows is rescaled first
+        (_unit_outer).  The state then gets every check of the constructor:
+        Hermitian within TOL_HERM, unit trace and, by an eigendecomposition,
+        positive within TOL_PSD.  The library builds its own pure states with
+        _pure, which gives the same bytes and skips only that
+        eigendecomposition, since u u^dagger cannot fail it.
+        """
+        return cls(_unit_outer(vec))
+
+    @classmethod
+    def _pure(cls, vec) -> "DensityMatrix":
+        """pure(vec), the same bytes, without the positivity test's eigendecomposition.
+
+        u u^dagger for a unit vector u has eigenvalues |u|^2 and 0, and
+        round-off moves them by about 1e-16, far inside TOL_PSD, so that test
+        cannot fail.  Every check that can fail still runs: finite entries
+        and a usable norm (_unit_outer), Hermiticity within TOL_HERM and
+        unit trace.  The library's own pure states, eigenvectors it has just
+        computed, are built here.
+        """
+        m = _unit_outer(vec)
+        _check_hermitian_unit_trace(m)
+        m.setflags(write=False)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "mat", m)
+        return rho
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,10 @@ def brute_force_grouping(p0: SequenceDistribution, p1: SequenceDistribution):
 
     Its table scores every partition, so more than DENSE_CAP of them (more
     than 20 sequences) are refused with ResourceError (_check_partitions).
+    The four leading scores are re-scored exactly.  They are the first four
+    of a stable sort by score, selected in time linear in the table: one
+    np.partition finds the fourth-best score, and only the partitions that
+    reach it are sorted (all of them when every score ties).
     """
     if (p0.m, p0.n) != (p1.m, p1.n):
         raise StructuralError("sequence distributions are over different index sets")
@@ -159,8 +163,12 @@ def brute_force_grouping(p0: SequenceDistribution, p1: SequenceDistribution):
         half = 1 << b
         hi[half : 2 * half] = hi[:half] + diff[lo_bits + b]
     scores = (lo[None, :] + hi[:, None]).ravel()  # index = hi_part * 2^lo_bits + lo_part
-    # re-score the leading candidates exactly (same summation as ml path)
-    top = np.argsort(-scores, kind="stable")[:4]
+    # re-score the leading candidates exactly (same summation as ml path);
+    # the candidates, taken in index order, keep a full stable sort's ties
+    neg = -scores
+    k = min(4, neg.size)
+    leaders = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+    top = leaders[np.argsort(neg[leaders], kind="stable")[:k]]
     # bit b of a code is sequence b
     bits = np.arange(nseq)
     best = None
@@ -377,7 +385,7 @@ def extreme_pair(p: Povm) -> tuple:
     every finite-n mode.  On two outcomes the elements commute, so at any d
     these give the two most distinct click rates."""
     _, evecs = eig_hermitian(p.elements[0])
-    return DensityMatrix.pure(evecs[:, 0]), DensityMatrix.pure(evecs[:, -1])
+    return DensityMatrix._pure(evecs[:, 0]), DensityMatrix._pure(evecs[:, -1])
 
 
 def sweep_x(p: Povm, n: int, points: int | None = None):

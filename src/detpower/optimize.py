@@ -410,7 +410,7 @@ def single_shot_power(p: Povm) -> PowerReport:
                     spread, row, rho, sigma = s, rows[r], evecs[r][:, 0], evecs[r][:, -1]
     return PowerReport(
         value=min(max(0.5 - spread / 2.0, 0.0), 0.5),
-        optimizer=StatePair(DensityMatrix.pure(rho), DensityMatrix.pure(sigma)),
+        optimizer=StatePair(DensityMatrix._pure(rho), DensityMatrix._pure(sigma)),
         grouping=GroupingMask(row),
         exact=True,
     )

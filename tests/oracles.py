@@ -20,6 +20,9 @@ E_h1 x ... x E_hs x I to the joint state and then takes the partial trace,
 as the library did before one einsum did both.  dense_adaptive is the
 search over the weights of every leaf of the full tree, level by level, that
 optimal_adaptive ran before it built the error-tradeoff hull.
+partition_scores lists the score of every outcome-sequence partition, and
+brute_force_full_sort picks its four leaders by one stable sort of all of
+them, as brute_force_grouping did before it selected them in linear time.
 """
 
 import itertools
@@ -157,6 +160,33 @@ def basis_scan(objective, p, bases):
                 if best.infinite:
                     return best, best_pair
     return best, best_pair
+
+
+def partition_scores(p0, p1):
+    """sum_a (p0 - p1) for every partition a, indexed by its code (bit b is
+    sequence b), in brute_force_grouping's meet-in-the-middle sums."""
+    diff = p0.probs - p1.probs
+    lo_bits = len(diff) // 2
+    lo, hi = np.zeros(1), np.zeros(1)
+    for b in range(lo_bits):
+        lo = np.concatenate((lo, lo + diff[b]))
+    for b in range(lo_bits, len(diff)):
+        hi = np.concatenate((hi, hi + diff[b]))
+    return (lo[None, :] + hi[:, None]).ravel()
+
+
+def brute_force_full_sort(p0, p1):
+    """(p_err, accept) of the first minimum among the first four partitions
+    of a full stable sort by score, each re-scored exactly."""
+    top = np.argsort(-partition_scores(p0, p1), kind="stable")[:4]
+    bits = np.arange(len(p0.probs))
+    best = None
+    for idx in top:
+        accept = (int(idx) >> bits) & 1 == 1
+        p_err = 0.5 * float(np.sum(np.where(accept, p1.probs, p0.probs)))
+        if best is None or p_err < best[0]:
+            best = (p_err, accept)
+    return best
 
 
 def proper_groupings(m):

@@ -815,7 +815,7 @@ def test_readme_cli_block(capsys, monkeypatch):
     """Every command of the README's CLI block runs from the repository root
     and prints its report (or the CSV curve), with any `> file` dropped."""
     commands = _readme_cli_commands()
-    assert len(commands) == 11
+    assert len(commands) == 12
     monkeypatch.chdir(ROOT)
     for argv in commands:
         code, out = run(capsys, *argv)

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from detpower import (
@@ -142,6 +142,68 @@ class TestDensityMatrix:
     def test_hermitian_enforced(self):
         with pytest.raises(DomainError):
             DensityMatrix(np.array([[0.5, 0.4], [0.1, 0.5]], dtype=complex))
+
+
+# a pure-state vector entry: 0, or a mantissa in [1, 10) of either sign times 10^e, |e| <= 100
+_SCALED = st.builds(
+    lambda sign, mantissa, e: sign * mantissa * 10.0**e,
+    st.sampled_from((-1.0, 0.0, 1.0)),
+    st.floats(1.0, 10.0, exclude_max=True),
+    st.integers(-100, 100),
+)
+
+
+@st.composite
+def scaled_vectors(draw):
+    d = draw(st.integers(1, 6))
+    parts = np.array(draw(st.lists(_SCALED, min_size=2 * d, max_size=2 * d)))
+    v = parts[:d] + 1j * parts[d:]
+    assume(v.any())
+    return v
+
+
+class TestPureState:
+    """DensityMatrix.pure and _pure, its path without the eigendecomposition."""
+
+    BUILDS = pytest.mark.parametrize("build", [DensityMatrix.pure, DensityMatrix._pure], ids=["pure", "_pure"])
+
+    @given(v=scaled_vectors())
+    def test_outer_product_of_the_unit_vector(self, v):
+        u = v / np.linalg.norm(v)
+        want = np.outer(u, u.conj()).tobytes()
+        rho = DensityMatrix._pure(v)
+        assert rho.mat.tobytes() == want and DensityMatrix.pure(v).mat.tobytes() == want
+        assert rho.mat.flags.c_contiguous and not rho.mat.flags.writeable
+        # the full check, eigendecomposition included, accepts what _pure skipped
+        assert DensityMatrix(rho.mat).mat.tobytes() == want
+
+    def test_private_path_runs_no_eigendecomposition(self, monkeypatch):
+        def refuse(mat):
+            raise AssertionError("eig_hermitian called")
+
+        monkeypatch.setattr(core, "eig_hermitian", refuse)
+        assert DensityMatrix._pure([1.0, 1j]).dim == 2
+
+    @BUILDS
+    def test_norm_that_underflows(self, build):
+        # |v|^2 = 1e-400 rounds to 0; v is rescaled by its largest part first
+        assert build([1e-200, 0.0]).mat.tobytes() == build([1.0, 0.0]).mat.tobytes()
+        assert build([1e-200j, 5e-201]).mat.tobytes() == build([1j, 0.5]).mat.tobytes()
+
+    @BUILDS
+    def test_norm_that_overflows(self, build):
+        # |v|^2 = 2e400 overflows; numpy's RuntimeWarning would be an error here
+        assert build([1e200, 1e200]).mat.tobytes() == build([1.0, 1.0]).mat.tobytes()
+        assert build([-1e308, 1e308j]).mat.tobytes() == build([-1.0, 1j]).mat.tobytes()
+
+    @BUILDS
+    def test_zero_and_non_finite_vectors_refused(self, build):
+        for v in ([0.0, 0.0], [0j], []):
+            with pytest.raises(DomainError, match="zero vector"):
+                build(v)
+        for v in ([np.nan, 1.0], [np.inf, 0.0], [complex(0.0, -np.inf), 1.0]):
+            with pytest.raises(DomainError, match="non-finite"):
+                build(v)
 
 
 class TestOwnCopy:

@@ -245,6 +245,50 @@ class TestBruteForce:
                     brute_force_grouping(p0, p1)
 
 
+    @staticmethod
+    def assert_selects_as_full_sort(p0, p1):
+        want_err, want_accept = oracles.brute_force_full_sort(p0, p1)
+        p_err, mask = brute_force_grouping(p0, p1)
+        assert p_err.hex() == want_err.hex()
+        assert np.array_equal(mask.accept, want_accept)
+
+    def test_bundled_detector_selects_as_full_sort(self):
+        povm = povm_from_json(load_json_file(os.path.join(DATA, "povm_commuting.json")))
+        p0, p1 = (sequence_distribution(povm, ProductInput.iid(rho, 4)) for rho in finite.extreme_pair(povm))
+        assert len(np.unique(oracles.partition_scores(p0, p1))) == 770  # of 2^16
+        self.assert_selects_as_full_sort(p0, p1)
+
+    @pytest.mark.parametrize("nseq", [2, 5, 16])
+    def test_equal_rows_select_as_full_sort(self, nseq):
+        # every partition scores 0, so every one ties with the fourth-best
+        probs = random_distribution(np.random.default_rng(nseq), nseq)
+        p0, p1 = SequenceDistribution(nseq, 1, probs), SequenceDistribution(nseq, 1, probs)
+        assert not oracles.partition_scores(p0, p1).any()
+        self.assert_selects_as_full_sort(p0, p1)
+
+    @pytest.mark.parametrize("nseq", [2, 3, 4, 7, 10, 13, 16, 19, 20])
+    def test_random_rows_select_as_full_sort(self, nseq):
+        rng = np.random.default_rng(100 + nseq)
+        p0, p1 = (SequenceDistribution(nseq, 1, random_distribution(rng, nseq)) for _ in range(2))
+        self.assert_selects_as_full_sort(p0, p1)
+
+    def test_more_than_four_tie_with_the_fourth_best(self):
+        # dyadic rows sum exactly: accepting sequences 0-4 scores 0.625 alone,
+        # and the five ways to accept four of them tie at 0.5
+        p0 = SequenceDistribution(6, 1, [0.1875] * 5 + [0.0625])
+        p1 = SequenceDistribution(6, 1, [0.0625] * 5 + [0.6875])
+        scores = np.sort(oracles.partition_scores(p0, p1))[::-1]
+        assert scores[0] == 0.625 and np.count_nonzero(scores == scores[3]) == 5
+        self.assert_selects_as_full_sort(p0, p1)
+
+    @given(seed=st.integers(0, 2**32 - 1), nseq=st.integers(2, 12))
+    def test_dyadic_rows_select_as_full_sort(self, seed, nseq):
+        # rows in multiples of 1/64 tie often and sum without round-off
+        rng = np.random.default_rng(seed)
+        p0, p1 = (SequenceDistribution(nseq, 1, rng.multinomial(64, np.full(nseq, 1 / nseq)) / 64) for _ in range(2))
+        self.assert_selects_as_full_sort(p0, p1)
+
+
 class TestIidMl:
     @pytest.mark.parametrize(
         "p, q, n",
