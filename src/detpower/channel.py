@@ -206,28 +206,48 @@ def golden_section_min(f, a: float, b: float, xtol: float = 1e-12):
     return x, f(x)
 
 
+def _support_logs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The (2, c) logs of P and Q on their common support of c outcomes, in outcome order."""
+    mask = (p > 0) & (q > 0)
+    return np.log(np.array([p[mask], q[mask]]))
+
+
 def _phi_evaluator(p: np.ndarray, q: np.ndarray):
     """Fast phi(s) closure with logs precomputed on the common support.
 
-    Each call writes s*lp, (1-s)*lq, their sum and its exp into two scratch
-    arrays the closure owns, with the ufuncs and order of
+    Each call writes s*lp and (1-s)*lq with one multiply of a (2, 1) buffer
+    holding (s, 1 - s) into the logs, then their sum and its exp, into
+    scratch arrays the closure owns, with the ufuncs and order of
     log(sum(exp(s*lp + (1-s)*lq))), so the floats are the same.  Because of
     those buffers, one closure must not be shared across threads.
     """
-    mask = (p > 0) & (q > 0)
-    lp = np.log(p[mask])
-    lq = np.log(q[mask])
-    t = np.empty_like(lp)
-    u = np.empty_like(lq)
+    logs = _support_logs(p, q)
+    w = np.empty((2, 1))
+    t = np.empty_like(logs)
+    t0, t1 = t
 
     def f(s: float) -> float:
-        np.multiply(s, lp, out=t)
-        np.multiply(1.0 - s, lq, out=u)
-        np.add(t, u, out=t)
-        np.exp(t, out=t)
-        return min(float(np.log(np.add.reduce(t))), 0.0)
+        w[0, 0] = s
+        w[1, 0] = 1.0 - s
+        np.multiply(w, logs, out=t)
+        np.add(t0, t1, out=t0)
+        np.exp(t0, out=t0)
+        v = float(np.log(np.add.reduce(t0)))
+        return 0.0 if 0.0 < v else v  # min(v, 0.0), -0.0 included
 
     return f
+
+
+def _phi_stacked(s: np.ndarray, logs: np.ndarray) -> list[float]:
+    """The _phi_evaluator closure's value at every point of the 1-D array s, with its floats.
+
+    One (len(s), c) pass with the closure's ufuncs in its order; the rows of
+    a C-ordered block reduce like the closure's 1-D arrays (see Row forms).
+    """
+    col = s[:, None]
+    t = col * logs[0] + (1.0 - col) * logs[1]
+    np.exp(t, out=t)
+    return [0.0 if 0.0 < v else v for v in np.log(np.add.reduce(t, axis=1)).tolist()]
 
 
 def chernoff_exponent(p_dist, q_dist) -> ExponentValue:
@@ -239,12 +259,80 @@ def chernoff_exponent(p_dist, q_dist) -> ExponentValue:
 
 
 def _chernoff_solve(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
-    """chernoff_exponent's (value, optimizer_s) for two 1-D arrays with a common support."""
+    """chernoff_exponent's (value, optimizer_s) for two 1-D arrays with a common support.
+
+    One golden section on [0, 1] (phi is convex in s), whose probes are read
+    from one stacked evaluation (_phi_stacked) at the points it is predicted
+    to visit (_golden_probes around _chernoff_guess), and from the scalar
+    closure at any other point.  Both give the closure's floats, so every
+    value and s* is that of the golden section over the closure alone,
+    whatever the prediction; a wrong one only costs time.
+    """
+    xtol = 1e-12
     obj = _phi_evaluator(p, q)
-    # phi is convex in s, so golden section on [0, 1] is reliable
-    s_star, f_star = golden_section_min(obj, 0.0, 1.0, xtol=1e-12)
-    f_star = min(f_star, obj(0.0), obj(1.0))
-    return float(max(-f_star, 0.0) + 0.0), float(np.clip(s_star, 0.0, 1.0))
+    logs = _support_logs(p, q)
+    probes = [0.0, 1.0, *_golden_probes(_chernoff_guess(logs[0], logs[1], xtol), xtol)]
+    known = dict(zip(probes, _phi_stacked(np.array(probes), logs)))
+
+    def f(s: float) -> float:
+        v = known.get(s)
+        return obj(s) if v is None else v
+
+    s_star, f_star = golden_section_min(f, 0.0, 1.0, xtol=xtol)
+    f_star = min(f_star, f(0.0), f(1.0))
+    return float(max(-f_star, 0.0) + 0.0), min(max(s_star, 0.0), 1.0)
+
+
+def _chernoff_guess(lp: np.ndarray, lq: np.ndarray, xtol: float) -> float:
+    """A guess at the minimizer of phi on [0, 1], from the logs on the common support.
+
+    Newton steps on phi'(s) = 0 from s = 1/2 (_tilted), kept inside the
+    bracket where phi' changes sign.  A step that leaves it goes to the end
+    of [0, 1] it passed, if that end is untried, where a monotone phi has
+    its minimum; otherwise it bisects.  A linear phi (phi'' = 0) goes to the
+    end where it is lower.  Stops when a step is at most xtol.
+    """
+    llr = lp - lq
+    a, b, s = 0.0, 1.0, 0.5
+    untried = {0.0, 1.0}
+    for _ in range(100):  # a guard: Newton ends the loop in a few steps
+        _, df, d2f = _tilted(s, lp, lq, llr)
+        untried.discard(s)
+        if df < 0.0:
+            a = s
+        else:
+            b = s
+        step = s - df / d2f if d2f > 0.0 else (1.0 if df < 0.0 else 0.0)
+        if not a <= step <= b:
+            end = b if step > b else a
+            step = end if end in untried else 0.5 * (a + b)
+        if abs(step - s) <= xtol:
+            return step
+        s = step
+    return s
+
+
+def _golden_probes(guess: float, xtol: float) -> list[float]:
+    """The points golden_section_min(f, 0.0, 1.0, xtol) evaluates, in order, when
+    each of its tests fc < fd comes out as |c - guess| < |d - guess|.
+
+    golden_section_min's recurrences and floats, replayed without f.
+    """
+    a, b = 0.0, 1.0
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    probes = [c, d]
+    while abs(d - c) > xtol:
+        if abs(c - guess) < abs(d - guess):
+            b, d = d, c
+            c = b - _INVPHI * (b - a)
+            probes.append(c)
+        else:
+            a, c = c, d
+            d = a + _INVPHI * (b - a)
+            probes.append(d)
+    probes.append((a + b) / 2)
+    return probes
 
 
 def relative_entropy(p_dist, q_dist) -> float:

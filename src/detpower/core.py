@@ -55,20 +55,23 @@ def _check_hermitian_unit_trace(m: np.ndarray) -> None:
 def _unit_outer(vec) -> np.ndarray:
     """u u^dagger for u = v/|v|, the vector v flattened, as a new C-ordered array.
 
-    A 2-norm that underflows to 0 or overflows is taken after dividing v by
-    its largest real or imaginary part, so every other vector keeps the
-    floats of v/|v|.  The zero vector and non-finite entries are refused.
+    A 2-norm that overflows, or whose square is subnormal (a sum of squares
+    with too few significant bits for v/|v| to have unit norm) or 0, is
+    taken after dividing v by its largest real or imaginary part; every
+    vector whose squared norm is normal keeps the floats of v/|v|.  The zero
+    vector and non-finite entries are refused.
     """
     v = np.asarray(vec, dtype=complex).ravel()
     if not np.all(np.isfinite(v)):
         raise DomainError("pure state vector has non-finite entries")
     with np.errstate(over="ignore"):
         n = np.linalg.norm(v)
-    if n == 0.0 or n == np.inf:
+    if n * n < np.finfo(float).tiny or n == np.inf:
         top = np.abs(v.view(float)).max(initial=0.0)
         if top == 0.0:
             raise DomainError("cannot build a pure state from the zero vector")
-        v = v / top
+        # divide the parts: complex v / top multiplies by 1/top, inf for a subnormal top
+        v = (v.view(float) / top).view(complex)
         n = np.linalg.norm(v)
     v = v / n
     return np.outer(v, v.conj())

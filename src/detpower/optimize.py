@@ -423,14 +423,14 @@ def _require_two_outcomes(p: Povm):
 
 def _pure_vec(params: np.ndarray, d: int) -> np.ndarray:
     """Unit vector on the complex (d-1)-sphere from 2(d-1) real angles."""
-    thetas = params[: d - 1]
-    phases = params[d - 1 :]
-    amps = np.ones(d)
-    for i, th in enumerate(thetas):
+    amps = [1.0] * d
+    for i, th in enumerate(params[: d - 1].tolist()):
         amps[i] *= math.cos(th)
-        amps[i + 1 :] *= math.sin(th)
-    v = amps.astype(complex)
-    v[1:] *= np.exp(1j * phases)
+        sin = math.sin(th)
+        for j in range(i + 1, d):
+            amps[j] *= sin
+    v = np.array(amps, dtype=complex)
+    v[1:] *= np.exp(1j * params[d - 1 :])  # a complex exp: kept in numpy, whose rounding libm may not share
     return v
 
 

@@ -5,7 +5,9 @@ computes the same numbers with vectorized code.  proper_groupings lists
 the outcome groupings that the scans visit, in their order, and basis_scan
 and single_shot_scan visit one basis or grouping per step, as the optimizer
 did before it stacked them.  phi_closure is the one-line
-phi(s) evaluator that the buffered channel._phi_evaluator must match bit for
+phi(s) evaluator that the buffered channel._phi_evaluator and its stacked
+form must match bit for bit, and chernoff_golden is the Chernoff solve over
+it alone, which the solve that prefetches its probes must match bit for
 bit.  eig_hermitian_2d decomposes one matrix by itself, as eig_hermitian did
 before a matrix became a stack of one, and mixed_line_search is the
 golden-section --mixed refinement that the corner check replaced.
@@ -144,6 +146,15 @@ def phi_closure(p, q):
         return min(float(np.log(np.exp(s * lp + (1.0 - s) * lq).sum())), 0.0)
 
     return f
+
+
+def chernoff_golden(p, q):
+    """(value, optimizer_s) of the golden section over phi_closure on [0, 1],
+    the min of its value with phi at s = 0 and 1, clamped at 0, and s* clipped."""
+    f = phi_closure(p, q)
+    s_star, f_star = golden_section_min(f, 0.0, 1.0, xtol=1e-12)
+    f_star = min(f_star, f(0.0), f(1.0))
+    return float(max(-f_star, 0.0) + 0.0), float(np.clip(s_star, 0.0, 1.0))
 
 
 def basis_scan(objective, p, bases):

@@ -91,6 +91,30 @@ def row_stacks(draw):
     return np.array([p for p, _ in rows]), np.array([q for _, q in rows])
 
 
+@st.composite
+def solver_pairs(draw):
+    """(P, Q) with 1-29 outcomes and a common support: independent weights with
+    exact zeros, Q within 1e-9 relative of P, Q equal to P, or supports that
+    share exactly one outcome."""
+    m = draw(st.integers(1, 29))
+    weights = st.lists(st.just(0.0) | st.floats(1e-9, 1.0), min_size=m, max_size=m)
+    p = np.array(draw(weights))
+    kind = draw(st.sampled_from(["independent", "near", "equal", "one shared"]))
+    if kind == "independent":
+        q = np.array(draw(weights))
+    elif kind == "near":
+        q = p * (1.0 + np.array(draw(st.lists(st.floats(-1e-9, 1e-9), min_size=m, max_size=m))))
+    elif kind == "equal":
+        q = p.copy()
+    else:
+        shared = draw(st.integers(0, m - 1))
+        q = np.where(p > 0, 0.0, np.array(draw(weights)))
+        p[shared] = q[shared] = 0.5
+    if not np.any((p > 0) & (q > 0)):
+        p[0] = q[0] = 1.0
+    return p / p.sum(), q / q.sum()
+
+
 def _hex(x):
     return None if x is None else float(x).hex()
 
@@ -449,6 +473,57 @@ class TestChernoff:
     def test_disjoint_infinite(self):
         val = chernoff_exponent(dist(1.0, 0.0), dist(0.0, 1.0))
         assert val.infinite
+
+
+class TestPrefetchedSolve:
+    """_chernoff_solve reads the golden section's predicted probes from one
+    stacked phi call, and its floats are those of the golden section over the
+    one-line closure alone (oracles.chernoff_golden), whatever the guess."""
+
+    @given(pair=solver_pairs(), ss=st.lists(s_values, max_size=6), guess=st.floats(0.0, 1.0))
+    def test_stacked_rows_match_the_closures(self, pair, ss, guess):
+        # from 8 entries add.reduce sums in 8 lanes; the rows must sum like the 1-D calls
+        p, q = pair
+        ss = ss + channel._golden_probes(guess, 1e-12)
+        f, ref = _phi_evaluator(p, q), oracles.phi_closure(p, q)
+        got = channel._phi_stacked(np.array(ss), channel._support_logs(p, q))
+        assert [v.hex() for v in got] == [f(s).hex() for s in ss] == [ref(s).hex() for s in ss]
+
+    @pytest.mark.parametrize("guess", [None, 0.0, 1.0, 0.5, math.nan], ids=str)
+    @given(pair=solver_pairs())
+    def test_solve_matches_plain_golden_section(self, guess, pair):
+        with pytest.MonkeyPatch.context() as mp:
+            if guess is not None:
+                mp.setattr(channel, "_chernoff_guess", lambda lp, lq, xtol: guess)
+            got = channel._chernoff_solve(*pair)
+        assert [x.hex() for x in got] == [x.hex() for x in oracles.chernoff_golden(*pair)]
+
+    @pytest.mark.parametrize("guess", [None, 0.0, math.nan], ids=str)
+    @given(stacks=row_stacks())
+    def test_rows_match_plain_golden_section(self, guess, stacks):
+        with pytest.MonkeyPatch.context() as mp:
+            if guess is not None:
+                mp.setattr(channel, "_chernoff_guess", lambda lp, lq, xtol: guess)
+            values, s = chernoff_rows(*stacks)
+        for p, q, v, x in zip(*stacks, values, s):
+            if np.any((p > 0) & (q > 0)):
+                assert (v.hex(), x.hex()) == tuple(y.hex() for y in oracles.chernoff_golden(p, q))
+
+    def test_guess_saves_most_scalar_calls(self, monkeypatch):
+        def counted(make, calls):
+            def build(p, q):
+                f = make(p, q)
+                return lambda s: calls.append(s) or f(s)
+
+            return build
+
+        # a well-conditioned pair: the plain solve evaluates phi 60 times
+        p, q = np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.45, 0.25, 0.2, 0.1])
+        plain, scalar = [], []
+        monkeypatch.setattr(oracles, "phi_closure", counted(oracles.phi_closure, plain))
+        monkeypatch.setattr(channel, "_phi_evaluator", counted(channel._phi_evaluator, scalar))
+        assert channel._chernoff_solve(p, q) == oracles.chernoff_golden(p, q)
+        assert len(plain) == 60 and len(scalar) < len(plain) / 2
 
 
 class TestRowForms:

@@ -189,6 +189,12 @@ class TestPureState:
         # |v|^2 = 1e-400 rounds to 0; v is rescaled by its largest part first
         assert build([1e-200, 0.0]).mat.tobytes() == build([1.0, 0.0]).mat.tobytes()
         assert build([1e-200j, 5e-201]).mat.tobytes() == build([1j, 0.5]).mat.tobytes()
+        # a subnormal |v|^2 has too few bits for unit trace, and subnormal
+        # parts have too few for 1/x: down to 1e-320, v is divided by x first
+        for x in 10.0 ** -np.arange(150.0, 321.0):
+            assert build([x, 0.0]).mat.tobytes() == build([1.0, 0.0]).mat.tobytes()
+            y = 0.3 * x  # 0.3 to the few bits a subnormal x leaves
+            np.testing.assert_allclose(build([x, y * 1j]).mat, build([1.0, y / x * 1j]).mat, rtol=0, atol=1e-15)
 
     @BUILDS
     def test_norm_that_overflows(self, build):
