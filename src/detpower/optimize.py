@@ -21,6 +21,10 @@ other three corners of its square of mixtures ((1-t) rho + t I/d,
 (1-u) sigma + u I/d): (I/d, sigma), (rho, I/d) and (I/d, I/d).  The Chernoff,
 Stein and Hoeffding exponents are jointly convex in the state pair, so no
 point of that square beats its best corner.
+The restarts are independent: on a POSIX system with several CPUs in the
+process's affinity mask, and no thread but the main one alive, they are
+split over os.fork workers, one per CPU, and merged in restart order, so
+every report is the one a sequential loop gives, for any number of CPUs.
 
 Both scans read the proper outcome groupings as membership rows with
 their grouped elements diagonalized, from one generator, _grouping_scan,
@@ -58,8 +62,14 @@ d = 16, m = 14.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import numbers
+import os
+import pickle
+import signal
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -119,10 +129,13 @@ class SearchOptions:
     mixed: bool = False
 
     def __post_init__(self):
-        if self.restarts < 0:
-            raise DomainError(f"restarts must be >= 0, got {self.restarts}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        for name in ("restarts", "seed"):
+            value = getattr(self, name)
+            # numbers.Integral holds Python and numpy integers; bool is refused
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise DomainError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -538,6 +551,17 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     three zeta_* objectives are, the best corner is the maximum over the
     whole square; for any objective the result is still an achievable value.
 
+    The restarts start from angles drawn up front from the seeded rng
+    (_start_angles), each refined by _restart.  They run on up to one
+    worker per CPU in the process's affinity mask (_map_restarts: this
+    process and os.fork children, no option; limit them with taskset), and
+    their outcomes are merged in restart order, ending at the first
+    infinite value or at the first restart that raised, whose exception is
+    raised here.  So value, s_star, optimizer and restarts_used are those
+    of one sequential loop, for any number of CPUs.  The objective must
+    therefore be a pure function of (P, Q): whatever it records in a
+    worker stays there.
+
     Deterministic for a fixed seed: candidates are scanned in a fixed order and
     a restart or corner only replaces the incumbent on strict improvement.
     This search runs on any detector and objective; the zeta_* searches call
@@ -546,15 +570,8 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     _require_two_outcomes(p)
     opts = opts or SearchOptions()
     d = p.dim
-    sum_tol = induced_sum_tol(d)
     best = ExponentValue(-math.inf)
     best_pair = None
-
-    def dist(mat):
-        return ClassicalDistribution(induced_probs(p, mat), sum_tol)
-
-    def score(rho_mat, sigma_mat):
-        return objective(dist(rho_mat), dist(sigma_mat))
 
     def consider(ev, rho_mat, sigma_mat):
         nonlocal best, best_pair
@@ -570,48 +587,15 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
             if best.infinite:
                 return _finish(best, best_pair, 0)
 
-    # (b) random pure-pair restarts with coordinate-wise refinement
-    rng = np.random.default_rng(opts.seed)
-    n = 2 * (d - 1)
-    halves = (slice(0, n), slice(n, 2 * n))  # rho's angles, then sigma's
+    # (b) random pure-pair restarts with coordinate-wise refinement, run on up
+    # to one worker per CPU and merged in restart order
+    starts = _start_angles(opts.seed, d, opts.restarts)
     restarts_used = 0
-    for _ in range(opts.restarts):
+    for outcome in _map_restarts(lambda params: _restart(objective, p, params), starts):
         restarts_used += 1
-        params = np.concatenate(
-            [
-                rng.uniform(0, math.pi / 2, d - 1),
-                rng.uniform(0, 2 * math.pi, d - 1),
-                rng.uniform(0, math.pi / 2, d - 1),
-                rng.uniform(0, 2 * math.pi, d - 1),
-            ]
-        )
-        cur = score(*(_pure_mat(params[h], d) for h in halves)).value
-        width = math.pi / 2
-        for _ in range(REFINE_PASSES):
-            improved = 0.0
-            for idx in range(2 * n):
-                side, k = divmod(idx, n)  # side 0 moves rho, side 1 sigma
-                moved = params[halves[side]].copy()
-                pair = [None, None]
-                pair[1 - side] = dist(_pure_mat(params[halves[1 - side]], d))
-
-                def along(x, side=side, k=k, moved=moved, pair=pair):
-                    moved[k] = x
-                    pair[side] = dist(_pure_mat(moved, d))
-                    v = objective(*pair).value
-                    return -v if math.isfinite(v) else -1e300
-
-                x0 = params[idx]
-                x, negv = golden_section_min(along, x0 - width, x0 + width, xtol=1e-7)
-                if -negv > cur:
-                    improved += -negv - cur
-                    cur = -negv
-                    params[idx] = x
-            width *= 0.5
-            if improved < REFINE_TOL:
-                break
-        rho_mat, sigma_mat = (_pure_mat(params[h], d) for h in halves)
-        consider(score(rho_mat, sigma_mat), rho_mat, sigma_mat)
+        if isinstance(outcome, Exception):
+            raise outcome
+        consider(*outcome)
         if best.infinite:
             break
 
@@ -620,10 +604,176 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     if opts.mixed and best_pair is not None and math.isfinite(best.value):
         eye = np.eye(d, dtype=complex) / d
         rho_mat, sigma_mat = best_pair
+        score = _scorer(objective, p)[1]
         for r, s in ((eye, sigma_mat), (rho_mat, eye), (eye, eye)):
             consider(score(r, s), r, s)
 
     return _finish(best, best_pair, restarts_used)
+
+
+def _scorer(objective, p: Povm):
+    """(dist, score): a state matrix's checked ClassicalDistribution on p, and
+    objective(dist(rho_mat), dist(sigma_mat))."""
+    sum_tol = induced_sum_tol(p.dim)
+
+    def dist(mat):
+        return ClassicalDistribution(induced_probs(p, mat), sum_tol)
+
+    def score(rho_mat, sigma_mat):
+        return objective(dist(rho_mat), dist(sigma_mat))
+
+    return dist, score
+
+
+def _start_angles(seed, d: int, n: int) -> list:
+    """The n restarts' start angles, drawn from default_rng(seed) in restart order.
+
+    Each is rho's 2(d-1) angles of _pure_vec, then sigma's: d - 1 polar
+    angles in [0, pi/2), then d - 1 phases in [0, 2 pi).
+    """
+    rng = np.random.default_rng(seed)
+    return [
+        np.concatenate(
+            [
+                rng.uniform(0, math.pi / 2, d - 1),
+                rng.uniform(0, 2 * math.pi, d - 1),
+                rng.uniform(0, math.pi / 2, d - 1),
+                rng.uniform(0, 2 * math.pi, d - 1),
+            ]
+        )
+        for _ in range(n)
+    ]
+
+
+def _restart(objective, p: Povm, params: np.ndarray):
+    """One restart: coordinate-wise golden sections from the start angles params.
+
+    params holds rho's 2(d-1) angles of _pure_vec, then sigma's; it is
+    refined in place.  Returns (ExponentValue, rho_mat, sigma_mat) of the
+    refined pair.
+    """
+    d = p.dim
+    dist, score = _scorer(objective, p)
+    n = 2 * (d - 1)
+    halves = (slice(0, n), slice(n, 2 * n))  # rho's angles, then sigma's
+    cur = score(*(_pure_mat(params[h], d) for h in halves)).value
+    width = math.pi / 2
+    for _ in range(REFINE_PASSES):
+        improved = 0.0
+        for idx in range(2 * n):
+            side, k = divmod(idx, n)  # side 0 moves rho, side 1 sigma
+            moved = params[halves[side]].copy()
+            pair = [None, None]
+            pair[1 - side] = dist(_pure_mat(params[halves[1 - side]], d))
+
+            def along(x, side=side, k=k, moved=moved, pair=pair):
+                moved[k] = x
+                pair[side] = dist(_pure_mat(moved, d))
+                v = objective(*pair).value
+                return -v if math.isfinite(v) else -1e300
+
+            x0 = params[idx]
+            x, negv = golden_section_min(along, x0 - width, x0 + width, xtol=1e-7)
+            if -negv > cur:
+                improved += -negv - cur
+                cur = -negv
+                params[idx] = x
+        width *= 0.5
+        if improved < REFINE_TOL:
+            break
+    rho_mat, sigma_mat = (_pure_mat(params[h], d) for h in halves)
+    return score(rho_mat, sigma_mat), rho_mat, sigma_mat
+
+
+def _restart_workers(n: int) -> int:
+    """Workers for n restarts: one per CPU in the process's affinity mask, at most n.
+
+    1 (run in this process) when n < 2, when the platform has no os.fork or
+    os.sched_getaffinity, or when another thread is alive, since forking
+    with threads running is unsafe.
+    """
+    if n < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return min(n, len(os.sched_getaffinity(0)))
+
+
+def _run_share(run, starts: list) -> list:
+    """run(start) for each start in turn, up to and including the first infinite value or Exception."""
+    outcomes = []
+    for params in starts:
+        try:
+            outcome = run(params)
+        except Exception as exc:
+            outcomes.append(exc)
+            break
+        outcomes.append(outcome)
+        if outcome[0].infinite:
+            break
+    return outcomes
+
+
+def _map_restarts(run, starts: list) -> list:
+    """_run_share(run, starts) run on W = _restart_workers(len(starts)) workers; a list by restart.
+
+    Worker w takes starts w, w + W, ...: this process runs share 0 and an
+    os.fork child runs each other share, sends its outcomes back as one
+    pickle through a pipe and leaves by os._exit.  Every child is read and
+    reaped before this returns or raises, and killed first if this process's
+    own share was interrupted; a share that could not be forked runs here.
+    Entry i is restart i's (ExponentValue, rho_mat, sigma_mat), the
+    Exception it raised, or None past the end of its share.  A child that
+    exits without a report (its outcome could not be pickled, or it was
+    killed) leaves a RuntimeError at its first restart.  So a merge in
+    restart order that stops at the first infinite value or Exception
+    reads only run outcomes, and sees what one sequential loop sees.
+    """
+    n = len(starts)
+    workers = _restart_workers(n)
+    outcomes = [None] * n
+    local, children, reports = [0], [], []
+    done = False
+    try:
+        for w in range(1, workers):
+            fd_in, fd_out = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(fd_in)
+                os.close(fd_out)
+                local.append(w)
+                continue
+            if pid == 0:  # the child: never returns
+                status = 1
+                try:
+                    os.close(fd_in)
+                    gc.disable()  # no finalizer of the parent's garbage runs twice
+                    data = pickle.dumps(_run_share(run, starts[w::workers]), pickle.HIGHEST_PROTOCOL)
+                    with open(fd_out, "wb") as fh:
+                        fh.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(fd_out)
+            children.append((w, pid, fd_in))
+        for w in local:
+            for i, outcome in zip(range(w, n, workers), _run_share(run, starts[w::workers])):
+                outcomes[i] = outcome
+        done = True
+    finally:
+        for w, pid, fd_in in children:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            with open(fd_in, "rb") as fh:
+                data = fh.read()
+            reports.append((w, data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for w, data, status in reports:
+        if status == 0:
+            got = pickle.loads(data)
+        else:
+            got = [RuntimeError(f"the worker of restart {w} exited with status {status} without a report")]
+        for i, outcome in zip(range(w, n, workers), got):
+            outcomes[i] = outcome
+    return outcomes
 
 
 def _finish(best: ExponentValue, pair, restarts_used, exact=False) -> PowerReport:

@@ -3,6 +3,8 @@ import gc
 import json
 import math
 import os
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -376,6 +378,18 @@ class TestSearchOverDistributions:
         with pytest.raises(DomainError):
             SearchOptions(seed=-1)
         assert SearchOptions(seed=0).seed == 0
+
+    @pytest.mark.parametrize("name", ["restarts", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, False, np.bool_(True), "3", None, np.float64(1.0)], ids=repr)
+    def test_non_integer_refused_when_built(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            SearchOptions(**{name: value})
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), np.int32(3)], ids=repr)
+    def test_numpy_integers_accepted(self, value):
+        p = random_povm(np.random.default_rng(7), 2, 3)
+        opts = SearchOptions(restarts=value, seed=value)
+        assert _report_bits(zeta_stein(p, opts)) == _report_bits(zeta_stein(p, SearchOptions(restarts=3, seed=3)))
 
     def test_objective_sees_checked_distributions(self, diag_povm):
         seen = []
@@ -1121,3 +1135,163 @@ class TestCommutingExact:
                 with scan_only():
                     scan = search(p, SearchOptions(restarts=0))
                 assert _report_bits(search(p, SearchOptions(restarts=2, mixed=True))) == _report_bits(scan)
+
+
+def _workers(monkeypatch, cpus):
+    """Pretend the affinity mask holds `cpus` CPUs (1: every search runs sequentially)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fake_restarts(monkeypatch, d, n, outcome):
+    """Replace _restart by outcome(i), i the restart's index among the n starts of seed 0."""
+    index = {a.tobytes(): i for i, a in enumerate(optimize._start_angles(0, d, n))}
+    monkeypatch.setattr(optimize, "_restart", lambda objective, p, params: outcome(index[params.tobytes()]))
+
+
+class _Stop(BaseException):
+    """Not an Exception: ends this process's share without an outcome."""
+
+
+class TestParallelRestarts:
+    """The restarts run on one worker per CPU (this process and os.fork
+    children), with the reports, exceptions and restarts_used of one
+    sequential loop, and no child outlives the search."""
+
+    DETECTORS = {2: random_povm(np.random.default_rng(3), 2, 3), 3: random_povm(np.random.default_rng(7), 3, 4)}
+    SEARCHES = {
+        "chernoff": zeta_chernoff,
+        "stein": zeta_stein,
+        "hoeffding": lambda p, o: optimize.optimize_state_pair(lambda P, Q: hoeffding_exponent(P, Q, 0.05), p, o),
+        "mixed": lambda p, o: zeta_chernoff(p, SearchOptions(o.restarts, o.seed, mixed=True)),
+    }
+
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 5])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", list(SEARCHES))
+    def test_reports_match_the_sequential_loop(self, monkeypatch, kind, d, restarts):
+        p, search, opts = self.DETECTORS[d], self.SEARCHES[kind], SearchOptions(restarts=restarts, seed=1)
+        _workers(monkeypatch, 2 if restarts < 5 else 3)  # shares of one and of two restarts
+        parallel = search(p, opts)
+        _assert_no_children()
+        _workers(monkeypatch, 1)
+        sequential = search(p, opts)
+        assert _report_bits(parallel) == _report_bits(sequential)
+        assert parallel.restarts_used == sequential.restarts_used == restarts
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_first_failing_restart_raises_its_exception(self, monkeypatch, cpus):
+        # restarts 1-4 fail, each with its own message; sequentially restart 1 raises first
+        p = self.DETECTORS[2]
+
+        def outcome(i):
+            if i:
+                raise DomainError(f"restart {i} failed")
+            return ExponentValue(0.5), np.eye(2) / 2, np.eye(2) / 2
+
+        _fake_restarts(monkeypatch, 2, 5, outcome)
+        _workers(monkeypatch, cpus)
+        with pytest.raises(DomainError, match="^restart 1 failed$"):
+            optimize.optimize_state_pair(lambda P, Q: ExponentValue(0.0), p, SearchOptions(restarts=5, seed=0))
+        _assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_objective_raising_in_every_restart(self, monkeypatch, cpus):
+        # the scan scores rows only, and each restart's first call raises with its own state
+        def objective(P, Q):
+            raise DomainError(f"restart state {P.probs.tolist()}")
+
+        objective.rows = lambda P, Q, floor: (P.probs[:, 0].copy(), np.full(len(P), math.nan))
+        raised = []
+        for workers in (1, cpus):
+            _workers(monkeypatch, workers)
+            with pytest.raises(DomainError, match="^restart state") as err:
+                optimize.optimize_state_pair(objective, self.DETECTORS[3], SearchOptions(restarts=3, seed=0))
+            raised.append(str(err.value))
+            _assert_no_children()
+        assert raised[0] == raised[1]
+
+    @pytest.mark.parametrize("cpus", [1, 3, 8])
+    def test_first_strict_maximum_wins_with_more_workers_than_cores(self, monkeypatch, cpus):
+        # restarts 3, 7, 11 and 15 tie at the largest value; each carries its own state
+        def outcome(i):
+            rho = np.diag([i / 32, 1 - i / 32]).astype(complex)
+            return ExponentValue((i % 4) / 10, i / 16), rho, np.eye(2, dtype=complex) / 2
+
+        _fake_restarts(monkeypatch, 2, 16, outcome)
+        _workers(monkeypatch, cpus)
+        rep = optimize.optimize_state_pair(lambda P, Q: ExponentValue(0.0), self.DETECTORS[2], SearchOptions(restarts=16))
+        assert (rep.value, rep.s_star, rep.restarts_used) == (0.3, 3 / 16, 16)
+        assert rep.optimizer.rho.mat[0, 0] == 3 / 32
+        _assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_infinite_value_ends_the_merge_before_a_later_failure(self, monkeypatch, cpus):
+        # restart 1 is infinite and restart 2 raises: the loop stops at restart 1
+        def outcome(i):
+            if i == 2:
+                raise DomainError("restart 2 failed")
+            return ExponentValue(math.inf if i == 1 else 0.25, 0.5), np.eye(2) / 2, np.eye(2) / 2
+
+        _fake_restarts(monkeypatch, 2, 5, outcome)
+        _workers(monkeypatch, cpus)
+        rep = optimize.optimize_state_pair(lambda P, Q: ExponentValue(0.0), self.DETECTORS[2], SearchOptions(restarts=5))
+        assert math.isinf(rep.value) and rep.s_star == 0.5 and rep.restarts_used == 2
+        _assert_no_children()
+
+    def test_child_without_a_report(self, monkeypatch):
+        # a worker that dies leaves a RuntimeError at its first restart
+        parent = os.getpid()
+
+        def outcome(i):
+            if i == 1 and os.getpid() != parent:
+                os._exit(3)
+            return ExponentValue(0.25), np.eye(2) / 2, np.eye(2) / 2
+
+        _fake_restarts(monkeypatch, 2, 2, outcome)
+        _workers(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="restart 1 exited with status 3 without a report"):
+            optimize.optimize_state_pair(lambda P, Q: ExponentValue(0.0), self.DETECTORS[2], SearchOptions(restarts=2))
+        _assert_no_children()
+
+    def test_interrupted_share_kills_the_children(self, monkeypatch):
+        parent = os.getpid()
+
+        def outcome(i):
+            if os.getpid() == parent:
+                raise _Stop
+            time.sleep(60)
+
+        _fake_restarts(monkeypatch, 2, 3, outcome)
+        _workers(monkeypatch, 3)
+        start = time.monotonic()
+        with pytest.raises(_Stop):
+            optimize.optimize_state_pair(lambda P, Q: ExponentValue(0.0), self.DETECTORS[2], SearchOptions(restarts=3))
+        assert time.monotonic() - start < 30
+        _assert_no_children()
+
+    def test_no_fork_below_two_restarts_or_with_a_thread(self, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        _workers(monkeypatch, 4)
+        p = self.DETECTORS[2]
+        for restarts in (0, 1):
+            zeta_stein(p, SearchOptions(restarts=restarts))
+        assert forks == []
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            zeta_stein(p, SearchOptions(restarts=3))
+        finally:
+            release.set()
+            thread.join()
+        assert forks == []
+        zeta_stein(p, SearchOptions(restarts=3))
+        assert forks == [1, 1]  # two children, this process runs the third share
+        _assert_no_children()
