@@ -26,10 +26,6 @@ _INVPHI = (math.sqrt(5) - 1) / 2  # 1/golden ratio
 # cut's margin as a share of max(1, |cut|)
 SCREEN_STEPS = 32
 SCREEN_MARGIN = 1e-9
-# _chernoff_solve skips its prefetch when max |log p - log q| on the common
-# support is at most this: phi is then flat to round-off, the guess predicts
-# few probes, and the stacked call costs more than it saves
-NEAR_EQUAL_LOG_GAP = 1e-6
 
 
 def induced_sum_tol(d: int) -> float:
@@ -270,24 +266,17 @@ def _chernoff_solve(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     to visit (_golden_probes around _chernoff_guess), and from the scalar
     closure at any other point.  Both give the closure's floats, so every
     value and s* is that of the golden section over the closure alone,
-    whatever the prediction; a wrong one only costs time.  On a near-equal
-    pair, max |log p - log q| <= NEAR_EQUAL_LOG_GAP on the common support,
-    phi's differences are round-off, so there is no guess or stacked call
-    and every probe goes to the closure.
+    whatever the prediction; a wrong one only costs time.
     """
     xtol = 1e-12
     obj = _phi_evaluator(p, q)
     logs = _support_logs(p, q)
-    # a Python max over the list costs half of numpy's 2 us at a few outcomes
-    if max(map(abs, (logs[0] - logs[1]).tolist())) <= NEAR_EQUAL_LOG_GAP:
-        f = obj
-    else:
-        probes = [0.0, 1.0, *_golden_probes(_chernoff_guess(logs[0], logs[1], xtol), xtol)]
-        known = dict(zip(probes, _phi_stacked(np.array(probes), logs)))
+    probes = [0.0, 1.0, *_golden_probes(_chernoff_guess(logs[0], logs[1], xtol), xtol)]
+    known = dict(zip(probes, _phi_stacked(np.array(probes), logs)))
 
-        def f(s: float) -> float:
-            v = known.get(s)
-            return obj(s) if v is None else v
+    def f(s: float) -> float:
+        v = known.get(s)
+        return obj(s) if v is None else v
 
     s_star, f_star = golden_section_min(f, 0.0, 1.0, xtol=xtol)
     f_star = min(f_star, f(0.0), f(1.0))

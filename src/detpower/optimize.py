@@ -22,9 +22,10 @@ other three corners of its square of mixtures ((1-t) rho + t I/d,
 Stein and Hoeffding exponents are jointly convex in the state pair, so no
 point of that square beats its best corner.
 The restarts are independent: on a POSIX system with several CPUs in the
-process's affinity mask, and no thread but the main one alive, they are
-split over os.fork workers, one per CPU, and merged in restart order, so
-every report is the one a sequential loop gives, for any number of CPUs.
+process's affinity mask, and no Python thread but the main one alive,
+they are split over os.fork workers, one per CPU, and merged in restart
+order, so every report is the one a sequential loop gives, for any number
+of CPUs.
 
 Both scans read the proper outcome groupings as membership rows with
 their grouped elements diagonalized, from one generator, _grouping_scan,
@@ -65,11 +66,13 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import mmap
 import numbers
 import os
 import pickle
 import signal
 import threading
+import traceback
 import weakref
 from dataclasses import dataclass
 
@@ -555,12 +558,16 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     (_start_angles), each refined by _restart.  They run on up to one
     worker per CPU in the process's affinity mask (_map_restarts: this
     process and os.fork children, no option; limit them with taskset), and
-    their outcomes are merged in restart order, ending at the first
-    infinite value or at the first restart that raised, whose exception is
-    raised here.  So value, s_star, optimizer and restarts_used are those
-    of one sequential loop, for any number of CPUs.  The objective must
-    therefore be a pure function of (P, Q): whatever it records in a
-    worker stays there.
+    their outcomes are merged in restart order, ending once the best value
+    is infinite or at the first restart that raised, whose exception is
+    raised here (a worker's traceback rides along as a note).  So value,
+    s_star, optimizer and restarts_used are those of one sequential loop,
+    for any number of CPUs.  The objective must therefore be a pure
+    function of (P, Q): whatever it records in a worker stays there.  Only
+    a second Python thread keeps the restarts in this process; native
+    threads, such as a BLAS pool, do not, and on Python 3.12+ os.fork then
+    emits a DeprecationWarning about a multi-threaded process, which is
+    expected.
 
     Deterministic for a fixed seed: candidates are scanned in a fixed order and
     a restart or corner only replaces the incumbent on strict improvement.
@@ -689,47 +696,63 @@ def _restart_workers(n: int) -> int:
     """Workers for n restarts: one per CPU in the process's affinity mask, at most n.
 
     1 (run in this process) when n < 2, when the platform has no os.fork or
-    os.sched_getaffinity, or when another thread is alive, since forking
-    with threads running is unsafe.
+    os.sched_getaffinity, or when another Python thread is alive, since
+    forking with threads running is unsafe.  Native threads are not seen
+    (see optimize_state_pair).
     """
     if n < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
     return min(n, len(os.sched_getaffinity(0)))
 
 
-def _run_share(run, starts: list) -> list:
-    """run(start) for each start in turn, up to and including the first infinite value or Exception."""
+def _run_share(run, starts: list, first: int, step: int, stops) -> list:
+    """run(starts[i]) for i = first, first + step, ... in turn; a list of outcomes.
+
+    A share ends after a restart that raised an Exception or reached +inf,
+    and marks that restart in stops, one byte per restart shared by every
+    worker.  It also ends before restart i once any earlier restart is
+    marked.  A merge in restart order ends at or before a marked restart
+    (+inf is never improved on, and an Exception is raised), so the
+    restarts a share skips are never read.
+    """
     outcomes = []
-    for params in starts:
-        try:
-            outcome = run(params)
-        except Exception as exc:
-            outcomes.append(exc)
+    for i in range(first, len(starts), step):
+        if stops.find(b"\1", 0, i) >= 0:
             break
+        try:
+            outcome = run(starts[i])
+        except Exception as exc:
+            outcome = exc
         outcomes.append(outcome)
-        if outcome[0].infinite:
+        if isinstance(outcome, Exception) or outcome[0].value == math.inf:
+            stops[i] = 1
             break
     return outcomes
 
 
 def _map_restarts(run, starts: list) -> list:
-    """_run_share(run, starts) run on W = _restart_workers(len(starts)) workers; a list by restart.
+    """_run_share(run, ...) on W = _restart_workers(len(starts)) workers; a list by restart.
 
     Worker w takes starts w, w + W, ...: this process runs share 0 and an
     os.fork child runs each other share, sends its outcomes back as one
-    pickle through a pipe and leaves by os._exit.  Every child is read and
-    reaped before this returns or raises, and killed first if this process's
-    own share was interrupted; a share that could not be forked runs here.
-    Entry i is restart i's (ExponentValue, rho_mat, sigma_mat), the
-    Exception it raised, or None past the end of its share.  A child that
-    exits without a report (its outcome could not be pickled, or it was
-    killed) leaves a RuntimeError at its first restart.  So a merge in
-    restart order that stops at the first infinite value or Exception
-    reads only run outcomes, and sees what one sequential loop sees.
+    pickle through a pipe and leaves by os._exit.  A child's Exception
+    carries its traceback as a note, since pickling drops it.  Every child
+    is read and reaped before this returns or raises, and killed first if
+    this process's own share was interrupted; a share that could not be
+    forked runs here.  When a share ends early, the others stop before
+    their next restart past it, so the wait is at most one restart per
+    child.  Entry i is restart i's (ExponentValue, rho_mat, sigma_mat), the
+    Exception it raised, or None if it was not run.  A child that exits
+    without a report (its outcome could not be pickled, or it was killed)
+    leaves a RuntimeError at its first restart.  So a merge in restart
+    order that stops at the first +inf value or Exception reads only run
+    outcomes, and sees what one sequential loop sees.
     """
     n = len(starts)
     workers = _restart_workers(n)
     outcomes = [None] * n
+    # one byte per restart, zero-filled; the anonymous map is shared with the children
+    stops = bytearray(n) if workers < 2 else mmap.mmap(-1, n)
     local, children, reports = [0], [], []
     done = False
     try:
@@ -747,7 +770,12 @@ def _map_restarts(run, starts: list) -> list:
                 try:
                     os.close(fd_in)
                     gc.disable()  # no finalizer of the parent's garbage runs twice
-                    data = pickle.dumps(_run_share(run, starts[w::workers]), pickle.HIGHEST_PROTOCOL)
+                    share = _run_share(run, starts, w, workers, stops)
+                    if share and isinstance(share[-1], Exception):
+                        exc, i = share[-1], w + (len(share) - 1) * workers
+                        text = "".join(traceback.format_exception(exc))
+                        exc.__notes__ = [*getattr(exc, "__notes__", []), f"raised in the worker of restart {i}:\n{text}"]
+                    data = pickle.dumps(share, pickle.HIGHEST_PROTOCOL)
                     with open(fd_out, "wb") as fh:
                         fh.write(data)
                     status = 0
@@ -756,7 +784,7 @@ def _map_restarts(run, starts: list) -> list:
             os.close(fd_out)
             children.append((w, pid, fd_in))
         for w in local:
-            for i, outcome in zip(range(w, n, workers), _run_share(run, starts[w::workers])):
+            for i, outcome in zip(range(w, n, workers), _run_share(run, starts, w, workers, stops)):
                 outcomes[i] = outcome
         done = True
     finally:

@@ -525,29 +525,6 @@ class TestPrefetchedSolve:
         assert channel._chernoff_solve(p, q) == oracles.chernoff_golden(p, q)
         assert len(plain) == 60 and len(scalar) < len(plain) / 2
 
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-9, 1e-7, 4e-7, 1e-3, 0.5], ids=str)
-    def test_near_equal_pairs_skip_the_prefetch(self, monkeypatch, seed, gap):
-        rng = np.random.default_rng(seed)
-        p = rng.dirichlet(np.ones(2 + seed))
-        if seed % 3 == 0:
-            p[0] = 0.0  # an outcome outside the common support
-            p /= p.sum()
-        # log q - log p = gap u - log(sum), |u| < 1: at most 2 gap on the common support
-        q = p * np.exp(gap * rng.uniform(-1.0, 1.0, len(p)))
-        q /= q.sum()
-        mask = (p > 0) & (q > 0)
-        near = np.abs(np.log(p[mask]) - np.log(q[mask])).max() <= channel.NEAR_EQUAL_LOG_GAP
-        assert near or gap > 4e-7
-        stacked = []
-        phi_stacked = channel._phi_stacked
-        monkeypatch.setattr(channel, "_phi_stacked", lambda s, logs: stacked.append(1) or phi_stacked(s, logs))
-        got = channel._chernoff_solve(p, q)
-        assert [x.hex() for x in got] == [x.hex() for x in oracles.chernoff_golden(p, q)]
-        assert stacked == ([] if near else [1])
-        values, s = chernoff_rows(p[None], q[None])
-        assert (values[0].hex(), s[0].hex()) == tuple(x.hex() for x in got)
-
 
 class TestRowForms:
     """One call scores every row pair of two stacks, with the per-pair floats."""
