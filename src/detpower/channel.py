@@ -26,6 +26,16 @@ _INVPHI = (math.sqrt(5) - 1) / 2  # 1/golden ratio
 # cut's margin as a share of max(1, |cut|)
 SCREEN_STEPS = 32
 SCREEN_MARGIN = 1e-9
+# chernoff_rows solves a support-size block of at least this many rows in
+# lockstep (_golden_rows), and fewer one row at a time (_chernoff_solve): at
+# m = 4 the lockstep costs about 1.0 ms at 4-34 rows and a row solve 0.15 ms,
+# so the lockstep pays from about 7 rows
+LOCKSTEP_ROWS = 8
+# _chernoff_estimator's Newton steps: at most ESTIMATE_STEPS, and a step of
+# at most ESTIMATE_XTOL ends them, its quadratic model within about the
+# step's cube (1e-18) of phi's minimum
+ESTIMATE_STEPS = 20
+ESTIMATE_XTOL = 1e-6
 
 
 def induced_sum_tol(d: int) -> float:
@@ -185,7 +195,7 @@ def phi(s: float, p_dist, q_dist) -> float:
     p, q = _pair(p_dist, q_dist)
     if not np.any((p > 0) & (q > 0)):
         return -math.inf
-    return _phi_evaluator(p, q)(s)
+    return _phi_evaluator(*_support_logs(p, q))(s)
 
 
 def golden_section_min(f, a: float, b: float, xtol: float = 1e-12):
@@ -212,24 +222,19 @@ def _support_logs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.log(np.array([p[mask], q[mask]]))
 
 
-def _phi_evaluator(p: np.ndarray, q: np.ndarray):
-    """Fast phi(s) closure with logs precomputed on the common support.
+def _phi_evaluator(lp: np.ndarray, lq: np.ndarray):
+    """Fast phi(s) closure from the logs of P and Q on their common support (_support_logs).
 
-    Each call writes s*lp and (1-s)*lq with one multiply of a (2, 1) buffer
-    holding (s, 1 - s) into the logs, then their sum and its exp, into
-    scratch arrays the closure owns, with the ufuncs and order of
+    Each call writes s*lp and (1-s)*lq into scratch arrays the closure owns,
+    then their sum and its exp, with the ufuncs and order of
     log(sum(exp(s*lp + (1-s)*lq))), so the floats are the same.  Because of
     those buffers, one closure must not be shared across threads.
     """
-    logs = _support_logs(p, q)
-    w = np.empty((2, 1))
-    t = np.empty_like(logs)
-    t0, t1 = t
+    t0, t1 = np.empty_like(lp), np.empty_like(lq)
 
     def f(s: float) -> float:
-        w[0, 0] = s
-        w[1, 0] = 1.0 - s
-        np.multiply(w, logs, out=t)
+        np.multiply(lp, s, out=t0)
+        np.multiply(lq, 1.0 - s, out=t1)
         np.add(t0, t1, out=t0)
         np.exp(t0, out=t0)
         v = float(np.log(np.add.reduce(t0)))
@@ -269,8 +274,8 @@ def _chernoff_solve(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     whatever the prediction; a wrong one only costs time.
     """
     xtol = 1e-12
-    obj = _phi_evaluator(p, q)
     logs = _support_logs(p, q)
+    obj = _phi_evaluator(*logs)
     probes = [0.0, 1.0, *_golden_probes(_chernoff_guess(logs[0], logs[1], xtol), xtol)]
     known = dict(zip(probes, _phi_stacked(np.array(probes), logs)))
 
@@ -335,9 +340,45 @@ def _golden_probes(guess: float, xtol: float) -> list[float]:
     return probes
 
 
+def _chernoff_estimator():
+    """A cheap estimate f(p, q) of chernoff_exponent(p, q).value, for predicting a search's probes.
+
+    p and q are raw 1-D arrays.  Newton steps on phi'(s) = 0 (_tilted),
+    clipped to [0, 1], start from the s of the closure's previous call, so a
+    run of nearby pairs takes a step or two each; a linear phi steps to its
+    lower end.  Once a step moves s by at most ESTIMATE_XTOL, the estimate
+    is minus phi's quadratic model at the end of that step, whose error is
+    of the order of the step's cube, clamped at 0 as the values are.  Its
+    floats are not the solve's, only close to them.
+    """
+    s = 0.5
+
+    def f(p: np.ndarray, q: np.ndarray) -> float:
+        nonlocal s
+        mask = (p > 0) & (q > 0)
+        if not mask.any():
+            return math.inf
+        lp, lq = np.log(p[mask]), np.log(q[mask])
+        llr = lp - lq
+        for _ in range(ESTIMATE_STEPS):
+            phi_s, df, d2f = _tilted(s, lp, lq, llr)
+            target = s - df / d2f if d2f > 0.0 else (1.0 if df < 0.0 else 0.0)  # a linear phi: its lower end
+            step = min(max(target, 0.0), 1.0) - s
+            if abs(step) <= ESTIMATE_XTOL:
+                break
+            s += step
+        return max(-(phi_s + step * (df + 0.5 * d2f * step)), 0.0)
+
+    return f
+
+
 def relative_entropy(p_dist, q_dist) -> float:
     """D(P||Q) in nats; +inf when supp(P) is not contained in supp(Q)."""
-    p, q = _pair(p_dist, q_dist)
+    return _relative_entropy(*_pair(p_dist, q_dist))
+
+
+def _relative_entropy(p: np.ndarray, q: np.ndarray) -> float:
+    """relative_entropy of two 1-D arrays, unchecked."""
     sup = p > 0
     if np.any(sup & (q == 0)):
         return math.inf
@@ -351,8 +392,9 @@ def relative_entropy(p_dist, q_dist) -> float:
 # per-pair function reduces, on which np.log, np.exp and
 # np.add.reduce(axis=1) round like their 1-D calls.  Rows padded with zeros
 # would not: from 8 entries on add.reduce sums in 8 lanes, so a zero moves
-# the last bit.  chernoff_rows only screens its blocks; it scores each row
-# it keeps with the per-pair solver.
+# the last bit.  chernoff_rows screens its blocks, then solves the rows it
+# keeps of a block in lockstep when they are at least LOCKSTEP_ROWS, and
+# with the per-pair solver otherwise.
 
 
 def _support_blocks(p_rows, q_rows):
@@ -374,6 +416,49 @@ def _support_blocks(p_rows, q_rows):
         on = slice(None) if c == p.shape[1] else support[rows]
         blocks.append((rows, p[rows][on].reshape(-1, c), q[rows][on].reshape(-1, c)))
     return p, q, sizes, blocks
+
+
+def _phi_rows(s: np.ndarray, lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
+    """_phi_evaluator's phi at s[k] for each row k of the logs; s is a column."""
+    t = s * lp
+    t += (1.0 - s) * lq
+    np.exp(t, out=t)
+    f = np.log(np.add.reduce(t, axis=1, keepdims=True))
+    return np.minimum(f, 0.0)  # log never gives -0.0 or NaN here, so this is min(f, 0.0)
+
+
+def _golden_rows(lp: np.ndarray, lq: np.ndarray, xtol: float = 1e-12):
+    """golden_section_min(phi_k, 0, 1, xtol) for every row k, in lockstep.
+
+    Each row takes the same branch and the same probe points as the scalar
+    loop and leaves it when its own |d - c| <= xtol.  Returns the columns
+    (s_k, phi_k(s_k)).
+    """
+    n = len(lp)
+    s_out, f_out = np.empty((n, 1)), np.empty((n, 1))
+    live = np.arange(n)
+    a, b = np.zeros((n, 1)), np.ones((n, 1))
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = _phi_rows(c, lp, lq), _phi_rows(d, lp, lq)
+    while len(live):
+        go = np.abs(d - c) > xtol
+        if not go.all():
+            stop = ~go[:, 0]
+            x = (a[stop] + b[stop]) / 2
+            s_out[live[stop]] = x
+            f_out[live[stop]] = _phi_rows(x, lp[stop], lq[stop])
+            keep = go[:, 0]
+            live, a, b, c, d, fc, fd, lp, lq = (v[keep] for v in (live, a, b, c, d, fc, fd, lp, lq))
+        left = fc < fd  # the scalar loop's branch: keep [a, d], else [c, b]
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        w = _INVPHI * (b - a)
+        x = np.where(left, b - w, a + w)
+        fx = _phi_rows(x, lp, lq)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    return s_out, f_out
 
 
 def _tilted_rows(s: np.ndarray, lp: np.ndarray, lq: np.ndarray, llr: np.ndarray):
@@ -441,9 +526,13 @@ def chernoff_rows(p_rows, q_rows, floor: float | None = None):
     """chernoff_exponent(P[k], Q[k]) for every row k, with the same floats.
 
     Returns the float arrays (values, s), with s NaN where optimizer_s is
-    None: a row with disjoint supports gives (inf, NaN).  Every row it keeps
-    is scored by chernoff_exponent's own solver (_chernoff_solve) on the
-    checked row, which is not checked again.
+    None: a row with disjoint supports gives (inf, NaN).  The rows it keeps
+    of a support-size block are solved in lockstep when they number at least
+    LOCKSTEP_ROWS: golden_section_min's iteration on every row at once
+    (_golden_rows), then the same min over s = 0 and 1, the same clamp and
+    the same clip as chernoff_exponent.  Fewer are each scored by
+    chernoff_exponent's own solver (_chernoff_solve) on the checked row,
+    which is not checked again.
 
     With a floor, only the rows that can still reach the largest value or
     the floor are scored; the others give (-inf, NaN).  The screen covers
@@ -462,14 +551,22 @@ def chernoff_rows(p_rows, q_rows, floor: float | None = None):
     """
     p, q, sizes, blocks = _support_blocks(p_rows, q_rows)
     values, s_star = np.where(sizes == 0, math.inf, -math.inf), np.full(len(sizes), math.nan)
-    keep = sizes > 0
+    blocks = [(rows, np.log(pb), np.log(qb)) for rows, pb, qb in blocks]
     if floor is not None:  # a disjoint row's inf is a lower bound too
-        bounds = [_exponent_bounds(np.log(pb), np.log(qb), floor if sizes.all() else math.inf) for _, pb, qb in blocks]
+        bounds = [_exponent_bounds(lp, lq, floor if sizes.all() else math.inf) for _, lp, lq in blocks]
         cut = max((c for *_, c in bounds), default=math.inf)
-        for (rows, *_), (_, hi, _) in zip(blocks, bounds):
-            keep[rows] = np.maximum(hi, 0.0) >= cut
-    for k in np.flatnonzero(keep).tolist():
-        values[k], s_star[k] = _chernoff_solve(p[k], q[k])
+        keep = [np.maximum(hi, 0.0) >= cut for _, hi, _ in bounds]
+        blocks = [(rows[k], lp[k], lq[k]) for (rows, lp, lq), k in zip(blocks, keep)]
+    for rows, lp, lq in blocks:
+        if len(rows) < LOCKSTEP_ROWS:
+            for k in rows.tolist():
+                values[k], s_star[k] = _chernoff_solve(p[k], q[k])
+            continue
+        s, f = _golden_rows(lp, lq)
+        f = np.minimum(f, _phi_rows(np.zeros_like(s), lp, lq))
+        f = np.minimum(f, _phi_rows(np.ones_like(s), lp, lq))
+        values[rows] = np.maximum(-f[:, 0], 0.0) + 0.0
+        s_star[rows] = np.clip(s[:, 0], 0.0, 1.0)
     return values, s_star
 
 

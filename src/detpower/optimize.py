@@ -25,7 +25,11 @@ The restarts are independent: on a POSIX system with several CPUs in the
 process's affinity mask, and no Python thread but the main one alive,
 they are split over os.fork workers, one per CPU, and merged in restart
 order, so every report is the one a sequential loop gives, for any number
-of CPUs.
+of CPUs.  Within a restart, a line search of an objective with a surrogate
+(zeta_chernoff's and zeta_stein's) is predicted on the surrogate, scored at
+its predicted probes in one stacked call and replayed on those values
+(_predicted_values), so it visits the probes and keeps the floats of the
+line search scored one probe at a time.
 
 Both scans read the proper outcome groupings as membership rows with
 their grouped elements diagonalized, from one generator, _grouping_scan,
@@ -35,8 +39,9 @@ projectors it converts in one stacked induced_probs call and scores in one
 row-wise call, rows(P_stack, Q_stack, floor) -> (values, s), with the
 incumbent as floor.
 zeta_chernoff's row form, channel.chernoff_rows, screens every row with one
-cut rule and scores, with chernoff_exponent's own solver, only the rows
-whose certified upper bound reaches the cut: max(incumbent, inf if some
+cut rule and scores, with chernoff_exponent's floats (in lockstep for a
+support-size block of at least channel.LOCKSTEP_ROWS kept rows), only the
+rows whose certified upper bound reaches the cut: max(incumbent, inf if some
 row's supports are disjoint, best certified lower bound) less a margin far
 above round-off; the others score -inf.  A dropped row's value lies below
 the incumbent, which a chunk must beat, or below the chunk's first largest
@@ -81,7 +86,9 @@ import numpy as np
 from .channel import (
     ClassicalDistribution,
     ExponentValue,
+    _chernoff_estimator,
     _pair_rows,
+    _relative_entropy,
     chernoff_exponent,
     chernoff_rows,
     golden_section_min,
@@ -123,6 +130,8 @@ SCAN_CHUNK = 384
 # and a pass that gains less than REFINE_TOL ends the refinement
 REFINE_PASSES = 4
 REFINE_TOL = 1e-10
+# each line search's golden-section tolerance on its angle
+LINE_XTOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -456,6 +465,23 @@ def _pure_mat(params: np.ndarray, d: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _pure_mats(params: np.ndarray, d: int) -> np.ndarray:
+    """The (L, d, d) projectors _pure_mat(params[r], d) of the rows of an (L, 2(d-1)) array, with its bytes.
+
+    _pure_vec's products in its order, one column at a time, with its libm
+    cosines and sines, then its complex exp and the outer products, each an
+    elementwise ufunc that rounds every entry as the one-row call does.
+    """
+    amps = np.ones((len(params), d))
+    for i in range(d - 1):
+        th = params[:, i].tolist()
+        amps[:, i] *= [math.cos(t) for t in th]
+        amps[:, i + 1 :] *= np.array([math.sin(t) for t in th])[:, None]
+    v = amps.astype(complex)
+    v[:, 1:] *= np.exp(1j * params[:, d - 1 :])
+    return v[:, :, None] * v.conj()[:, None, :]
+
+
 def _candidate_bases(p: Povm):
     """Eigenbases of grouped elements (small m) or of single elements (large m).
 
@@ -555,7 +581,14 @@ def optimize_state_pair(objective, p: Povm, opts: SearchOptions | None = None) -
     whole square; for any objective the result is still an achievable value.
 
     The restarts start from angles drawn up front from the seeded rng
-    (_start_angles), each refined by _restart.  They run on up to one
+    (_start_angles), each refined by _restart's line searches, one angle at
+    a time, which take NaN and -inf as the worst values and +inf as the
+    best (_descent).  When the objective carries a surrogate, as
+    zeta_chernoff's and zeta_stein's do, each line search is predicted on
+    it, its predicted probes are scored exactly in one stacked call and it
+    is replayed on those values, scoring a probe the prediction missed by
+    itself; other objectives are scored one probe at a time.  Either way
+    every value is objective(P, Q)'s.  They run on up to one
     worker per CPU in the process's affinity mask (_map_restarts: this
     process and os.fork children, no option; limit them with taskset), and
     their outcomes are merged in restart order, ending once the best value
@@ -657,13 +690,22 @@ def _restart(objective, p: Povm, params: np.ndarray):
 
     params holds rho's 2(d-1) angles of _pure_vec, then sigma's; it is
     refined in place.  Returns (ExponentValue, rho_mat, sigma_mat) of the
-    refined pair.
+    refined pair.  Each line search minimizes _descent of the objective's
+    value along one angle.  When the objective carries a surrogate, the
+    search first reads its values from _predicted_values, the exact values
+    at the probes it is predicted to visit; a probe it visits off the
+    prediction is scored on its own, as is every probe when the prediction
+    raised.  Every probe's value is objective(P, Q)'s, so every float, and
+    any exception, is that of the line searches without a prediction.
     """
     d = p.dim
     dist, score = _scorer(objective, p)
+    surrogate = getattr(objective, "surrogate", None)
     n = 2 * (d - 1)
     halves = (slice(0, n), slice(n, 2 * n))  # rho's angles, then sigma's
     cur = score(*(_pure_mat(params[h], d) for h in halves)).value
+    if math.isnan(cur):  # NaN never counts, so any value improves on it
+        cur = -math.inf
     width = math.pi / 2
     for _ in range(REFINE_PASSES):
         improved = 0.0
@@ -676,11 +718,21 @@ def _restart(objective, p: Povm, params: np.ndarray):
             def along(x, side=side, k=k, moved=moved, pair=pair):
                 moved[k] = x
                 pair[side] = dist(_pure_mat(moved, d))
-                v = objective(*pair).value
-                return -v if math.isfinite(v) else -1e300
+                return _descent(objective(*pair).value)
 
             x0 = params[idx]
-            x, negv = golden_section_min(along, x0 - width, x0 + width, xtol=1e-7)
+            line = along
+            if surrogate is not None:
+                try:
+                    known = _predicted_values(objective, p, pair[1 - side], side, moved, k, x0 - width, x0 + width)
+                except Exception:  # a probe the search may never visit: those it visits raise in along
+                    known = {}
+
+                def line(x, known=known, along=along):
+                    v = known.get(x)
+                    return along(x) if v is None else v
+
+            x, negv = golden_section_min(line, x0 - width, x0 + width, xtol=LINE_XTOL)
             if -negv > cur:
                 improved += -negv - cur
                 cur = -negv
@@ -690,6 +742,71 @@ def _restart(objective, p: Povm, params: np.ndarray):
             break
     rho_mat, sigma_mat = (_pure_mat(params[h], d) for h in halves)
     return score(rho_mat, sigma_mat), rho_mat, sigma_mat
+
+
+def _descent(v: float) -> float:
+    """The value a line search minimizes for an objective value v: -v, with
+    +inf as -1e300, the best, and NaN or -inf as +1e300, the worst."""
+    if math.isfinite(v):
+        return -v
+    return -1e300 if v > 0.0 else 1e300
+
+
+def _line_form(p: Povm, angles: np.ndarray, k: int) -> np.ndarray:
+    """(6, m) coefficients A with induced_probs(p, state(x)) = b(x) @ A, up to round-off.
+
+    state(x) is the projector onto _pure_vec(angles with angle k at x).
+    Along any one angle, polar or phase, that vector is u0 + u1 cos x +
+    u2 sin x, read off at x = 0, pi/2 and pi, so P_j(x) = c^T G_j c with
+    c = (1, cos x, sin x) and G_j = Re(u^dagger E_j u), and
+    b(x) = (1, cos x, sin x, cos^2 x, sin^2 x, cos x sin x).
+    """
+    d = p.dim
+    at = angles.copy()
+    ends = []
+    for x in (0.0, math.pi / 2, math.pi):
+        at[k] = x
+        ends.append(_pure_vec(at, d))
+    v0, v1, v2 = ends
+    u = np.array([(v0 + v2) / 2, (v0 - v2) / 2, v1 - (v0 + v2) / 2])  # u0, u1, u2
+    g = np.einsum("ia,kab,jb->kij", u.conj(), p.stacked(), u).real
+    return np.stack([g[:, 0, 0], 2 * g[:, 0, 1], 2 * g[:, 0, 2], g[:, 1, 1], g[:, 2, 2], 2 * g[:, 1, 2]])
+
+
+def _predicted_values(objective, p: Povm, fixed, side: int, moved: np.ndarray, k: int, a, b) -> dict:
+    """{x: _descent(objective(P, Q).value)} at the probes of golden_section_min on [a, b]
+    as objective.surrogate predicts them.
+
+    The moving state, side 0 (rho) or 1 (sigma), has the angles moved with
+    angle k at x; the other state's distribution is fixed.  predict:
+    golden_section_min runs on the surrogate's estimate, with the moving
+    state's distribution from its closed form along the line (_line_form)
+    and the fixed one as it is.  batch: the probes' states are built in one
+    stack (_pure_mats), converted in one induced_probs call, checked as one
+    ClassicalDistribution stack with the fixed row, and scored in one
+    objective.rows call.  Each value is the objective's own float, whatever
+    the surrogate returned.
+    """
+    form = _line_form(p, moved, k)
+    other = fixed.probs
+    estimate = objective.surrogate()
+    probes = []
+
+    def predict(x):
+        probes.append(x)
+        c, s = math.cos(x), math.sin(x)
+        moving = np.maximum(np.array([1.0, c, s, c * c, s * s, c * s]) @ form, 0.0)
+        return _descent(estimate(moving, other) if side == 0 else estimate(other, moving))
+
+    golden_section_min(predict, a, b, xtol=LINE_XTOL)
+    angles = np.repeat(moved[None], len(probes), axis=0)
+    angles[:, k] = probes
+    states = induced_probs(p, _pure_mats(angles, p.dim))
+    both = ClassicalDistribution(np.concatenate([states, other[None]]), induced_sum_tol(p.dim))
+    stacks = [None, None]
+    stacks[side], stacks[1 - side] = both[: len(probes)], both[np.full(len(probes), len(probes))]
+    values = objective.rows(*stacks, None)[0]
+    return dict(zip(probes, map(_descent, values.tolist())))
 
 
 def _restart_workers(n: int) -> int:
@@ -821,19 +938,23 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def _row_scored(pair, rows):
-    """The objective pair(P, Q), carrying its row form for the basis scan.
+def _row_scored(pair, rows, surrogate=None):
+    """The objective pair(P, Q), carrying its row form and its surrogate.
 
-    The scan calls rows(P_stack, Q_stack, floor) with the incumbent as
+    The basis scan calls rows(P_stack, Q_stack, floor) with the incumbent as
     floor.  rows may give -inf for a row whose value lies below floor or
     below the stack's first largest value (as chernoff_rows does), since
-    neither changes what the scan keeps, or it may ignore floor.
+    neither changes what the scan keeps, or it may ignore floor; with floor
+    None it scores every row.  surrogate(), if given, makes a cheap estimate
+    f(p, q) of pair's value on raw 1-D arrays, with which the restarts' line
+    searches predict their probes (_predicted_values).
     """
 
     def objective(P, Q):
         return pair(P, Q)
 
     objective.rows = rows
+    objective.surrogate = surrogate
     return objective
 
 
@@ -858,7 +979,7 @@ def _convex_search(objective, p: Povm, opts: SearchOptions | None) -> PowerRepor
 
 def zeta_chernoff(p: Povm, opts: SearchOptions | None = None) -> PowerReport:
     """Asymptotic symmetric-error exponent of the detector (dual Chernoff)."""
-    return _convex_search(_row_scored(chernoff_exponent, chernoff_rows), p, opts)
+    return _convex_search(_row_scored(chernoff_exponent, chernoff_rows, _chernoff_estimator), p, opts)
 
 
 def zeta_stein(p: Povm, opts: SearchOptions | None = None) -> PowerReport:
@@ -867,6 +988,7 @@ def zeta_stein(p: Povm, opts: SearchOptions | None = None) -> PowerReport:
         _row_scored(
             lambda P, Q: ExponentValue(relative_entropy(P, Q)),
             lambda P, Q, floor: (relative_entropy_rows(P, Q), np.full(len(P), math.nan)),
+            lambda: _relative_entropy,
         ),
         p,
         opts,

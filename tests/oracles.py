@@ -11,6 +11,9 @@ it alone, which the solve that prefetches its probes must match bit for
 bit.  eig_hermitian_2d decomposes one matrix by itself, as eig_hermitian did
 before a matrix became a stack of one, and mixed_line_search is the
 golden-section --mixed refinement that the corner check replaced.
+restart_sequential is one restart's coordinate-wise golden sections scored
+one probe at a time, as optimize._restart ran before it read predicted
+probes from one stacked call.
 iid_ml_error decides the i.i.d. ML test type by type in exact rational
 arithmetic, so its ties are exact, and counts the accepted sequences as an
 exact int (multinomial over compositions).  checked_probs checks one flattened
@@ -45,6 +48,7 @@ from detpower.channel import (
 )
 from detpower.closed_forms import COVARIANT_DIRECTIONS, fibonacci_covariant_discretization
 from detpower.core import TOL_HERM, DensityMatrix, eig_hermitian
+from detpower.optimize import REFINE_PASSES, REFINE_TOL, _pure_mat, _scorer
 from detpower.errors import DomainError, StructuralError
 
 
@@ -386,3 +390,45 @@ def dense_adaptive(p, candidates, n):
                 nxt[hist + (k,)] = (node * len(pairs) + pair) * m + k
         nodes = nxt
     return 0.5 * float(value[0]), dict(sorted(choices.items()))
+
+
+def restart_sequential(objective, p, params):
+    """(ExponentValue, rho_mat, sigma_mat) of one restart from the angles params,
+    refined in place: coordinate-wise golden sections whose every probe is
+    scored by objective(P, Q), with -v minimized, +inf as -1e300 and NaN or
+    -inf as +1e300, and a NaN start value counted as -inf."""
+    d = p.dim
+    dist, score = _scorer(objective, p)
+    n = 2 * (d - 1)
+    halves = (slice(0, n), slice(n, 2 * n))
+    cur = score(*(_pure_mat(params[h], d) for h in halves)).value
+    if math.isnan(cur):
+        cur = -math.inf
+    width = math.pi / 2
+    for _ in range(REFINE_PASSES):
+        improved = 0.0
+        for idx in range(2 * n):
+            side, k = divmod(idx, n)
+            moved = params[halves[side]].copy()
+            pair = [None, None]
+            pair[1 - side] = dist(_pure_mat(params[halves[1 - side]], d))
+
+            def along(x, side=side, k=k, moved=moved, pair=pair):
+                moved[k] = x
+                pair[side] = dist(_pure_mat(moved, d))
+                v = objective(*pair).value
+                if math.isfinite(v):
+                    return -v
+                return -1e300 if v > 0.0 else 1e300
+
+            x0 = params[idx]
+            x, negv = golden_section_min(along, x0 - width, x0 + width, xtol=1e-7)
+            if -negv > cur:
+                improved += -negv - cur
+                cur = -negv
+                params[idx] = x
+        width *= 0.5
+        if improved < REFINE_TOL:
+            break
+    rho_mat, sigma_mat = (_pure_mat(params[h], d) for h in halves)
+    return score(rho_mat, sigma_mat), rho_mat, sigma_mat

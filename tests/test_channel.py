@@ -424,7 +424,7 @@ class TestPhi:
         # one closure called over ss and back again: its scratch buffers carry
         # nothing from one call to the next, and every float is the oracle's
         p, q = pair
-        f, ref = _phi_evaluator(p, q), oracles.phi_closure(p, q)
+        f, ref = _phi_evaluator(*channel._support_logs(p, q)), oracles.phi_closure(p, q)
         calls = ss + ss[::-1]
         assert [f(s).hex() for s in calls] == [ref(s).hex() for s in calls]
 
@@ -485,7 +485,7 @@ class TestPrefetchedSolve:
         # from 8 entries add.reduce sums in 8 lanes; the rows must sum like the 1-D calls
         p, q = pair
         ss = ss + channel._golden_probes(guess, 1e-12)
-        f, ref = _phi_evaluator(p, q), oracles.phi_closure(p, q)
+        f, ref = _phi_evaluator(*channel._support_logs(p, q)), oracles.phi_closure(p, q)
         got = channel._phi_stacked(np.array(ss), channel._support_logs(p, q))
         assert [v.hex() for v in got] == [f(s).hex() for s in ss] == [ref(s).hex() for s in ss]
 
@@ -690,6 +690,77 @@ class TestChernoffScreen:
         monkeypatch.setattr(channel, "golden_section_min", lambda *args, **kw: calls.append(1) or solve(*args, **kw))
         values, _ = chernoff_rows(p, q, floor)
         assert len(calls) == np.isfinite(values).sum()
+
+
+@st.composite
+def lockstep_stacks(draw):
+    """Two (L, c) stacks whose full-support rows make one block of LOCKSTEP_ROWS - 1,
+    LOCKSTEP_ROWS or more rows, c in 1-29, independent, near-equal or equal,
+    with extra rows holding zeros (smaller blocks) or disjoint supports."""
+    c = draw(st.integers(1, 29))
+    n = channel.LOCKSTEP_ROWS + draw(st.sampled_from([-1, 0, 1, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.uniform(1e-9, 1.0, (n, c)) ** draw(st.sampled_from([1, 8]))
+    kind = draw(st.sampled_from(["independent", "near", "equal"]))
+    q = {"independent": rng.uniform(1e-9, 1.0, (n, c)), "near": p * (1.0 + rng.uniform(-1e-9, 1e-9, (n, c))), "equal": p}[kind]
+    extra_p, extra_q = rng.uniform(0.05, 1.0, (2, draw(st.integers(0, 3)), c))
+    if c > 1:
+        extra_p[:, 0] = 0.0
+        extra_q[1::2, 1:] = 0.0  # every other extra row has disjoint supports
+    p, q = np.concatenate([p, extra_p]), np.concatenate([q, extra_q])
+    order = rng.permutation(len(p))
+    return p[order] / p[order].sum(axis=1, keepdims=True), q[order] / q[order].sum(axis=1, keepdims=True)
+
+
+class TestLockstepBlocks:
+    """chernoff_rows solves a block of at least LOCKSTEP_ROWS kept rows in
+    lockstep and a smaller one row by row, with the floats of the per-pair
+    golden section either way."""
+
+    @given(stacks=lockstep_stacks())
+    def test_rows_match_plain_golden_section(self, stacks):
+        values, s = chernoff_rows(*stacks)
+        for p, q, v, x in zip(*stacks, values, s):
+            if np.any((p > 0) & (q > 0)):
+                assert (v.hex(), x.hex()) == tuple(y.hex() for y in oracles.chernoff_golden(p, q))
+            else:
+                assert v == math.inf and math.isnan(x)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("extra", [-1, 0, 5])
+    def test_lockstep_from_the_row_count(self, monkeypatch, extra, tied):
+        # tied rows all reach the screen's cut under a floor, so all are kept
+        rng = np.random.default_rng(4)
+        n = channel.LOCKSTEP_ROWS + extra
+        p, q = (rng.uniform(0.05, 1.0, (1 if tied else n, 4)) for _ in range(2))
+        p, q = (np.repeat(x / x.sum(axis=1, keepdims=True), n // len(x), axis=0) for x in (p, q))
+        plain = chernoff_rows(p, q)[0]
+        locksteps = []
+        solve = channel._golden_rows
+        monkeypatch.setattr(channel, "_golden_rows", lambda lp, lq: locksteps.append(len(lp)) or solve(lp, lq))
+        values, _ = chernoff_rows(p, q, float(plain[0]) - 1.0 if tied else None)
+        assert locksteps == ([n] if n >= channel.LOCKSTEP_ROWS else [])
+        assert values.tobytes() == plain.tobytes()
+
+
+class TestEstimates:
+    """The restarts' surrogates estimate the exponents closely, on raw arrays."""
+
+    @given(pair=solver_pairs())
+    def test_chernoff_estimate_is_close(self, pair):
+        p, q = pair
+        want = chernoff_exponent(p, q).value
+        f = channel._chernoff_estimator()
+        for _ in range(2):  # from s = 1/2, then from the minimizer it reached
+            assert abs(f(p, q) - want) <= 1e-12 * max(1.0, want)
+
+    def test_chernoff_estimate_of_disjoint_supports(self):
+        assert channel._chernoff_estimator()(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == math.inf
+
+    @given(stacks=row_stacks())
+    def test_raw_relative_entropy_has_the_checked_floats(self, stacks):
+        for p, q in zip(*stacks):
+            assert _hex(channel._relative_entropy(p, q)) == _hex(relative_entropy(p, q))
 
 
 class TestRelativeEntropy:

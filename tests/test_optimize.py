@@ -610,9 +610,10 @@ def _real_povm(rng, m):
     return Povm(tuple((inv_sqrt @ a @ inv_sqrt).astype(complex) for a in mats))
 
 
-def _rank_one_povm(rng, m):
-    """A random rank-one qubit detector: E_k = w_k (I + n_k . sigma) with |n_k| = 1."""
-    v = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+def _rank_one_povm(rng, m, d=2):
+    """A random rank-one detector, m >= d: E_k = S^(-1/2) v_k v_k^dagger S^(-1/2), S the sum
+    of the v_k v_k^dagger; on a qubit E_k = w_k (I + n_k . sigma) with |n_k| = 1."""
+    v = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
     mats = v[:, :, None] * v.conj()[:, None, :]
     evals, evecs = np.linalg.eigh(mats.sum(axis=0))
     inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.conj().T
@@ -1344,3 +1345,196 @@ class TestParallelRestarts:
         zeta_stein(p, SearchOptions(restarts=3))
         assert forks == [1, 1]  # two children, this process runs the third share
         _assert_no_children()
+
+
+def _objective_of(search, monkeypatch):
+    """The objective that search(p, opts) hands to the convex search."""
+    with monkeypatch.context() as mp:
+        mp.setattr(optimize, "_convex_search", lambda objective, p, opts: objective)
+        return search(None, None)
+
+
+@st.composite
+def restart_cases(draw):
+    """(detector, start angles): d in 2-4, m in 2-6 (at least d for rank-one
+    elements), random full-rank, random rank-one or, on a qubit, the
+    Fibonacci discretization's rank-one nodes."""
+    d = draw(st.integers(2, 4))
+    kinds = ["random", "rank_one"] + (["fibonacci"] if d == 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    m = draw(st.integers(d if kind == "rank_one" else 2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "fibonacci":
+        from detpower import fibonacci_covariant_discretization
+
+        p = fibonacci_covariant_discretization(2 * max(2, m // 2)).to_povm()  # 4 or 6 nodes
+    else:
+        p = random_povm(rng, d, m) if kind == "random" else _rank_one_povm(rng, m, d)
+    return p, optimize._start_angles(int(rng.integers(2**31)), d, 1)[0]
+
+
+RESTART_OBJECTIVES = {
+    "chernoff": lambda mp: _objective_of(zeta_chernoff, mp),
+    "stein": lambda mp: _objective_of(zeta_stein, mp),
+    "hoeffding": lambda mp: lambda P, Q: hoeffding_exponent(P, Q, 0.05),
+}
+
+
+def _restart_bits(outcome, params):
+    ev, rho, sigma = outcome
+    s = None if ev.optimizer_s is None else ev.optimizer_s.hex()
+    return ev.value.hex(), s, rho.tobytes(), sigma.tobytes(), params.tobytes()
+
+
+class TestPredictedLineSearches:
+    """A restart's line searches read the exact values at their predicted
+    probes from one stacked call; every float is that of the line searches
+    scored one probe at a time (oracles.restart_sequential)."""
+
+    @pytest.mark.parametrize("kind", list(RESTART_OBJECTIVES))
+    @settings(max_examples=8)
+    @given(case=restart_cases())
+    def test_restart_matches_the_sequential_loop(self, kind, case):
+        p, start = case
+        with pytest.MonkeyPatch.context() as mp:
+            objective = RESTART_OBJECTIVES[kind](mp)
+        got, want = start.copy(), start.copy()
+        assert _restart_bits(optimize._restart(objective, p, got), got) == _restart_bits(
+            oracles.restart_sequential(objective, p, want), want
+        )
+
+    @pytest.mark.parametrize("surrogate", ["constant", "nan", "noise", "raises"])
+    @pytest.mark.parametrize("kind", ["chernoff", "stein"])
+    @settings(max_examples=4)
+    @given(case=restart_cases())
+    def test_any_surrogate_gives_the_same_bytes(self, kind, surrogate, case):
+        # a wrong prediction only sends more probes to the one-at-a-time path
+        p, start = case
+        rng = np.random.default_rng(0)
+
+        def estimate(P, Q):
+            if surrogate == "raises":
+                raise ZeroDivisionError("surrogate")
+            return {"constant": 0.25, "nan": math.nan, "noise": float(rng.normal())}[surrogate]
+
+        with pytest.MonkeyPatch.context() as mp:
+            objective = RESTART_OBJECTIVES[kind](mp)
+        objective.surrogate = lambda: estimate
+        got, want = start.copy(), start.copy()
+        assert _restart_bits(optimize._restart(objective, p, got), got) == _restart_bits(
+            oracles.restart_sequential(objective, p, want), want
+        )
+
+    def test_unvisited_probe_that_raises_is_never_raised(self, monkeypatch):
+        # the row form raises on every stack: each probe is then scored on its own
+        p = random_povm(np.random.default_rng(7), 3, 4)
+        objective = _objective_of(zeta_chernoff, monkeypatch)
+        rows = objective.rows
+
+        def raising(P, Q, floor):
+            if floor is None:  # the restarts' calls; the scan passes its incumbent
+                raise DomainError("a predicted probe")
+            return rows(P, Q, floor)
+
+        objective.rows = raising
+        start = optimize._start_angles(3, 3, 1)[0]
+        got, want = start.copy(), start.copy()
+        assert _restart_bits(optimize._restart(objective, p, got), got) == _restart_bits(
+            oracles.restart_sequential(objective, p, want), want
+        )
+
+    def test_most_probes_are_predicted(self, monkeypatch):
+        # the scalar objective runs only for the probes the prediction missed
+        p = random_povm(np.random.default_rng(7), 3, 4)
+        objective = _objective_of(zeta_chernoff, monkeypatch)
+        calls, probes = [], []
+        scalar = objective.rows
+        objective.rows = lambda P, Q, floor: probes.append(len(P)) or scalar(P, Q, floor)
+        counted = optimize._row_scored(lambda P, Q: calls.append(1) or chernoff_exponent(P, Q), objective.rows, objective.surrogate)
+        optimize._restart(counted, p, optimize._start_angles(0, 3, 1)[0])
+        assert len(probes) == 32 and sum(probes) > 1000  # 4 passes of 8 line searches
+        assert len(calls) - 2 < sum(probes) / 50  # the start and final pairs are scored too
+
+    def test_custom_objective_takes_no_prediction(self, monkeypatch):
+        predicted = []
+        monkeypatch.setattr(optimize, "_predicted_values", lambda *a: predicted.append(1) or {})
+        p = random_povm(np.random.default_rng(7), 3, 4)
+        objective = _objective_of(zeta_chernoff, monkeypatch)
+        optimize._restart(lambda P, Q: chernoff_exponent(P, Q), p, optimize._start_angles(0, 3, 1)[0])
+        assert predicted == []
+        optimize._restart(objective, p, optimize._start_angles(0, 3, 1)[0])
+        assert len(predicted) == 32
+
+    @given(
+        d=st.integers(2, 5),
+        rows=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        right=st.floats(0.0, 1.0),
+    )
+    def test_stacked_pure_states_have_the_row_bytes(self, d, rows, seed, right):
+        rng = np.random.default_rng(seed)
+        params = rng.uniform(-7.0, 7.0, (rows, 2 * (d - 1)))
+        at = rng.uniform(size=params.shape) < right  # angles at multiples of pi/2
+        params[at] = rng.integers(-4, 5, at.sum()) * (math.pi / 2)
+        got = optimize._pure_mats(params, d)
+        assert [m.tobytes() for m in got] == [optimize._pure_mat(a, d).tobytes() for a in params]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_line_form_is_the_induced_distribution(self, d):
+        rng = np.random.default_rng(d)
+        p = random_povm(rng, d, 5)
+        angles = optimize._start_angles(d, d, 1)[0][: 2 * (d - 1)]
+        for k in range(2 * (d - 1)):
+            form = optimize._line_form(p, angles, k)
+            for x in rng.uniform(-4.0, 4.0, 5):
+                at = angles.copy()
+                at[k] = x
+                c, s = math.cos(x), math.sin(x)
+                want = induced_probs(p, optimize._pure_mat(at, d))
+                assert np.allclose(np.array([1.0, c, s, c * c, s * s, c * s]) @ form, want, rtol=0, atol=1e-14)
+
+
+def _edge_objective(bad, edge, batched=False):
+    """P_0 - Q_0 where P_0 <= edge, and the value bad beyond: the maximum lies on the edge.
+
+    batched: with a row form and a surrogate, so the restarts score predicted probes in batches."""
+
+    def value(p, q):
+        return bad if p[0] > edge else float(p[0] - q[0])
+
+    def rows(P, Q, floor):
+        return np.where(P.probs[:, 0] > edge, bad, P.probs[:, 0] - Q.probs[:, 0]), np.full(len(P), math.nan)
+
+    objective = optimize._row_scored(lambda P, Q: ExponentValue(value(P.probs, Q.probs)), rows, lambda: value)
+    return objective if batched else lambda P, Q: objective(P, Q)
+
+
+class TestNonFiniteLineValues:
+    """A line search takes NaN and -inf as the worst values and +inf as the best."""
+
+    def test_descent_values(self):
+        assert [optimize._descent(v) for v in (0.5, 0.0, math.inf, -math.inf, math.nan)] == [
+            -0.5, -0.0, -1e300, 1e300, 1e300
+        ]
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_restarts_leave_the_bad_region(self, bad, batched):
+        # taken as the best value, NaN and -inf drew the line searches over the edge
+        p = random_povm(np.random.default_rng(7), 3, 4)
+        objective = _edge_objective(bad, 0.3, batched)
+        outcomes = [(optimize._restart(objective, p, s.copy()), oracles.restart_sequential(objective, p, s.copy()))
+                    for s in optimize._start_angles(0, 3, 3)]
+        assert all(0.27 < got[0].value <= 0.3 for got, _ in outcomes), [got[0].value for got, _ in outcomes]
+        for got, want in outcomes:
+            assert got[0].value.hex() == want[0].value.hex() and got[1].tobytes() == want[1].tobytes()
+
+    def test_nan_start_counts_as_minus_infinity(self):
+        # a NaN start value was never improved on, so the restart stayed where it started
+        p = random_povm(np.random.default_rng(7), 3, 4)
+        objective = _edge_objective(math.nan, 0.2)
+        score = optimize._scorer(objective, p)[1]
+        starts = [s for s in optimize._start_angles(0, 3, 40) if math.isnan(score(*(optimize._pure_mat(h, 3) for h in (s[:4], s[4:]))).value)]
+        assert len(starts) >= 2
+        values = [optimize._restart(objective, p, s)[0].value for s in starts]
+        assert all(0.17 < v <= 0.2 for v in values), values
